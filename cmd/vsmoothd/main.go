@@ -28,8 +28,7 @@ import (
 
 	"voltsmooth/internal/api"
 	"voltsmooth/internal/chaos"
-	"voltsmooth/internal/journal"
-	"voltsmooth/internal/lease"
+	"voltsmooth/internal/durable"
 	"voltsmooth/internal/sigctx"
 	"voltsmooth/internal/telemetry"
 	"voltsmooth/internal/telemetry/wire"
@@ -78,11 +77,12 @@ func run(argv []string) int {
 		fsck       = fs.Bool("fsck", false, "scrub the store for crash debris (tmp orphans, stale lock sidecars, torn cache entries), report, and exit")
 		fsckRepair = fs.Bool("fsck-repair", false, "with -fsck: also remove what is provably safe to remove")
 
-		// chaosKillAtOp is the deterministic crash point of the kill-restart
-		// e2e: the Nth journal filesystem operation SIGKILLs this process —
-		// no cleanup, no flush, exactly the failure mode the journal layer
-		// is built to survive. Production runs leave it 0.
-		chaosKillAtOp = fs.Int64("chaos-kill-at-op", 0, "TESTING: SIGKILL this process at the Nth journal fs op (0 = off)")
+		// chaosKillAtOp is the deterministic crash point of the kill e2e
+		// tests: the Nth operation drawn by the chaos plane (journal ops,
+		// plus lease ops in fleet mode) SIGKILLs this process — no cleanup,
+		// no flush, exactly the failure mode the journal and lease layers
+		// are built to survive. Production runs leave it 0.
+		chaosKillAtOp = fs.Int64("chaos-kill-at-op", 0, "TESTING: SIGKILL this process at the Nth chaos-plane fs op, counting journal ops and, with -fleet, lease ops (0 = off)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -114,21 +114,16 @@ func run(argv []string) int {
 	uninstall := wire.Install(reg, trace)
 	defer uninstall()
 
-	var journalFS journal.FS
-	var leaseFS lease.FS
+	var plane durable.FS
 	if *chaosKillAtOp > 0 {
-		// One plane, one op stream, wired under BOTH the journal and (in
-		// fleet mode) the lease layer — so the seeded kill-point can land
-		// inside a claim transaction or renewal just as well as mid-append.
-		plane := chaos.NewFS(chaos.Plan{KillAtOp: *chaosKillAtOp}, func() {
+		// One plane, one op stream, under the journal and (in fleet mode)
+		// the lease layer — so the seeded kill-point can land inside a
+		// claim transaction or renewal just as well as mid-append.
+		plane = chaos.NewFS(chaos.Plan{KillAtOp: *chaosKillAtOp}, func() {
 			// A real SIGKILL: the kernel reaps the process mid-write, file
 			// locks release, nothing user-space runs after this line.
 			syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		})
-		journalFS = plane
-		if *fleet {
-			leaseFS = plane
-		}
 		fmt.Fprintf(os.Stderr, "vsmoothd: CHAOS: will SIGKILL at fs op %d\n", *chaosKillAtOp)
 	}
 
@@ -143,7 +138,7 @@ func run(argv []string) int {
 		ExpTimeout:            *expTimeout,
 		Retries:               *retries,
 		StallTimeout:          *stallTimeout,
-		JournalFS:             journalFS,
+		FS:                    plane,
 		SyncEvery:             *syncEvery,
 		DisableCache:          !*cache,
 		CacheMax:              *cacheMax,
@@ -153,7 +148,6 @@ func run(argv []string) int {
 		WorkerID:              *workerID,
 		LeaseTTL:              *leaseTTL,
 		ScanInterval:          *scanInterval,
-		LeaseFS:               leaseFS,
 		Preempt:               *preempt,
 		AgeAfter:              *ageAfter,
 		ShedWatermark:         *shedWatermark,

@@ -301,6 +301,48 @@ type job struct {
 	follower bool
 }
 
+// newJob builds the in-memory job for a durable admission record — the
+// one constructor behind admission, boot recovery and the fleet
+// scanner's peer mirror, so every path derives the same fingerprint,
+// queue seniority and absolute deadline from the record. The job starts
+// queued.
+func (s *Server) newJob(rec JobRecord) *job {
+	jb := &job{
+		id:          rec.ID,
+		client:      rec.Client,
+		spec:        rec.Spec,
+		created:     time.Unix(0, rec.CreatedUnixNS),
+		fingerprint: rec.Spec.ConfigFingerprint(),
+		state:       StateQueued,
+		trace:       telemetry.NewTrace(s.cfg.EventsCap),
+	}
+	jb.enqueuedAt = jb.created
+	if rec.Spec.DeadlineMS > 0 {
+		jb.deadline = jb.created.Add(time.Duration(rec.Spec.DeadlineMS) * time.Millisecond)
+	}
+	return jb
+}
+
+// installResult makes a stored terminal result the job's state: boot
+// recovery of a finished job, or adoption of a peer's result. The caller
+// holds j.mu, or owns a job not yet shared.
+func (j *job) installResult(res *Result) {
+	j.state = res.State
+	j.errMsg = res.Error
+	j.result = res
+	j.resumedUnits = res.ResumedUnits
+	j.cached = res.Cached
+	j.cacheSource = res.CacheSource
+	j.prog.units.Store(res.Units)
+	j.prog.expDone.Store(uint64(len(res.Renders)))
+	if res.StartedUnixNS != 0 {
+		j.started = time.Unix(0, res.StartedUnixNS)
+	}
+	if res.FinishedUnixNS != 0 {
+		j.finished = time.Unix(0, res.FinishedUnixNS)
+	}
+}
+
 // isFenced reports whether the job's lease was superseded mid-run.
 func (j *job) isFenced() bool {
 	j.mu.Lock()
@@ -372,8 +414,8 @@ type Status struct {
 	// ResumedUnits is how many completed units the job's journal replayed
 	// when it (re)started — nonzero exactly when the job survived a
 	// server crash or restart mid-run.
-	ResumedUnits int    `json:"resumed_units"`
-	Recovered    bool   `json:"recovered,omitempty"`
+	ResumedUnits int  `json:"resumed_units"`
+	Recovered    bool `json:"recovered,omitempty"`
 	// Preemptions counts how many times a higher-priority arrival
 	// suspended this job; DeadlineUnixNS is the absolute completion
 	// deadline derived from spec deadline_ms (0 = none).

@@ -22,8 +22,8 @@ import (
 // first job to finish publishes its renders here, and every later
 // identical spec is served instantly with byte-identical renders.
 //
-// Entries are written tmp+fsync+rename by the same writeFileAtomic as
-// result.json, and — in fleet mode — inside the publisher's lease Guard,
+// Entries are written tmp+fsync+rename by the same durable atomic replace
+// as result.json, and — in fleet mode — inside the publisher's lease Guard,
 // so a fenced stale worker can never poison the cache. Reads validate
 // the entry (parseable, fingerprint echoes the key, renders non-empty);
 // any defect is a miss and the job simply executes, rewriting the entry.
@@ -59,7 +59,7 @@ func (s *Store) WriteCached(e *CacheEntry) error {
 	if err := os.MkdirAll(s.cacheDir(e.Fingerprint), 0o755); err != nil {
 		return fmt.Errorf("api: create cache dir: %w", err)
 	}
-	return writeFileAtomic(s.CachePath(e.Fingerprint), e)
+	return persistJSON(s.CachePath(e.Fingerprint), e)
 }
 
 // LoadCached reads and validates the cache entry for a fingerprint.

@@ -115,6 +115,44 @@ func TestCacheServesIdenticalSpecAcrossTenants(t *testing.T) {
 	}
 }
 
+// TestCachedAdmissionKeepsDeadline: a submission served from the cache
+// at admission reports its absolute deadline like any other job, and the
+// same deadline_unix_ns after a restart recovers it from job.json.
+func TestCachedAdmissionKeepsDeadline(t *testing.T) {
+	st, err := api.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	if err := st.WriteCached(&api.CacheEntry{Fingerprint: fingerprintOf(t, spec), SourceJob: "j000000",
+		Renders: map[string]string{"fig7": "cached render"}, Units: 1}); err != nil {
+		t.Fatal(err)
+	}
+	useStore := func(c *api.Config) { c.Store = st }
+
+	srv, hs := newTestServer(t, useStore)
+	spec.DeadlineMS = 60_000
+	var ack map[string]string
+	if resp := submit(t, hs.URL, "tenant", spec, &ack); resp.StatusCode != http.StatusAccepted || ack["cached"] != "true" {
+		t.Fatalf("submit: status %d, ack %v; want a 202 cache hit", resp.StatusCode, ack)
+	}
+	var before api.Status
+	getJSON(t, hs.URL+"/jobs/"+ack["id"], &before)
+	if want := before.CreatedUnixNS + int64(time.Minute); before.DeadlineUnixNS != want {
+		t.Fatalf("cache hit reports deadline_unix_ns %d, want created+60s = %d", before.DeadlineUnixNS, want)
+	}
+	hs.Close()
+	srv.Close()
+
+	_, hs = newTestServer(t, useStore)
+	var after api.Status
+	getJSON(t, hs.URL+"/jobs/"+ack["id"], &after)
+	if after.DeadlineUnixNS != before.DeadlineUnixNS || after.State != api.StateDone || !after.Cached {
+		t.Fatalf("after restart: state %s cached %v deadline %d; want done, cached, deadline %d",
+			after.State, after.Cached, after.DeadlineUnixNS, before.DeadlineUnixNS)
+	}
+}
+
 // TestInflightFollowerAttaches pins in-flight dedup: when an identical
 // spec arrives while the first is still executing, the second job attaches
 // as a follower instead of executing, and is completed from the leader's

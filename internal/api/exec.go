@@ -359,7 +359,7 @@ func (s *Server) openSession(jb *job) (*experiments.Session, *journal.Journal, e
 
 	jnl, err := journal.Open(s.store.JournalPath(jb.id), sess.ConfigFingerprint(), journal.Options{
 		Resume:    true,
-		FS:        s.cfg.JournalFS,
+		FS:        s.cfg.FS,
 		SyncEvery: s.cfg.SyncEvery,
 		Warn:      sess.Warn,
 	})

@@ -155,8 +155,7 @@ func TestFleetKillFailoverSoak(t *testing.T) {
 		// One plane under both layers: the kill-point can land inside a
 		// claim transaction, a renewal, or a journal append.
 		srvA, hsA := newFleetServer(t, dir, "w1", func(c *api.Config) {
-			c.JournalFS = plane
-			c.LeaseFS = plane
+			c.FS = plane
 		})
 		_, _ = newFleetServer(t, dir, "w2", nil)
 

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+
+	"voltsmooth/internal/durable"
 )
 
 // Fsck (DESIGN §13) is the store scrubber behind `vsmoothd -fsck`: an
@@ -14,13 +15,14 @@ import (
 // garbage. It is deliberately conservative: anything a live process might
 // still be using (seq.lock, lock sidecars next to unfinished jobs) is
 // reported but never touched, because removing a lock file races a
-// concurrent locker onto a dead inode (see lockBlocking).
+// concurrent locker onto a dead inode (see internal/durable).
 //
 // Issue classes:
 //
-//   - tmp orphan: a ".<name>.tmp-*" temp file left by a crash between
-//     CreateTemp and rename (writeFileAtomic). Always safe to remove —
-//     rename is atomic, so an orphan was by definition never committed.
+//   - tmp orphan: a ".<name>.tmp-*" temp file left by a crash inside an
+//     atomic replace (durable.IsTemp), including the torn temp files the
+//     chaos plane leaves at a kill-point. Always safe to remove — rename
+//     is atomic, so an orphan was by definition never committed.
 //   - stale lock: a "*.lock" flock sidecar (lease.json.lock,
 //     journal.jsonl.lock) next to a TERMINAL job. Terminal jobs are never
 //     claimed or resumed again, so the sidecar is dead weight; next to an
@@ -98,8 +100,8 @@ func (s *Store) Fsck(repair bool, warn func(format string, args ...any)) (*FsckR
 		if !terminal {
 			continue
 		}
-		for _, lock := range []string{"lease.json.lock", "journal.jsonl.lock"} {
-			p := filepath.Join(dir, lock)
+		for _, guarded := range []string{"lease.json", "journal.jsonl"} {
+			p := durable.LockPath(filepath.Join(dir, guarded))
 			if _, serr := os.Stat(p); serr == nil {
 				record("stale_lock", p, "lock sidecar next to terminal job "+id,
 					func() error { return os.Remove(p) })
@@ -128,11 +130,10 @@ func (s *Store) Fsck(repair bool, warn func(format string, args ...any)) (*FsckR
 	return rep, nil
 }
 
-// sweepTmp records (and under repair, removes) writeFileAtomic temp
-// orphans directly inside dir: dot-prefixed names carrying the ".tmp-"
-// infix. Nothing else matches that shape, and a live writeFileAtomic's
-// temp file lives for microseconds — an orphan found by an offline scrub
-// is from a dead process.
+// sweepTmp records (and under repair, removes) atomic-replace temp
+// orphans directly inside dir (durable.IsTemp). Nothing else matches
+// that shape, and a live writer's temp file lives for microseconds — an
+// orphan found by an offline scrub is from a dead process.
 func (s *Store) sweepTmp(dir string, record func(kind, path, detail string, fix func() error)) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -140,7 +141,7 @@ func (s *Store) sweepTmp(dir string, record func(kind, path, detail string, fix 
 	}
 	for _, de := range entries {
 		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, ".") || !strings.Contains(name, ".tmp-") {
+		if de.IsDir() || !durable.IsTemp(name) {
 			continue
 		}
 		p := filepath.Join(dir, name)

@@ -100,27 +100,95 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Cross-tenant result cache (DESIGN §12): a spec whose fingerprint
 	// already has a completed execution is served instantly — the 202 is
 	// followed by an immediately-terminal job, with no queue slot spent.
-	fp := spec.ConfigFingerprint()
-	if s.leases == nil {
-		if e := s.cacheLookup(fp); e != nil {
-			s.admitCached(w, client, spec, fp, e)
-			return
-		}
-	}
 	// (Fleet mode skips the shortcut: the cached completion must still go
 	// through the job's lease fence, so it lands in runJob's claim-time
 	// cache check instead — same user-visible behavior, one code path.)
+	var hit *CacheEntry
+	if s.leases == nil {
+		hit = s.cacheLookup(spec.ConfigFingerprint())
+	}
 
-	// Reserve a queue slot under the lock: the depth check and the
-	// increment are atomic, so an admitted job always owns a slot and the
-	// enqueue below can never over-fill the queue.
+	if hit == nil && !s.reserveSlot(w, client, spec) {
+		return
+	}
+	// release gives back the reserved slot when admission fails after it.
+	release := func() {
+		if hit == nil {
+			s.mu.Lock()
+			s.depth--
+			s.mu.Unlock()
+		}
+	}
+
+	// The ID comes from the store's flock-guarded counter, not process
+	// memory: two fleet workers admitting concurrently can never mint the
+	// same sequence.
+	id, err := s.store.AllocateID()
+	if err != nil {
+		release()
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf("allocate job id: %v", err))
+		return
+	}
+	rec := JobRecord{ID: id, Client: client, Spec: spec, CreatedUnixNS: s.now().UnixNano()}
+	jb := s.newJob(rec)
+	jb.enqueued = hit == nil
+	s.mu.Lock()
+	s.jobs[id] = jb
+	s.order = append(s.order, id)
+	s.mu.Unlock()
+
+	// Durability before acknowledgment: the job record reaches disk
+	// (fsynced) before the 202, so an acked job survives a crash and is
+	// re-enqueued by the next boot's recovery scan — cached or not.
+	if err := s.store.CreateJob(rec); err != nil {
+		release()
+		s.mu.Lock()
+		delete(s.jobs, id)
+		for i, oid := range s.order {
+			if oid == id {
+				s.order = append(s.order[:i], s.order[i+1:]...)
+				break
+			}
+		}
+		s.mu.Unlock()
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf("persist job: %v", err))
+		return
+	}
+
+	hookInc(func(h *Hooks) *telemetry.Counter { return h.Admitted })
+	jb.trace.Emit(telemetry.Event{Kind: "api.job.queued", ID: id})
+	w.Header().Set("Location", "/jobs/"+id)
+	if hit != nil {
+		// Completed from the entry on the spot: no queue slot, no worker,
+		// no execution.
+		s.finishFromCache(jb, hit)
+		writeJSON(w, http.StatusAccepted, map[string]string{
+			"id": id, "state": string(StateDone), "cached": "true", "cache_source": hit.SourceJob,
+		})
+		return
+	}
+	s.mu.Lock()
+	depth := s.depth
+	s.mu.Unlock()
+	hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
+	hookTrace(telemetry.Event{Kind: "api.job.queued", ID: id, Detail: client})
+	s.enqueue(jb)
+	s.maybePreempt(jb.rank())
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": string(StateQueued)})
+}
+
+// reserveSlot reserves a queue slot for a submission under the lock: the
+// depth check and the increment are atomic, so an admitted job always
+// owns a slot and its enqueue can never over-fill the queue. A refusal
+// (draining, bulk shed, queue full) is written to w and reported false.
+func (s *Server) reserveSlot(w http.ResponseWriter, client string, spec JobSpec) bool {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		hookInc(func(h *Hooks) *telemetry.Counter { return h.Unavailable })
 		w.Header().Set("Retry-After", s.retryAfterDraining())
 		writeError(w, http.StatusServiceUnavailable, "server is draining; resubmit after restart")
-		return
+		return false
 	}
 	// Overload shedding (DESIGN §13): past the watermark, bulk work is
 	// refused while interactive/batch can still use the remaining headroom.
@@ -135,7 +203,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", s.retryAfterQueueFull())
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("bulk work shed: queue depth is past the watermark (%d); retry later", s.cfg.ShedWatermark))
-		return
+		return false
 	}
 	if s.depth >= s.cfg.QueueCap {
 		s.mu.Unlock()
@@ -144,119 +212,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", s.retryAfterQueueFull())
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("admission queue is full (%d waiting); retry later", s.cfg.QueueCap))
-		return
+		return false
 	}
 	s.depth++
-	depth := s.depth
 	s.mu.Unlock()
-
-	// The ID comes from the store's flock-guarded counter, not process
-	// memory: two fleet workers admitting concurrently can never mint the
-	// same sequence.
-	id, err := s.store.AllocateID()
-	if err != nil {
-		s.mu.Lock()
-		s.depth--
-		s.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("allocate job id: %v", err))
-		return
-	}
-	jb := &job{
-		id:          id,
-		client:      client,
-		spec:        spec,
-		created:     s.now(),
-		fingerprint: fp,
-		state:       StateQueued,
-		enqueued:    true,
-		trace:       telemetry.NewTrace(s.cfg.EventsCap),
-	}
-	jb.enqueuedAt = jb.created
-	if spec.DeadlineMS > 0 {
-		jb.deadline = jb.created.Add(time.Duration(spec.DeadlineMS) * time.Millisecond)
-	}
-	s.mu.Lock()
-	s.jobs[id] = jb
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-
-	// Durability before acknowledgment: the job record reaches disk
-	// (fsynced) before the 202, so an acked job survives a crash and is
-	// re-enqueued by the next boot's recovery scan.
-	if err := s.store.CreateJob(JobRecord{
-		ID: id, Client: client, Spec: spec, CreatedUnixNS: jb.created.UnixNano(),
-	}); err != nil {
-		s.mu.Lock()
-		s.depth--
-		delete(s.jobs, id)
-		for i, oid := range s.order {
-			if oid == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("persist job: %v", err))
-		return
-	}
-
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.Admitted })
-	hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
-	jb.trace.Emit(telemetry.Event{Kind: "api.job.queued", ID: id})
-	hookTrace(telemetry.Event{Kind: "api.job.queued", ID: id, Detail: client})
-	s.enqueue(jb)
-	s.maybePreempt(jb.rank())
-
-	w.Header().Set("Location", "/jobs/"+id)
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": string(StateQueued)})
-}
-
-// admitCached admits a submission whose fingerprint already has a cached
-// execution: the job is created durably (an acked job survives a crash,
-// cached or not), completed from the entry on the spot, and acked 202
-// already terminal — no queue slot, no worker, no execution.
-func (s *Server) admitCached(w http.ResponseWriter, client string, spec JobSpec, fp string, e *CacheEntry) {
-	id, err := s.store.AllocateID()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("allocate job id: %v", err))
-		return
-	}
-	jb := &job{
-		id:          id,
-		client:      client,
-		spec:        spec,
-		created:     s.now(),
-		fingerprint: fp,
-		state:       StateQueued,
-		trace:       telemetry.NewTrace(s.cfg.EventsCap),
-	}
-	s.mu.Lock()
-	s.jobs[id] = jb
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-	if err := s.store.CreateJob(JobRecord{
-		ID: id, Client: client, Spec: spec, CreatedUnixNS: jb.created.UnixNano(),
-	}); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		for i, oid := range s.order {
-			if oid == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("persist job: %v", err))
-		return
-	}
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.Admitted })
-	jb.trace.Emit(telemetry.Event{Kind: "api.job.queued", ID: id})
-	s.finishFromCache(jb, e)
-
-	w.Header().Set("Location", "/jobs/"+id)
-	writeJSON(w, http.StatusAccepted, map[string]string{
-		"id": id, "state": string(StateDone), "cached": "true", "cache_source": e.SourceJob,
-	})
+	return true
 }
 
 // retryAfterDraining derives the draining 503's Retry-After from the
@@ -345,7 +305,7 @@ func (s *Server) decorateOwner(st *Status) {
 	if s.leases == nil {
 		return
 	}
-	if l, err := lease.Load(s.cfg.LeaseFS, s.store.jobDir(st.ID)); err == nil && l != nil {
+	if l, err := lease.Load(s.cfg.FS, s.store.jobDir(st.ID)); err == nil && l != nil {
 		st.Owner = l.WorkerID
 		st.Epoch = l.Epoch
 	}

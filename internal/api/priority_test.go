@@ -1,6 +1,7 @@
 package api_test
 
 import (
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -23,6 +24,14 @@ func longSpec() api.JobSpec {
 // first (the spec was too short for the test's timing).
 func waitRunningUnits(t *testing.T, base, id string, n uint64) {
 	t.Helper()
+	waitRunning(t, base, id, fmt.Sprintf("%d running units", n),
+		func(st api.Status) bool { return st.Progress.Units >= n })
+}
+
+// waitRunning polls a job's status until it is running and ready holds;
+// what names the awaited condition. Fails if the job goes terminal first.
+func waitRunning(t *testing.T, base, id, what string, ready func(api.Status) bool) {
+	t.Helper()
 	deadline := time.Now().Add(time.Minute)
 	for time.Now().Before(deadline) {
 		var st api.Status
@@ -31,15 +40,15 @@ func waitRunningUnits(t *testing.T, base, id string, n uint64) {
 		}
 		switch st.State {
 		case api.StateRunning:
-			if st.Progress.Units >= n {
+			if ready(st) {
 				return
 			}
 		case api.StateDone, api.StateFailed, api.StateCanceled:
-			t.Fatalf("job %s went %s before reaching %d units; spec too short to preempt", id, st.State, n)
+			t.Fatalf("job %s went %s before reaching %s", id, st.State, what)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("job %s never reached %d running units", id, n)
+	t.Fatalf("job %s never reached %s", id, what)
 }
 
 // TestPreemptSuspendResume is the tentpole's determinism contract in one
@@ -121,7 +130,6 @@ func TestFleetPreemptCrossWorkerResume(t *testing.T) {
 		c.DisableCache = true
 	}
 	_, hsA := newFleetServer(t, dir, "worker-a", mutate)
-	_, _ = newFleetServer(t, dir, "worker-b", mutate)
 	st, err := api.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +146,17 @@ func TestFleetPreemptCrossWorkerResume(t *testing.T) {
 
 	// A long interactive job keeps worker A's only slot busy after the
 	// preemption, so the suspended bulk job's released lease is B's to
-	// claim.
+	// claim. B joins only once A runs the interactive job: an idle B's
+	// scanner would otherwise claim the interactive job itself, leaving
+	// A's slot free to re-claim the bulk job.
 	fast := longSpec()
 	fast.Priority = api.PriorityInteractive
 	if resp := submit(t, hsA.URL, "tenant-ia", fast, &ack); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit interactive: status %d", resp.StatusCode)
 	}
+	waitRunning(t, hsA.URL, ack["id"], "running on worker-a",
+		func(st api.Status) bool { return st.Owner == "worker-a" })
+	_, _ = newFleetServer(t, dir, "worker-b", mutate)
 
 	res := waitStoreResult(t, st, bulkID, time.Minute)
 	if res.State != api.StateDone {

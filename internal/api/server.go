@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"voltsmooth/internal/journal"
+	"voltsmooth/internal/durable"
 	"voltsmooth/internal/lease"
 	"voltsmooth/internal/runner"
 	"voltsmooth/internal/telemetry"
@@ -45,10 +45,12 @@ type Config struct {
 	Retries      int
 	StallTimeout time.Duration
 
-	// JournalFS is the filesystem seam for every job journal; nil means
-	// the real filesystem. The kill–restart e2e injects the chaos plane
-	// here.
-	JournalFS journal.FS
+	// FS is the filesystem seam under every job journal and, in fleet
+	// mode, every lease transaction; nil means the real filesystem. The
+	// kill e2e tests inject the chaos plane here, so a seeded kill-point
+	// can land mid-append or inside a claim. Store and cache records are
+	// written on the real filesystem either way.
+	FS durable.FS
 	// SyncEvery is the job journals' fsync cadence; <= 0 means 1 (every
 	// record — a server must survive whole-machine crashes).
 	SyncEvery int
@@ -123,10 +125,6 @@ type Config struct {
 	LeaseTTL time.Duration
 	// ScanInterval is the claim scanner's cadence; <= 0 means LeaseTTL/3.
 	ScanInterval time.Duration
-	// LeaseFS is the lease layer's filesystem seam; nil means the real
-	// filesystem. The fleet e2e injects the chaos plane here so seeded
-	// kill-points land inside claim transactions too.
-	LeaseFS lease.FS
 }
 
 // Server is the campaign service: admission, queue, executor pool, job
@@ -145,7 +143,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string // submission order
-	depth    int // jobs admitted but not yet picked by a worker
+	depth    int      // jobs admitted but not yet picked by a worker
 	draining bool
 	// drainDeadline is Drain's budget, recorded so the 503 Retry-After
 	// can report the actual time until a restart can admit again.
@@ -263,7 +261,7 @@ func New(cfg Config) (*Server, error) {
 		s.leases = &lease.Manager{
 			WorkerID: cfg.WorkerID,
 			TTL:      cfg.LeaseTTL,
-			FS:       cfg.LeaseFS,
+			FS:       cfg.FS,
 			Now:      now,
 			Warn: func(format string, args ...any) {
 				logf("lease: "+format, args...)
@@ -282,35 +280,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	var recovered []*job
 	for _, sj := range stored {
-		jb := &job{
-			id:          sj.Record.ID,
-			client:      sj.Record.Client,
-			spec:        sj.Record.Spec,
-			created:     time.Unix(0, sj.Record.CreatedUnixNS),
-			fingerprint: sj.Record.Spec.ConfigFingerprint(),
-			trace:       telemetry.NewTrace(cfg.EventsCap),
-		}
-		jb.enqueuedAt = jb.created
-		if jb.spec.DeadlineMS > 0 {
-			jb.deadline = jb.created.Add(time.Duration(jb.spec.DeadlineMS) * time.Millisecond)
-		}
+		jb := s.newJob(sj.Record)
 		if sj.Result != nil {
-			jb.state = sj.Result.State
-			jb.errMsg = sj.Result.Error
-			jb.result = sj.Result
-			jb.resumedUnits = sj.Result.ResumedUnits
-			jb.cached = sj.Result.Cached
-			jb.cacheSource = sj.Result.CacheSource
-			jb.prog.units.Store(sj.Result.Units)
-			if sj.Result.StartedUnixNS != 0 {
-				jb.started = time.Unix(0, sj.Result.StartedUnixNS)
-			}
-			if sj.Result.FinishedUnixNS != 0 {
-				jb.finished = time.Unix(0, sj.Result.FinishedUnixNS)
-			}
-			jb.prog.expDone.Store(uint64(len(sj.Result.Renders)))
+			jb.installResult(sj.Result)
 		} else {
-			jb.state = StateQueued
 			jb.recovered = true
 			recovered = append(recovered, jb)
 		}
@@ -390,19 +363,7 @@ func (s *Server) scanOnce() {
 		if !known {
 			// A peer admitted this job; mirror it locally so /jobs serves
 			// it and the claim path below can pick it up.
-			jb = &job{
-				id:          id,
-				client:      sj.Record.Client,
-				spec:        sj.Record.Spec,
-				created:     time.Unix(0, sj.Record.CreatedUnixNS),
-				fingerprint: sj.Record.Spec.ConfigFingerprint(),
-				state:       StateQueued,
-				trace:       telemetry.NewTrace(s.cfg.EventsCap),
-			}
-			jb.enqueuedAt = jb.created
-			if jb.spec.DeadlineMS > 0 {
-				jb.deadline = jb.created.Add(time.Duration(jb.spec.DeadlineMS) * time.Millisecond)
-			}
+			jb = s.newJob(sj.Record)
 			s.jobs[id] = jb
 			s.order = append(s.order, id)
 		}
@@ -422,7 +383,7 @@ func (s *Server) scanOnce() {
 
 		// Peek at the lease before spending a queue slot: a job under a
 		// peer's live lease is theirs until the TTL says otherwise.
-		if l, err := lease.Load(s.cfg.LeaseFS, s.store.jobDir(id)); err == nil &&
+		if l, err := lease.Load(s.cfg.FS, s.store.jobDir(id)); err == nil &&
 			l.LiveAt(s.now()) && l.WorkerID != s.cfg.WorkerID {
 			continue
 		}
@@ -478,20 +439,7 @@ func (s *Server) adoptResult(jb *job, res *Result) {
 		jb.mu.Unlock()
 		return
 	}
-	jb.state = res.State
-	jb.errMsg = res.Error
-	jb.result = res
-	jb.resumedUnits = res.ResumedUnits
-	jb.cached = res.Cached
-	jb.cacheSource = res.CacheSource
-	jb.prog.units.Store(res.Units)
-	jb.prog.expDone.Store(uint64(len(res.Renders)))
-	if res.StartedUnixNS != 0 {
-		jb.started = time.Unix(0, res.StartedUnixNS)
-	}
-	if res.FinishedUnixNS != 0 {
-		jb.finished = time.Unix(0, res.FinishedUnixNS)
-	}
+	jb.installResult(res)
 	jb.trace.Emit(telemetry.Event{Kind: "api.job." + string(res.State), ID: jb.id, Detail: "adopted from peer result"})
 	jb.mu.Unlock()
 	jb.notify()

@@ -9,7 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
+
+	"voltsmooth/internal/durable"
 )
 
 // Store is the durable job store under one directory:
@@ -24,6 +25,10 @@ import (
 //	<dir>/jobs/<id>/lease.log      lease history (claims, renewals, fences)
 //	<dir>/seq                      flock-guarded job-ID counter shared by every
 //	                               process on the store (AllocateID)
+//
+// Every file is written through internal/durable: records by its atomic
+// replace (tmp+fsync+rename), on the real filesystem even when a chaos
+// plane is wired under the journals and leases.
 //
 // Recovery on boot is a pure function of this layout: Scan returns every
 // job in submission order; a job with a result is terminal and served
@@ -74,14 +79,14 @@ func (s *Store) CreateJob(rec JobRecord) error {
 	if err := os.MkdirAll(s.jobDir(rec.ID), 0o755); err != nil {
 		return fmt.Errorf("api: create job dir: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(s.jobDir(rec.ID), "job.json"), rec)
+	return persistJSON(filepath.Join(s.jobDir(rec.ID), "job.json"), rec)
 }
 
 // WriteResult persists the terminal record atomically (tmp + rename), so
 // a crash mid-write can never leave a half-result that recovery would
 // mistake for a finished job.
 func (s *Store) WriteResult(res *Result) error {
-	return writeFileAtomic(filepath.Join(s.jobDir(res.ID), "result.json"), res)
+	return persistJSON(filepath.Join(s.jobDir(res.ID), "result.json"), res)
 }
 
 // LoadResult reads a job's terminal record; os.ErrNotExist when the job
@@ -166,13 +171,13 @@ func (s *Store) NextSeq() (int, error) {
 // non-blocking claim locks of the lease layer. The counter is seeded from
 // a store scan the first time a store without one allocates.
 func (s *Store) AllocateID() (string, error) {
-	release, err := lockBlocking(filepath.Join(s.dir, "seq.lock"))
+	seqPath := filepath.Join(s.dir, "seq")
+	release, err := durable.Lock(seqPath, true)
 	if err != nil {
 		return "", fmt.Errorf("api: lock seq counter: %w", err)
 	}
 	defer release()
 
-	seqPath := filepath.Join(s.dir, "seq")
 	next := 0
 	data, err := os.ReadFile(seqPath)
 	switch {
@@ -189,25 +194,10 @@ func (s *Store) AllocateID() (string, error) {
 	default:
 		return "", fmt.Errorf("api: read seq counter: %w", err)
 	}
-	if err := writeFileAtomic(seqPath, next+1); err != nil {
+	if err := persistJSON(seqPath, next+1); err != nil {
 		return "", fmt.Errorf("api: advance seq counter: %w", err)
 	}
 	return JobID(next), nil
-}
-
-// lockBlocking takes a blocking exclusive flock on path, creating it if
-// needed, and returns the release function. The file is never removed
-// (removing it would race a concurrent locker onto a dead inode).
-func lockBlocking(path string) (func() error, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f.Close, nil
 }
 
 // JobID formats a sequence number as a job ID ("j000042"): zero-padded so
@@ -236,28 +226,13 @@ func seqOf(id string) (int, bool) {
 	return n, true
 }
 
-// writeFileAtomic writes v as JSON to path via tmp+fsync+rename, so the
-// file either has its old contents or the complete new ones.
-func writeFileAtomic(path string, v any) error {
+// persistJSON writes v as indented JSON to path by durable's atomic
+// replace, so the file either has its old contents or the complete new
+// ones.
+func persistJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("api: marshal %s: %w", filepath.Base(path), err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return durable.WriteFileAtomic(path, append(data, '\n'))
 }

@@ -18,12 +18,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"syscall"
 	"time"
 
-	"voltsmooth/internal/journal"
+	"voltsmooth/internal/durable"
 	"voltsmooth/internal/telemetry"
 )
 
@@ -173,11 +172,13 @@ func mix(seed int64, op int64, class opClass) uint64 {
 	return z ^ (z >> 31)
 }
 
-// FS implements journal.FS over a base filesystem (the real one by
-// default), injecting the plan's faults. One FS maintains one op stream
-// shared by every file it opens; it is safe for concurrent use.
+// FS implements durable.FS over the real filesystem, injecting the
+// plan's faults. One FS maintains one op stream shared by every file it
+// opens and every whole-file op; it is safe for concurrent use. Writes,
+// syncs and reads draw from the stream; Stat, Truncate, opens, closes and
+// Lock do not.
 type FS struct {
-	base journal.FS
+	base durable.FS
 	plan Plan
 
 	// OnKill, when set, runs once when the kill-point fires — after the
@@ -193,7 +194,7 @@ type FS struct {
 
 // NewFS returns a fault plane over the real filesystem. onKill may be nil.
 func NewFS(plan Plan, onKill func()) *FS {
-	return &FS{base: journal.OSFS(), plan: plan, onKill: onKill, counts: map[Fault]int64{}}
+	return &FS{base: durable.OS(), plan: plan, onKill: onKill, counts: map[Fault]int64{}}
 }
 
 // Ops returns how many operations the plane has intercepted.
@@ -298,7 +299,7 @@ func (fs *FS) Truncate(name string, size int64) error {
 }
 
 // OpenRead opens name for reading through the plane.
-func (fs *FS) OpenRead(name string) (journal.File, error) {
+func (fs *FS) OpenRead(name string) (durable.File, error) {
 	if fs.Killed() {
 		return nil, ErrKilled
 	}
@@ -310,7 +311,7 @@ func (fs *FS) OpenRead(name string) (journal.File, error) {
 }
 
 // OpenAppend opens name for appending through the plane.
-func (fs *FS) OpenAppend(name string) (journal.File, error) {
+func (fs *FS) OpenAppend(name string) (durable.File, error) {
 	if fs.Killed() {
 		return nil, ErrKilled
 	}
@@ -327,42 +328,32 @@ func (fs *FS) OpenAppend(name string) (journal.File, error) {
 // how the data plane died. Routing it through the plane would also shift
 // every seeded fault schedule by one op, breaking replayability of
 // pre-lock soak seeds.
-func (fs *FS) Lock(name string) (func() error, error) {
-	if l, ok := fs.base.(journal.LockFS); ok {
-		return l.Lock(name)
-	}
-	return func() error { return nil }, nil
-}
+func (fs *FS) Lock(name string) (func() error, error) { return fs.base.Lock(name) }
 
-// The three methods below make *FS satisfy the lease layer's FS seam
-// (internal/lease.FS), so fleet mode can wire one plane under both the
-// journal and the claim path: seeded kill-points then land inside claim
-// transactions, renewals, and the guarded terminal write, exactly like a
-// process death there. Lease ops draw from the same op stream as journal
-// ops; in non-fleet runs none of these are ever called, so pre-fleet
-// seeded schedules replay unchanged.
+// The whole-file ops below serve the lease layer, so fleet mode wires one
+// plane under both the journal and the claim path: seeded kill-points
+// then land inside claim transactions, renewals, and the guarded
+// terminal write, exactly like a process death there. Lease ops draw
+// from the same op stream as journal ops; in non-fleet runs none of
+// these are ever called, so pre-fleet seeded schedules replay unchanged.
 
-// ReadFile reads the whole file through the plane (one read-op draw via
-// the wrapped handle; bit-flips and kill-points apply).
+// ReadFile reads the whole file through the plane: one read-op draw per
+// Read call of the wrapped handle, so bit-flips and kill-points apply.
 func (fs *FS) ReadFile(name string) ([]byte, error) {
 	f, err := fs.OpenRead(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(&fileReader{f})
+	return io.ReadAll(f)
 }
 
-// fileReader adapts a journal.File to io.Reader for ReadAll.
-type fileReader struct{ f journal.File }
-
-func (r *fileReader) Read(p []byte) (int, error) { return r.f.Read(p) }
-
-// WriteFileAtomic implements the lease layer's atomic replace through the
-// plane. One write-op draw covers the whole tmp+fsync+rename transaction;
-// any injected fault persists at most a prefix of the TEMP file and never
-// renames — the destination keeps its old contents, preserving exactly
-// the crash-atomicity the lease protocol relies on.
+// WriteFileAtomic is the atomic replace through the plane. One write-op
+// draw covers the whole tmp+fsync+rename transaction; any injected fault
+// persists at most a prefix of the TEMP file and never renames — the
+// destination keeps its old contents, preserving exactly the
+// crash-atomicity the lease protocol relies on. The torn temp file is
+// the one a dead writer leaves (durable.LeaveTemp), so fsck sweeps it.
 func (fs *FS) WriteFileAtomic(name string, data []byte) error {
 	fault, dead, r := fs.next(opWrite, name)
 	if dead {
@@ -375,59 +366,28 @@ func (fs *FS) WriteFileAtomic(name string, data []byte) error {
 		return ErrNoSpace
 	case TornWrite, ShortWrite, Kill:
 		// Crash mid-transaction: a prefix reaches the temp file, the
-		// rename never happens.
-		if tmp, err := os.CreateTemp(filepath.Dir(name), "."+filepath.Base(name)+".chaos-"); err == nil {
-			tmp.Write(data[:prefixLen(r, len(data))])
-			tmp.Close()
-		}
+		// rename never happens. Leaving the debris is best effort, as in
+		// a real crash: the caller sees the injected fault either way.
+		_ = durable.LeaveTemp(name, data[:prefixLen(r, len(data))])
 		if fault == Kill {
 			return ErrKilled
 		}
 		return errTorn
 	}
-	return writeFileAtomicOS(name, data)
-}
-
-// writeFileAtomicOS is the real tmp+fsync+rename (the fault-free path).
-func writeFileAtomicOS(name string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(name), "."+filepath.Base(name)+".tmp-")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), name)
+	return fs.base.WriteFileAtomic(name, data)
 }
 
 // AppendFile appends through the plane (open + one write-op draw): the
 // lease history log sees the same torn-tail faults the journal does.
 func (fs *FS) AppendFile(name string, data []byte) error {
-	f, err := fs.OpenAppend(name)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return durable.Append(fs, name, data)
 }
 
 // file wraps one handle, routing every op through the plane.
 type file struct {
 	fs   *FS
 	name string
-	f    journal.File
+	f    durable.File
 }
 
 func (f *file) Write(p []byte) (int, error) {

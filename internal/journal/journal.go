@@ -43,6 +43,7 @@ import (
 	"os"
 	"sync"
 
+	"voltsmooth/internal/durable"
 	"voltsmooth/internal/telemetry"
 )
 
@@ -94,7 +95,7 @@ type record struct {
 // goroutines.
 type Journal struct {
 	mu        sync.Mutex
-	f         File
+	f         durable.File
 	w         *bufio.Writer
 	entries   map[string]json.RawMessage
 	path      string
@@ -118,11 +119,10 @@ type Journal struct {
 	validSize int64
 	tornBytes int64
 
-	// unlock releases the exclusive advisory lock taken at Open (nil when
-	// the FS does not implement LockFS). It runs exactly once, on Close or
-	// on an Open that fails after the lock was taken — even on a poisoned
-	// journal, because a lock held past the owner's death in-process would
-	// block its own resume.
+	// unlock releases the exclusive advisory lock taken at Open. It runs
+	// exactly once, on Close or on an Open that fails after the lock was
+	// taken — even on a poisoned journal, because a lock held past the
+	// owner's death in-process would block its own resume.
 	unlock func() error
 
 	// Warn receives one formatted message per skipped corrupt record.
@@ -150,9 +150,9 @@ type Options struct {
 	// Warn receives one message per skipped corrupt record; nil logs to
 	// stderr.
 	Warn func(format string, args ...any)
-	// FS is the filesystem seam; nil means the real filesystem (OSFS).
-	// internal/chaos injects fault-scripted filesystems here.
-	FS FS
+	// FS is the filesystem seam; nil means the real filesystem
+	// (durable.OS). internal/chaos injects fault-scripted filesystems here.
+	FS durable.FS
 	// SyncEvery fsyncs the file after every N records (in addition to the
 	// per-record flush to the OS). 0 syncs only at Close — the historical
 	// behavior. Campaigns that must survive whole-machine crashes, and the
@@ -175,7 +175,7 @@ func Open(path, configHash string, opts Options) (*Journal, error) {
 	}
 	fs := opts.FS
 	if fs == nil {
-		fs = OSFS()
+		fs = durable.OS()
 	}
 	j := &Journal{
 		entries:   map[string]json.RawMessage{},
@@ -188,13 +188,14 @@ func Open(path, configHash string, opts Options) (*Journal, error) {
 	// Exclusive ownership comes first, before any byte of the file is
 	// trusted: two concurrent campaigns appending to one journal would
 	// interleave records silently, and each would replay the other's.
-	if lfs, ok := fs.(LockFS); ok {
-		unlock, err := lfs.Lock(path)
-		if err != nil {
-			return nil, err
-		}
-		j.unlock = unlock
+	unlock, err := fs.Lock(path)
+	if errors.Is(err, durable.ErrLocked) {
+		return nil, fmt.Errorf("%w: %s (another campaign holds %s)", ErrLocked, path, durable.LockPath(path))
 	}
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	j.unlock = unlock
 	opened := false
 	defer func() {
 		if !opened {
@@ -261,7 +262,7 @@ func (j *Journal) writeHeader() error {
 // load reads an existing journal, validating the header and every record,
 // and computes the framing (validSize, tornBytes) the torn-tail repair
 // needs.
-func (j *Journal) load(fs FS, path, configHash string) error {
+func (j *Journal) load(fs durable.FS, path, configHash string) error {
 	f, err := fs.OpenRead(path)
 	if err != nil {
 		return fmt.Errorf("journal: open %s: %w", path, err)

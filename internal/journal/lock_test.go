@@ -2,9 +2,10 @@ package journal
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"voltsmooth/internal/durable"
 )
 
 // TestSecondOpenerFailsFastWithErrLocked pins the journal-collision fix:
@@ -82,7 +83,7 @@ func TestLockReleasedOnPoisonedClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.jsonl")
 	hash := ConfigHash("cfg")
 
-	fs := failingFS{LockFS: OSFS().(LockFS)}
+	fs := failingFS{FS: durable.OS()}
 	j, err := Open(path, hash, Options{FS: fs, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -99,24 +100,6 @@ func TestLockReleasedOnPoisonedClose(t *testing.T) {
 		t.Fatalf("poisoned close kept the lock: %v", err)
 	}
 	j2.Close()
-}
-
-// TestUnlockedFSStillWorks: an Options.FS that does not implement LockFS
-// (pre-lock fault planes, test fakes) runs unlocked, exactly as before.
-func TestUnlockedFSStillWorks(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "campaign.jsonl")
-	hash := ConfigHash("cfg")
-	j, err := Open(path, hash, Options{FS: plainFS{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if err := j.Record("unit/0", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".lock"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("lockless FS created a lock file: stat err %v", err)
-	}
 }
 
 // TestOnReplayObservesEveryReplayedUnit: the per-journal replay observer
@@ -162,22 +145,12 @@ func TestOnReplayObservesEveryReplayedUnit(t *testing.T) {
 
 func key(i int) string { return "unit/" + string(rune('0'+i)) }
 
-// plainFS implements FS but not LockFS.
-type plainFS struct{}
-
-func (plainFS) Stat(name string) (os.FileInfo, error)  { return os.Stat(name) }
-func (plainFS) OpenRead(name string) (File, error)     { return os.Open(name) }
-func (plainFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
-func (plainFS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
 // failingFS locks like the real filesystem but fails every data write
 // after the header, poisoning the journal.
-type failingFS struct{ LockFS }
+type failingFS struct{ durable.FS }
 
-func (f failingFS) OpenAppend(name string) (File, error) {
-	inner, err := f.LockFS.OpenAppend(name)
+func (f failingFS) OpenAppend(name string) (durable.File, error) {
+	inner, err := f.FS.OpenAppend(name)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +158,7 @@ func (f failingFS) OpenAppend(name string) (File, error) {
 }
 
 type failAfterFirstWrite struct {
-	File
+	durable.File
 	writes int
 }
 

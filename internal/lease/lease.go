@@ -44,6 +44,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"voltsmooth/internal/durable"
 	"voltsmooth/internal/telemetry"
 )
 
@@ -132,7 +133,7 @@ type Manager struct {
 	// FS is the filesystem seam; nil means the real filesystem. The
 	// chaos plane (internal/chaos) implements it to inject faults and
 	// kill-points into the claim path.
-	FS FS
+	FS durable.FS
 	// Now is the clock seam; nil means time.Now.
 	Now func() time.Time
 	// Warn receives non-fatal oddities (corrupt lease files, history
@@ -140,11 +141,11 @@ type Manager struct {
 	Warn func(format string, args ...any)
 }
 
-func (m *Manager) fs() FS {
+func (m *Manager) fs() durable.FS {
 	if m.FS != nil {
 		return m.FS
 	}
-	return osFS{}
+	return durable.OS()
 }
 
 func (m *Manager) now() time.Time {
@@ -167,9 +168,9 @@ func (m *Manager) warnf(format string, args ...any) {
 // claimed. A corrupt file is an error — callers inside a claim
 // transaction treat it as claimable with a warning, but observers must
 // not mistake corruption for vacancy.
-func Load(fsys FS, jobDir string) (*Lease, error) {
+func Load(fsys durable.FS, jobDir string) (*Lease, error) {
 	if fsys == nil {
-		fsys = osFS{}
+		fsys = durable.OS()
 	}
 	data, err := fsys.ReadFile(filepath.Join(jobDir, leaseFile))
 	if err != nil {
@@ -187,9 +188,9 @@ func Load(fsys FS, jobDir string) (*Lease, error) {
 
 // History reads a job's lease history log. Unparseable lines are skipped
 // (a torn final line is expected after a crash mid-append).
-func History(fsys FS, jobDir string) ([]Event, error) {
+func History(fsys durable.FS, jobDir string) ([]Event, error) {
 	if fsys == nil {
-		fsys = osFS{}
+		fsys = durable.OS()
 	}
 	data, err := fsys.ReadFile(filepath.Join(jobDir, historyFile))
 	if err != nil {
