@@ -32,19 +32,19 @@ type Fig12Result struct {
 	Relative []float64
 }
 
-func runFig12(ctx context.Context, s *Session) Renderer { return Fig12(s) }
+func runFig12(ctx context.Context, s *Session) Renderer { return Fig12(ctx, s) }
 
 // Fig12 measures the five single-core microbenchmarks.
-func Fig12(s *Session) *Fig12Result {
+func Fig12(ctx context.Context, s *Session) *Fig12Result {
 	cfg := uarch.DefaultConfig()
 	r := &Fig12Result{
 		IdleP2P: idleScopeP2P(cfg, s.Scale.WarmupCycles, s.Scale.MicroCycles),
 		Events:  workload.EventKinds(),
 	}
-	for _, k := range r.Events {
-		p := microP2P(s, cfg, workload.Microbenchmark(k), nil)
-		r.Relative = append(r.Relative, p/r.IdleP2P)
-	}
+	r.Relative = make([]float64, len(r.Events))
+	s.sweep(ctx, len(r.Events), func(i int) {
+		r.Relative[i] = microP2P(s, cfg, workload.Microbenchmark(r.Events[i]), nil) / r.IdleP2P
+	})
 	return r
 }
 
@@ -85,26 +85,34 @@ type Fig13Result struct {
 	SingleMax float64
 }
 
-func runFig13(ctx context.Context, s *Session) Renderer { return Fig13(s) }
+func runFig13(ctx context.Context, s *Session) Renderer { return Fig13(ctx, s) }
 
 // Fig13 measures all event pairs.
-func Fig13(s *Session) *Fig13Result {
+func Fig13(ctx context.Context, s *Session) *Fig13Result {
 	cfg := uarch.DefaultConfig()
 	r := &Fig13Result{
 		IdleP2P: idleScopeP2P(cfg, s.Scale.WarmupCycles, s.Scale.MicroCycles),
 		Events:  workload.EventKinds(),
 	}
-	for _, k1 := range r.Events {
-		row := make([]float64, 0, len(r.Events))
-		for _, k2 := range r.Events {
-			p := microP2P(s, cfg, workload.Microbenchmark(k1), workload.Microbenchmark(k2))
-			row = append(row, p/r.IdleP2P)
-		}
-		r.Relative = append(r.Relative, row)
+	n := len(r.Events)
+	r.Relative = make([][]float64, n)
+	for i := range r.Relative {
+		r.Relative[i] = make([]float64, n)
 	}
-	for _, k := range r.Events {
-		p := microP2P(s, cfg, workload.Microbenchmark(k), nil)
-		if rel := p / r.IdleP2P; rel > r.SingleMax {
+	// Runs 0…n²−1 are the event pairs in row-major order; runs n²…n²+n−1
+	// are the single-core references.
+	single := make([]float64, n)
+	s.sweep(ctx, n*n+n, func(k int) {
+		if k < n*n {
+			i, j := k/n, k%n
+			p := microP2P(s, cfg, workload.Microbenchmark(r.Events[i]), workload.Microbenchmark(r.Events[j]))
+			r.Relative[i][j] = p / r.IdleP2P
+			return
+		}
+		single[k-n*n] = microP2P(s, cfg, workload.Microbenchmark(r.Events[k-n*n]), nil) / r.IdleP2P
+	})
+	for _, rel := range single {
+		if rel > r.SingleMax {
 			r.SingleMax = rel
 		}
 	}

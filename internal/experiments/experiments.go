@@ -13,6 +13,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+
+	"voltsmooth/internal/workload"
 )
 
 // Renderer is implemented by every experiment result.
@@ -86,4 +88,14 @@ func splitID(s string) (prefix string, num int) {
 		return s, -1
 	}
 	return s[:i], num
+}
+
+// mustProfile returns the named benchmark profile. The experiments name
+// their programs as constants, so an unknown name is a bug.
+func mustProfile(name string) workload.Profile {
+	p, err := workload.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

@@ -92,7 +92,7 @@ func TestFig2MarginCost(t *testing.T) {
 }
 
 func TestFig4Resonance(t *testing.T) {
-	r := Fig4(session(t))
+	r := Fig4(context.Background(), session(t))
 	if r.PeakFreqHz < 90e6 || r.PeakFreqHz > 250e6 {
 		t.Errorf("resonance at %.0f MHz", r.PeakFreqHz/1e6)
 	}
@@ -223,7 +223,7 @@ func TestFig11Waveform(t *testing.T) {
 }
 
 func TestFig12BranchLargest(t *testing.T) {
-	r := Fig12(session(t))
+	r := Fig12(context.Background(), session(t))
 	br := r.RelativeOf(workload.EventBR)
 	for _, k := range r.Events {
 		if k != workload.EventBR && r.RelativeOf(k) > br {
@@ -238,7 +238,7 @@ func TestFig12BranchLargest(t *testing.T) {
 }
 
 func TestFig13InterferenceMatrix(t *testing.T) {
-	r := Fig13(session(t))
+	r := Fig13(context.Background(), session(t))
 	a, b, max := r.MaxCell()
 	if a != workload.EventEXCP || b != workload.EventEXCP {
 		t.Errorf("matrix max at %vx%v, paper: EXCPxEXCP", a, b)
@@ -266,7 +266,7 @@ func TestFig13InterferenceMatrix(t *testing.T) {
 }
 
 func TestFig14PhaseStructure(t *testing.T) {
-	r := Fig14(session(t))
+	r := Fig14(context.Background(), session(t))
 	sphinx := r.SummaryOf("sphinx")
 	gamess := r.SummaryOf("gamess")
 	tonto := r.SummaryOf("tonto")
@@ -283,7 +283,7 @@ func TestFig14PhaseStructure(t *testing.T) {
 }
 
 func TestFig15StallCorrelation(t *testing.T) {
-	r := Fig15(session(t))
+	r := Fig15(context.Background(), session(t))
 	if r.Pearson < 0.85 {
 		t.Errorf("droop↔stall correlation r = %.3f, paper: 0.97", r.Pearson)
 	}

@@ -11,7 +11,6 @@ import (
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/sched"
 	"voltsmooth/internal/uarch"
-	"voltsmooth/internal/workload"
 )
 
 func init() {
@@ -42,19 +41,20 @@ func Ext1(ctx context.Context, s *Session) *Ext1Result {
 		return out
 	}
 
-	r := &Ext1Result{}
-	for _, pol := range []sched.OnlinePolicy{
+	policies := []sched.OnlinePolicy{
 		sched.StallClusterPolicy{},
 		sched.StallSpreadPolicy{},
 		sched.NewRandomOnlinePolicy(1),
 		sched.NewRandomOnlinePolicy(2),
-	} {
-		res, err := sched.RunOnlineCtx(ctx, cfg, jobs(), pol)
+	}
+	r := &Ext1Result{Results: make([]sched.OnlineResult, len(policies))}
+	s.sweep(ctx, len(policies), func(i int) {
+		res, err := sched.RunOnlineCtx(ctx, cfg, jobs(), policies[i])
 		if err != nil {
 			panic(&parallel.AbortError{Err: err})
 		}
-		r.Results = append(r.Results, res)
-	}
+		r.Results[i] = res
+	})
 	return r
 }
 
@@ -114,41 +114,36 @@ type Ext2Row struct {
 	SplitDroopsPerKc  float64
 }
 
-func runExt2(ctx context.Context, s *Session) Renderer { return Ext2(s) }
+func runExt2(ctx context.Context, s *Session) Renderer { return Ext2(ctx, s) }
 
 // Ext2 measures representative pairs on both designs.
-func Ext2(s *Session) *Ext2Result {
+func Ext2(ctx context.Context, s *Session) *Ext2Result {
 	margin := s.Margin(pdn.Proc100)
-	r := &Ext2Result{}
-	for _, pair := range [][2]string{{"mcf", "mcf"}, {"sphinx", "namd"}, {"namd", "namd"}} {
-		a, err := workload.ByName(pair[0])
-		if err != nil {
-			panic(err)
-		}
-		b, err := workload.ByName(pair[1])
-		if err != nil {
-			panic(err)
-		}
-		row := Ext2Row{A: pair[0], B: pair[1]}
-
-		for _, split := range []bool{false, true} {
-			cfg := uarch.DefaultConfig()
-			cfg.SplitSupply = split
-			res := core.RunPair(cfg, a.NewStream(), b.NewStream(), core.RunConfig{
-				Cycles:       s.Scale.RunCycles,
-				WarmupCycles: s.Scale.WarmupCycles,
-				Margins:      []float64{margin},
-			})
-			if split {
-				row.SplitP2P = res.Scope.PeakToPeakPercent()
-				row.SplitDroopsPerKc = res.DroopsPerKCycle(margin)
-			} else {
-				row.SharedP2P = res.Scope.PeakToPeakPercent()
-				row.SharedDroopsPerKc = res.DroopsPerKCycle(margin)
-			}
-		}
-		r.Pairs = append(r.Pairs, row)
+	pairs := [][2]string{{"mcf", "mcf"}, {"sphinx", "namd"}, {"namd", "namd"}}
+	r := &Ext2Result{Pairs: make([]Ext2Row, len(pairs))}
+	for i, pair := range pairs {
+		r.Pairs[i].A, r.Pairs[i].B = pair[0], pair[1]
 	}
+	// Run 2i measures pair i on the shared supply, run 2i+1 on split
+	// supplies; each fills its own half of the row.
+	s.sweep(ctx, 2*len(pairs), func(k int) {
+		row := &r.Pairs[k/2]
+		split := k%2 == 1
+		cfg := uarch.DefaultConfig()
+		cfg.SplitSupply = split
+		res := core.RunPair(cfg, mustProfile(row.A).NewStream(), mustProfile(row.B).NewStream(), core.RunConfig{
+			Cycles:       s.Scale.RunCycles,
+			WarmupCycles: s.Scale.WarmupCycles,
+			Margins:      []float64{margin},
+		})
+		if split {
+			row.SplitP2P = res.Scope.PeakToPeakPercent()
+			row.SplitDroopsPerKc = res.DroopsPerKCycle(margin)
+		} else {
+			row.SharedP2P = res.Scope.PeakToPeakPercent()
+			row.SharedDroopsPerKc = res.DroopsPerKCycle(margin)
+		}
+	})
 	return r
 }
 

@@ -46,7 +46,7 @@ func TestExt1OnlineSchedulerWins(t *testing.T) {
 }
 
 func TestExt2SplitSupplyNoisier(t *testing.T) {
-	r := Ext2(session(t))
+	r := Ext2(context.Background(), session(t))
 	if len(r.Pairs) == 0 {
 		t.Fatal("no pairs measured")
 	}

@@ -31,10 +31,10 @@ type Fig4Result struct {
 	RedRatio1MHz float64 // reduced/full |Z| at 1 MHz (paper: ~5x)
 }
 
-func runFig4(ctx context.Context, s *Session) Renderer { return Fig4(s) }
+func runFig4(ctx context.Context, s *Session) Renderer { return Fig4(ctx, s) }
 
 // Fig4 sweeps the impedance profile.
-func Fig4(s *Session) *Fig4Result {
+func Fig4(ctx context.Context, s *Session) *Fig4Result {
 	cfg := uarch.DefaultConfig()
 	full := pdn.New(cfg.PDN)
 	red := pdn.New(cfg.PDN.WithCapFraction(0.20))
@@ -44,15 +44,17 @@ func Fig4(s *Session) *Fig4Result {
 		n = 3
 	}
 	freqs := stats.Logspace(1e6, 6e8, n)
-	r := &Fig4Result{Freqs: freqs}
+	r := &Fig4Result{Freqs: freqs, LoopMeasured: make([]float64, len(freqs))}
 
 	z1 := full.ImpedanceMag(1e6)
 	z1r := red.ImpedanceMag(1e6)
 	for _, f := range freqs {
 		r.AnalyticFull = append(r.AnalyticFull, full.ImpedanceMag(f)/z1)
 		r.AnalyticRed = append(r.AnalyticRed, red.ImpedanceMag(f)/z1)
-		r.LoopMeasured = append(r.LoopMeasured, core.MeasureLoopImpedance(cfg, f, s.Scale.MicroCycles*4)/z1)
 	}
+	s.sweep(ctx, len(freqs), func(i int) {
+		r.LoopMeasured[i] = core.MeasureLoopImpedance(cfg, freqs[i], s.Scale.MicroCycles*4) / z1
+	})
 	pf, pm := full.ResonancePeak(1e6, 1e9, 300)
 	r.PeakFreqHz = pf
 	r.PeakRatio = pm / z1

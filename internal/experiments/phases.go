@@ -6,7 +6,6 @@ import (
 	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/phase"
 	"voltsmooth/internal/stats"
-	"voltsmooth/internal/workload"
 )
 
 func init() {
@@ -25,27 +24,28 @@ type Fig14Result struct {
 	Summaries      []phase.Summary
 }
 
-func runFig14(ctx context.Context, s *Session) Renderer { return Fig14(s) }
+func runFig14(ctx context.Context, s *Session) Renderer { return Fig14(ctx, s) }
 
 // Fig14 records the three phase traces.
-func Fig14(s *Session) *Fig14Result {
+func Fig14(ctx context.Context, s *Session) *Fig14Result {
 	cfg := s.ChipConfig(pdn.Proc3)
-	r := &Fig14Result{IntervalCycles: s.Scale.IntervalCycles}
-	for _, name := range []string{"sphinx", "gamess", "tonto"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		res := core.RunSingle(cfg, p.NewStream(), core.RunConfig{
+	programs := []string{"sphinx", "gamess", "tonto"}
+	r := &Fig14Result{
+		IntervalCycles: s.Scale.IntervalCycles,
+		Programs:       programs,
+		Series:         make([][]float64, len(programs)),
+		Summaries:      make([]phase.Summary, len(programs)),
+	}
+	s.sweep(ctx, len(programs), func(i int) {
+		res := core.RunSingle(cfg, mustProfile(programs[i]).NewStream(), core.RunConfig{
 			Cycles:         s.Scale.PhaseRunCycles,
 			WarmupCycles:   s.Scale.WarmupCycles,
 			IntervalCycles: s.Scale.IntervalCycles,
 			SeriesMargin:   s.Margin(pdn.Proc3),
 		})
-		r.Programs = append(r.Programs, name)
-		r.Series = append(r.Series, res.DroopSeries)
-		r.Summaries = append(r.Summaries, phase.Summarize(res.DroopSeries, phaseDetectConfig(res.DroopSeries)))
-	}
+		r.Series[i] = res.DroopSeries
+		r.Summaries[i] = phase.Summarize(res.DroopSeries, phaseDetectConfig(res.DroopSeries))
+	})
 	return r
 }
 
@@ -106,22 +106,30 @@ type Fig15Result struct {
 	Pearson     float64
 }
 
-func runFig15(ctx context.Context, s *Session) Renderer { return Fig15(s) }
+func runFig15(ctx context.Context, s *Session) Renderer { return Fig15(ctx, s) }
 
 // Fig15 measures the first measurement window of every benchmark, as the
 // paper does ("a 60-second execution window ... from the beginning of
 // program execution").
-func Fig15(s *Session) *Fig15Result {
+func Fig15(ctx context.Context, s *Session) *Fig15Result {
 	cfg := s.ChipConfig(pdn.Proc3)
-	r := &Fig15Result{}
-	rc := core.RunConfig{Cycles: s.Scale.RunCycles, WarmupCycles: s.Scale.WarmupCycles}
-	for _, p := range s.SpecProfiles() {
-		res := core.RunSingle(cfg, p.NewStream(), rc)
-		r.Names = append(r.Names, p.Name)
-		r.DroopsPerKc = append(r.DroopsPerKc, res.DroopsPerKCycle(s.Margin(pdn.Proc3)))
-		r.StallRatio = append(r.StallRatio, res.StallRatio(0))
-		r.IPC = append(r.IPC, res.IPC(0))
+	profiles := s.SpecProfiles()
+	n := len(profiles)
+	r := &Fig15Result{
+		Names:       make([]string, n),
+		DroopsPerKc: make([]float64, n),
+		StallRatio:  make([]float64, n),
+		IPC:         make([]float64, n),
 	}
+	rc := core.RunConfig{Cycles: s.Scale.RunCycles, WarmupCycles: s.Scale.WarmupCycles}
+	s.sweep(ctx, n, func(i int) {
+		p := profiles[i]
+		res := core.RunSingle(cfg, p.NewStream(), rc)
+		r.Names[i] = p.Name
+		r.DroopsPerKc[i] = res.DroopsPerKCycle(s.Margin(pdn.Proc3))
+		r.StallRatio[i] = res.StallRatio(0)
+		r.IPC[i] = res.IPC(0)
+	})
 	r.Pearson = stats.Pearson(r.DroopsPerKc, r.StallRatio)
 	return r
 }

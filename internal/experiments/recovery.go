@@ -11,6 +11,7 @@ import (
 	"voltsmooth/internal/parallel"
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/sched"
+	"voltsmooth/internal/uarch"
 	"voltsmooth/internal/workload"
 )
 
@@ -192,8 +193,14 @@ func Recovery(ctx context.Context, s *Session) *RecoveryResult {
 		razor, ckpt RecoveryRow
 		fault       FaultRow
 	}
+	// Index len(schedules) is the degraded-monitoring run: the online
+	// scheduler driven through the same injector's counter-corruption path.
 	rows := make([]rowSet, len(schedules))
-	if err := parallel.SweepCtx(ctx, s.Workers, len(schedules), func(i int) {
+	s.sweep(ctx, len(schedules)+1, func(i int) {
+		if i == len(schedules) {
+			r.Online = s.recoveryOnline(ctx, chip, margin, r.Plan)
+			return
+		}
 		ps := schedules[i]
 		n := name(ps)
 
@@ -253,17 +260,18 @@ func Recovery(ctx context.Context, s *Session) *RecoveryResult {
 			InjectedSpikes: faulted.InjectedSpikes,
 		}
 		progress("recovery/" + n)
-	}); err != nil {
-		panic(&parallel.AbortError{Err: err})
-	}
+	})
 	for _, rs := range rows {
 		r.RazorRows = append(r.RazorRows, rs.razor)
 		r.CkptRows = append(r.CkptRows, rs.ckpt)
 		r.FaultRows = append(r.FaultRows, rs.fault)
 	}
+	return r
+}
 
-	// Degraded performance monitoring: the online scheduler driven through
-	// the same injector's counter-corruption path.
+// recoveryOnline runs the online scheduler over the first four benchmarks
+// with its counter observations corrupted by the fault plan.
+func (s *Session) recoveryOnline(ctx context.Context, chip uarch.Config, margin float64, plan failsafe.Plan) sched.OnlineResult {
 	ocfg := sched.DefaultOnlineConfig(chip, margin)
 	ocfg.QuantumCycles = s.Scale.IntervalCycles
 	ocfg.MaxQuanta = 200
@@ -271,13 +279,11 @@ func Recovery(ctx context.Context, s *Session) *RecoveryResult {
 	for _, p := range s.SpecProfiles()[:4] {
 		jobs = append(jobs, sched.NewJob(p, uint64(10*s.Scale.IntervalCycles)))
 	}
-	online, err := sched.RunOnlineResilientCtx(ctx, ocfg, jobs, sched.StallClusterPolicy{}, failsafe.NewInjector(r.Plan))
+	online, err := sched.RunOnlineResilientCtx(ctx, ocfg, jobs, sched.StallClusterPolicy{}, failsafe.NewInjector(plan))
 	if err != nil {
 		panic(&parallel.AbortError{Err: err})
 	}
-	r.Online = online
-
-	return r
+	return online
 }
 
 // Render implements Renderer.

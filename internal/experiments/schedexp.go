@@ -9,7 +9,6 @@ import (
 	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/sched"
-	"voltsmooth/internal/workload"
 )
 
 func init() {
@@ -44,12 +43,9 @@ const fig16Margin = 0.015
 
 // Fig16 runs the sliding-window experiment.
 func Fig16(ctx context.Context, s *Session) *Fig16Result {
-	x, err := workload.ByName("astar")
-	if err != nil {
-		panic(err)
-	}
+	x := mustProfile("astar")
 	w, err := sched.SlidingWindowCtx(ctx, s.ChipConfig(schedVariant), x, x,
-		s.Scale.WindowCycles, s.Scale.Windows, fig16Margin)
+		s.Scale.WindowCycles, s.Scale.Windows, fig16Margin, s.Workers)
 	if err != nil {
 		panic(&parallel.AbortError{Err: err})
 	}

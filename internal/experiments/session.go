@@ -33,7 +33,8 @@ import (
 type Session struct {
 	Scale Scale
 	// Workers bounds the fan-out of every measurement sweep the session
-	// runs (corpus construction, oracle tables, random-batch evaluation).
+	// runs (corpus construction, oracle tables, random-batch evaluation,
+	// and each experiment's own independent runs).
 	// Every run is an independent, deterministically seeded simulation,
 	// so results are bit-identical at any width. <= 0 means
 	// parallel.DefaultWorkers(); 1 restores the serial path.
@@ -208,6 +209,17 @@ func (s *Session) degradeJournal(cause error) {
 	}
 }
 
+// sweep runs fn(i) for every i in [0, n) over the session's workers. Each
+// call must write only its own preallocated slot; callers fold the slots
+// in index order afterwards, so the result is bit-identical at any width.
+// A cancelled ctx stops the sweep at the next run boundary and unwinds as
+// an abort panic, which Session.Run turns back into the context's error.
+func (s *Session) sweep(ctx context.Context, n int, fn func(i int)) {
+	if err := parallel.SweepCtx(ctx, s.Workers, n, fn); err != nil {
+		panic(&parallel.AbortError{Err: err})
+	}
+}
+
 // ChipConfig returns the chip configuration for a decap variant.
 func (s *Session) ChipConfig(v pdn.ProcVariant) uarch.Config {
 	cfg := uarch.DefaultConfig()
@@ -356,7 +368,7 @@ func (s *Session) buildCorpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 	// match the serial build exactly. Completed runs are checkpointed to
 	// the session journal as they finish and replayed from it on resume.
 	results := make([]corpusRecord, len(jobs))
-	if err := parallel.SweepCtx(ctx, s.Workers, len(jobs), func(i int) {
+	s.sweep(ctx, len(jobs), func(i int) {
 		key := "corpus/" + v.Name + "/" + jobs[i].name
 		if s.lookupUnit(key, &results[i]) {
 			progress(key)
@@ -371,9 +383,7 @@ func (s *Session) buildCorpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 		s.recordUnit(key, results[i])
 		progress(key)
 		unitDone(&results[i])
-	}); err != nil {
-		panic(&parallel.AbortError{Err: err})
-	}
+	})
 
 	c := &Corpus{
 		Variant: v,

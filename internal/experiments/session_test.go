@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -188,5 +189,63 @@ func TestRandomEvalsDeterministicAcrossWidths(t *testing.T) {
 	par := build(4)
 	if !reflect.DeepEqual(serial, par) {
 		t.Error("Fig18 results differ between workers=1 and workers=4")
+	}
+}
+
+// TestRegistryRendersWidthInvariant extends the sweep guarantee to every
+// experiment: each one's independent runs fan out over Session.Workers, so
+// every render must be byte-identical at workers=1 and workers=4.
+func TestRegistryRendersWidthInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every experiment twice")
+	}
+	sc := microScale()
+	sc.SpecSubset = 4 // Recovery schedules SpecProfiles()[:4]
+	sc.PhaseRunCycles = 60_000
+	sc.MicroCycles = 8_000
+	sc.WindowCycles = 20_000
+	sc.Windows = 3
+	sc.ImpedanceFreqs = 3
+	render := func(workers int) map[string]string {
+		s := NewSession(sc)
+		s.Workers = workers
+		out := map[string]string{}
+		for _, e := range All() {
+			r, err := s.Run(context.Background(), e)
+			if err != nil {
+				t.Fatalf("%s at workers=%d: %v", e.ID, workers, err)
+			}
+			out[e.ID] = r.Render()
+		}
+		return out
+	}
+	serial, par := render(1), render(4)
+	for _, e := range All() {
+		if serial[e.ID] != par[e.ID] {
+			t.Errorf("%s renders differently at workers=1 and workers=4", e.ID)
+		}
+	}
+}
+
+// TestCancelledRunReturnsContextError pins cancellation for the
+// experiments whose runs fan out over the session sweep: with a ctx that
+// is already cancelled, Session.Run returns no render and an error
+// matching context.Canceled instead of simulating to completion.
+func TestCancelledRunReturnsContextError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range []string{"ext1", "ext2", "fig4", "fig12", "fig13", "fig14", "fig15", "fig16"} {
+		e, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			s := NewSession(microScale())
+			s.Workers = workers
+			r, err := s.Run(ctx, e)
+			if r != nil || !errors.Is(err, context.Canceled) {
+				t.Errorf("%s at workers=%d: got renderer %v, err %v; want nil and context.Canceled", id, workers, r != nil, err)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"voltsmooth/internal/core"
 	"voltsmooth/internal/counters"
+	"voltsmooth/internal/parallel"
 	"voltsmooth/internal/sense"
 	"voltsmooth/internal/uarch"
 	"voltsmooth/internal/workload"
@@ -29,17 +30,21 @@ type WindowResult struct {
 // Core 1 … we prematurely terminate its execution after 60 seconds [and]
 // immediately re-launch a new instance." Because Prog Y always restarts
 // from its beginning while Prog X advances through its phases, each window
-// convolves Y's opening phase with a different phase of X.
+// convolves Y's opening phase with a different phase of X. The solo and
+// co-scheduled passes run serially.
 func SlidingWindow(cfg uarch.Config, x, y workload.Profile, windowCycles uint64, windows int, margin float64) WindowResult {
-	res, _ := SlidingWindowCtx(context.Background(), cfg, x, y, windowCycles, windows, margin)
+	res, _ := SlidingWindowCtx(context.Background(), cfg, x, y, windowCycles, windows, margin, 1)
 	return res
 }
 
 // SlidingWindowCtx is SlidingWindow with cooperative cancellation: the
 // experiment polls ctx at window boundaries — its natural phase boundary,
 // since each window is one indivisible convolution step — and returns the
-// context's error with a zero result when cancelled.
-func SlidingWindowCtx(ctx context.Context, cfg uarch.Config, x, y workload.Profile, windowCycles uint64, windows int, margin float64) (WindowResult, error) {
+// context's error with a zero result when cancelled. The solo and
+// co-scheduled passes are independent simulations and run on up to
+// `workers` goroutines (<= 0 means parallel.DefaultWorkers()); the result
+// is bit-identical at any width.
+func SlidingWindowCtx(ctx context.Context, cfg uarch.Config, x, y workload.Profile, windowCycles uint64, windows int, margin float64, workers int) (WindowResult, error) {
 	if windowCycles == 0 || windows <= 0 {
 		panic("sched: SlidingWindow needs positive window size and count")
 	}
@@ -71,13 +76,14 @@ func SlidingWindowCtx(ctx context.Context, cfg uarch.Config, x, y workload.Profi
 		return series, nil
 	}
 
-	var err error
-	if res.SoloDroops, err = run(false); err != nil {
+	var series [2][]float64 // solo, co-scheduled
+	if err := parallel.For(ctx, workers, len(series), func(i int) (err error) {
+		series[i], err = run(i == 1)
+		return err
+	}); err != nil {
 		return WindowResult{}, err
 	}
-	if res.CoDroops, err = run(true); err != nil {
-		return WindowResult{}, err
-	}
+	res.SoloDroops, res.CoDroops = series[0], series[1]
 	return res, nil
 }
 
