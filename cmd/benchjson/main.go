@@ -15,6 +15,14 @@
 // and B/op keep the maximum (they are deterministic on a healthy hot path,
 // so any spread is itself suspicious and the gate should see the worst).
 //
+// The file also records the conditions the numbers were measured under:
+// the GOMAXPROCS every result line ran at (the `-N` suffix go test
+// appends to benchmark names, absent when it is 1), the CPU count of the
+// converting host and the Go version benchjson was built with — the
+// toolchain that ran the benchmarks when both run from one `go` command,
+// as in CI. Input whose lines ran at different GOMAXPROCS values is
+// rejected: one file describes one set of conditions.
+//
 // Compare (exit 1 on regression, 0 otherwise):
 //
 //	benchjson -compare -budget 0.10 -hot 'ChipCycle|PDNStep|StepCycle|CorpusBuild' \
@@ -27,7 +35,11 @@
 // builders jitter by a few allocs run to run from goroutine scheduling, so
 // an exact gate there would flake), or when the benchmark disappears from
 // the new run (a renamed benchmark silently un-gates itself otherwise).
-// Cold benchmarks are reported but never fail the gate. When the baseline file does not exist — the first gated run —
+// Cold benchmarks are reported but never fail the gate. The report
+// prints both files' conditions and flags a GOMAXPROCS or CPU-count
+// mismatch, which makes ns/op, above all for the parallel builders, not
+// comparable; the flag never changes the verdict. When the baseline file
+// does not exist — the first gated run —
 // the comparison is skipped gracefully with exit 0. The literal baseline
 // name "auto" picks the highest-numbered BENCH_*.json in the current
 // directory.
@@ -62,26 +74,38 @@ type Result struct {
 
 // File is the BENCH_<n>.json schema.
 type File struct {
-	Schema     string   `json:"schema"`
-	Label      string   `json:"label,omitempty"`
-	GoOS       string   `json:"goos"`
-	GoArch     string   `json:"goarch"`
-	CPU        string   `json:"cpu,omitempty"`
+	Schema string `json:"schema"`
+	Label  string `json:"label,omitempty"`
+	GoOS   string `json:"goos"`
+	GoArch string `json:"goarch"`
+	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS, NumCPU and GoVersion are the measurement conditions;
+	// v1 files lack them, and they load as zero values.
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	NumCPU     int      `json:"num_cpu,omitempty"`
+	GoVersion  string   `json:"go_version,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-const schemaID = "vsmooth-bench/v1"
+const (
+	schemaID = "vsmooth-bench/v2"
+	// schemaV1 files (BENCH_6, BENCH_8, BENCH_10) predate the recorded
+	// conditions; load still accepts them as baselines.
+	schemaV1 = "vsmooth-bench/v1"
+)
 
 // benchLine matches one `go test -bench` result line, e.g.
 //
 //	BenchmarkChipCycle-8   4047680   294.8 ns/op   0 B/op   0 allocs/op
 //	BenchmarkCorpusBuild/workers=2-8   33   35018003 ns/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-(\d+))?\s+\d+\s+([0-9.e+]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
-// parse reads `go test -bench` text output and returns aggregated results
-// plus the goos/goarch/cpu header values it saw.
+// parse reads `go test -bench` text output and returns aggregated results,
+// the goos/goarch/cpu header values it saw, the GOMAXPROCS the lines ran
+// at, and this process's CPU count and Go version.
 func parse(r io.Reader) (*File, error) {
-	f := &File{Schema: schemaID, GoOS: runtime.GOOS, GoArch: runtime.GOARCH}
+	f := &File{Schema: schemaID, GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	byName := map[string]*Result{}
 	var order []string
 
@@ -105,7 +129,17 @@ func parse(r io.Reader) (*File, error) {
 			continue
 		}
 		name := m[1]
-		ns, err := strconv.ParseFloat(m[2], 64)
+		procs := 1 // go test omits the suffix at GOMAXPROCS=1
+		if m[2] != "" {
+			procs, _ = strconv.Atoi(m[2]) // the pattern matched digits
+		}
+		if f.GOMAXPROCS == 0 {
+			f.GOMAXPROCS = procs
+		} else if procs != f.GOMAXPROCS {
+			return nil, fmt.Errorf("benchjson: %q ran at GOMAXPROCS %d, earlier lines at %d; convert one GOMAXPROCS per file",
+				line, procs, f.GOMAXPROCS)
+		}
+		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			return nil, fmt.Errorf("benchjson: bad ns/op in %q: %v", line, err)
 		}
@@ -119,15 +153,15 @@ func parse(r io.Reader) (*File, error) {
 		if ns < res.NsPerOp {
 			res.NsPerOp = ns
 		}
-		if m[3] != "" {
-			b, _ := strconv.ParseInt(m[3], 10, 64)
+		if m[4] != "" {
+			b, _ := strconv.ParseInt(m[4], 10, 64)
 			if b > res.BytesPerOp {
 				res.BytesPerOp = b
 			}
 			res.MemReported = true
 		}
-		if m[4] != "" {
-			a, _ := strconv.ParseInt(m[4], 10, 64)
+		if m[5] != "" {
+			a, _ := strconv.ParseInt(m[5], 10, 64)
 			if a > res.AllocsPerOp {
 				res.AllocsPerOp = a
 			}
@@ -152,8 +186,8 @@ func load(path string) (*File, error) {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		return nil, fmt.Errorf("benchjson: %s: %v", path, err)
 	}
-	if f.Schema != schemaID {
-		return nil, fmt.Errorf("benchjson: %s: unknown schema %q (want %q)", path, f.Schema, schemaID)
+	if f.Schema != schemaID && f.Schema != schemaV1 {
+		return nil, fmt.Errorf("benchjson: %s: unknown schema %q (want %q or %q)", path, f.Schema, schemaID, schemaV1)
 	}
 	return &f, nil
 }
@@ -185,11 +219,28 @@ type regression struct {
 	reason string
 }
 
+// conditions renders a file's measurement conditions for the report.
+func (f *File) conditions() string {
+	known := func(n int) string {
+		if n == 0 {
+			return "unrecorded"
+		}
+		return strconv.Itoa(n)
+	}
+	goVersion := f.GoVersion
+	if goVersion == "" {
+		goVersion = "unrecorded"
+	}
+	return fmt.Sprintf("gomaxprocs=%s num_cpu=%s go=%s cpu=%q (%s)",
+		known(f.GOMAXPROCS), known(f.NumCPU), goVersion, f.CPU, f.Schema)
+}
+
 // compare applies the gate: hot benchmarks (name matches hot) fail on
 // ns/op past budget, allocs/op regression (exact when the baseline is
 // zero, budget-relative otherwise), or disappearance. It returns the
-// violations and a human-readable report of every benchmark present in
-// both files.
+// violations and a human-readable report: both files' conditions, a flag
+// when their GOMAXPROCS or CPU counts differ, and every benchmark present
+// in both files.
 func compare(base, next *File, hot *regexp.Regexp, budget float64) ([]regression, string) {
 	nextBy := map[string]Result{}
 	for _, b := range next.Benchmarks {
@@ -197,6 +248,14 @@ func compare(base, next *File, hot *regexp.Regexp, budget float64) ([]regression
 	}
 	var regs []regression
 	var report strings.Builder
+	fmt.Fprintf(&report, "base conditions: %s\nnew  conditions: %s\n", base.conditions(), next.conditions())
+	mismatch := func(what string, a, b int) {
+		if a != 0 && b != 0 && a != b {
+			fmt.Fprintf(&report, "MISMATCH %s: base %d, new %d — ns/op are not measured under the same conditions\n", what, a, b)
+		}
+	}
+	mismatch("gomaxprocs", base.GOMAXPROCS, next.GOMAXPROCS)
+	mismatch("num_cpu", base.NumCPU, next.NumCPU)
 	for _, old := range base.Benchmarks {
 		isHot := hot.MatchString(old.Name)
 		nu, ok := nextBy[old.Name]

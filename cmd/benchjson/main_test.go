@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,91 @@ BenchmarkX-4   100   40.0 ns/op   0 B/op   0 allocs/op
 	x := f.Benchmarks[0]
 	if x.NsPerOp != 40.0 || x.AllocsPerOp != 1 || x.BytesPerOp != 16 {
 		t.Errorf("got ns=%g allocs=%d bytes=%d, want min-ns/max-allocs 40/1/16", x.NsPerOp, x.AllocsPerOp, x.BytesPerOp)
+	}
+}
+
+func TestParseRecordsConditions(t *testing.T) {
+	f, err := parse(strings.NewReader(sampleBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Schema != schemaID || f.GOMAXPROCS != 8 {
+		t.Errorf("schema %q gomaxprocs %d, want %q and 8 from the -8 suffix", f.Schema, f.GOMAXPROCS, schemaID)
+	}
+	if f.NumCPU != runtime.NumCPU() || f.GoVersion != runtime.Version() {
+		t.Errorf("num_cpu %d go_version %q, want %d and %q", f.NumCPU, f.GoVersion, runtime.NumCPU(), runtime.Version())
+	}
+
+	// go test omits the suffix when GOMAXPROCS is 1.
+	f, err = parse(strings.NewReader("BenchmarkCorpusBuild/workers=2   1   1100000000 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.GOMAXPROCS != 1 || f.Benchmarks[0].Name != "BenchmarkCorpusBuild/workers=2" {
+		t.Errorf("unsuffixed line: gomaxprocs %d name %q, want 1 and the full name", f.GOMAXPROCS, f.Benchmarks[0].Name)
+	}
+}
+
+func TestParseRejectsDisagreeingGOMAXPROCS(t *testing.T) {
+	for _, in := range []string{
+		"BenchmarkX-2   100   50.0 ns/op\nBenchmarkY-4   100   50.0 ns/op\n",
+		"BenchmarkX   100   50.0 ns/op\nBenchmarkX-2   100   50.0 ns/op\n",
+	} {
+		if _, err := parse(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+			t.Errorf("parse(%q) = %v, want a GOMAXPROCS disagreement error", in, err)
+		}
+	}
+}
+
+func TestLoadAcceptsV1Baselines(t *testing.T) {
+	committed, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(committed) == 0 {
+		t.Fatal("no committed BENCH_*.json baselines found")
+	}
+	for _, path := range committed {
+		f, err := load(path)
+		if err != nil {
+			t.Errorf("load(%s): %v", path, err)
+			continue
+		}
+		if f.Schema == schemaV1 && (f.GOMAXPROCS != 0 || f.NumCPU != 0 || f.GoVersion != "") {
+			t.Errorf("%s: v1 file loaded with conditions %+v", path, f)
+		}
+	}
+
+	bad := filepath.Join(t.TempDir(), "BENCH_1.json")
+	if err := os.WriteFile(bad, []byte(`{"schema":"vsmooth-bench/v0","benchmarks":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := load(bad); err == nil {
+		t.Error("load accepted an unknown schema")
+	}
+}
+
+func TestCompareFlagsConditionMismatch(t *testing.T) {
+	base := &File{Schema: schemaID, GOMAXPROCS: 2, NumCPU: 2, GoVersion: "go1.24.0",
+		Benchmarks: []Result{bench("BenchmarkCorpusBuild/workers=2", 1e9, 1400)}}
+	next := &File{Schema: schemaID, GOMAXPROCS: 8, NumCPU: 16, GoVersion: "go1.24.0",
+		Benchmarks: []Result{bench("BenchmarkCorpusBuild/workers=2", 1e9, 1400)}}
+	regs, report := compare(base, next, hotRE(t), 0.10)
+	if len(regs) != 0 {
+		t.Errorf("a condition mismatch changed the verdict: %+v", regs)
+	}
+	for _, want := range []string{"gomaxprocs=2 num_cpu=2", "gomaxprocs=8 num_cpu=16",
+		"MISMATCH gomaxprocs: base 2, new 8", "MISMATCH num_cpu: base 2, new 16"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+
+	// A v1 baseline recorded no conditions: reported as such, not flagged.
+	v1 := &File{Schema: schemaV1, Benchmarks: base.Benchmarks}
+	_, report = compare(v1, next, hotRE(t), 0.10)
+	if !strings.Contains(report, "gomaxprocs=unrecorded") || strings.Contains(report, "MISMATCH") {
+		t.Errorf("v1 baseline report:\n%s", report)
 	}
 }
 

@@ -108,28 +108,28 @@ type Fig15Result struct {
 
 func runFig15(ctx context.Context, s *Session) Renderer { return Fig15(ctx, s) }
 
-// Fig15 measures the first measurement window of every benchmark, as the
+// Fig15 reads the first measurement window of every benchmark, as the
 // paper does ("a 60-second execution window ... from the beginning of
-// program execution").
+// program execution"). Those windows are the Proc3 corpus's single-threaded
+// runs, so fig15 shares the session's single-run population instead of
+// simulating them again.
 func Fig15(ctx context.Context, s *Session) *Fig15Result {
-	cfg := s.ChipConfig(pdn.Proc3)
-	profiles := s.SpecProfiles()
-	n := len(profiles)
+	runs := s.singleRuns(ctx, pdn.Proc3, func(*corpusRun) {})
+	margin := s.Margin(pdn.Proc3)
+	n := len(runs)
 	r := &Fig15Result{
 		Names:       make([]string, n),
 		DroopsPerKc: make([]float64, n),
 		StallRatio:  make([]float64, n),
 		IPC:         make([]float64, n),
 	}
-	rc := core.RunConfig{Cycles: s.Scale.RunCycles, WarmupCycles: s.Scale.WarmupCycles}
-	s.sweep(ctx, n, func(i int) {
-		p := profiles[i]
-		res := core.RunSingle(cfg, p.NewStream(), rc)
-		r.Names[i] = p.Name
-		r.DroopsPerKc[i] = res.DroopsPerKCycle(s.Margin(pdn.Proc3))
-		r.StallRatio[i] = res.StallRatio(0)
-		r.IPC[i] = res.IPC(0)
-	})
+	for i := range runs {
+		run := &runs[i]
+		r.Names[i] = run.data.Name
+		r.DroopsPerKc[i] = run.data.DroopsPerKCycle(margin)
+		r.StallRatio[i] = run.Counters[0].StallRatio()
+		r.IPC[i] = run.Counters[0].IPC()
+	}
 	r.Pearson = stats.Pearson(r.DroopsPerKc, r.StallRatio)
 	return r
 }

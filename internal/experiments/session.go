@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"voltsmooth/internal/core"
+	"voltsmooth/internal/counters"
 	"voltsmooth/internal/journal"
 	"voltsmooth/internal/parallel"
 	"voltsmooth/internal/pdn"
@@ -25,7 +26,10 @@ import (
 // Session caches the expensive shared measurements (run corpora, oracle
 // pair tables, the Tab I / Fig 19 passing analysis) across experiments,
 // mirroring the paper's structure: the 881-run corpus feeds Figs 7–10 and
-// Tab I, and the 29×29 oracle table feeds Figs 16–19.
+// Tab I, and the 29×29 oracle table feeds Figs 16–19. Like the paper's
+// pre-run phase, the table's pair cells are the corpus's multi-program
+// runs, read from one shared population, so a session simulates each
+// distinct run once.
 //
 // A Session is safe for concurrent use: each cache is a per-key
 // singleflight, so independent experiments running on separate goroutines
@@ -47,8 +51,10 @@ type Session struct {
 	FaultSeed    uint64
 
 	// Journal, when non-nil, checkpoints every completed corpus run and
-	// oracle-table cell as it finishes and replays them on the next build,
-	// so an interrupted campaign resumes from its last completed unit.
+	// oracle-table single-core reference as it finishes and replays them
+	// on the next build, so an interrupted campaign resumes from its last
+	// completed unit. The table's pair cells are the corpus's shared
+	// multi-program runs, so they are journaled once, as corpus runs.
 	// Open it against ConfigFingerprint(): the journal layer rejects a
 	// file recorded under any other configuration.
 	//
@@ -70,6 +76,14 @@ type Session struct {
 	corpora parallel.Group[string, *Corpus]
 	tables  parallel.Group[string, *sched.PairTable]
 	passing parallel.Group[string, *Tab1Fig19Result]
+
+	// singles and pairs are the per-variant run populations more than one
+	// consumer reads: every spec profile alone for RunCycles, and every
+	// ordered spec pair for PairCycles. The corpus folds both, the oracle
+	// table takes its pair cells from pairs and fig15 reads the Proc3
+	// singles, so each of those runs is simulated once per session.
+	singles parallel.Group[string, []corpusRun]
+	pairs   parallel.Group[string, []corpusRun]
 }
 
 // NewSession creates a session at the given scale.
@@ -191,6 +205,21 @@ func (s *Session) recordUnit(key string, v any) {
 	panic(&parallel.AbortError{Err: fmt.Errorf("experiments: journal %s: %w", key, err)})
 }
 
+// unit is the one path every journaled measurement of the session takes.
+// It replays key's record into rec, a pointer, when the journal holds
+// one; otherwise it runs measure, which must fill rec, and checkpoints
+// rec under key. Either way it then reports key as progress.
+func (s *Session) unit(progress func(string), key string, rec any, measure func()) {
+	if !s.lookupUnit(key, rec) {
+		measure()
+		// A poisoned journal degrades the session to journal-less
+		// execution (one warning) instead of aborting: the unit was
+		// measured, only its checkpoint is lost.
+		s.recordUnit(key, rec)
+	}
+	progress(key)
+}
+
 // degradeJournal latches the session into journal-less execution, warning
 // once and tracing the transition.
 func (s *Session) degradeJournal(cause error) {
@@ -278,79 +307,148 @@ func (s *Session) Corpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 	return c
 }
 
-// runKind tags corpus runs for the per-kind counters.
-type runKind int
-
-const (
-	kindSingleThreaded runKind = iota
-	kindMultiThreaded
-	kindMultiProgram
-)
-
-// corpusJob is one deferred measurement of the corpus population.
-type corpusJob struct {
-	name string
-	kind runKind
-	run  func() core.Result
+// corpusRun is one measured corpus run. Its exported fields are the run's
+// journal record; data is derived from them once, when the run is
+// measured or replayed, and every consumer of the run shares it.
+type corpusRun struct {
+	Cycles uint64       `json:"cycles"`
+	Scope  *sense.Scope `json:"scope"`
+	// Counters are the per-core counters of the measured window. The
+	// multi-threaded runs leave them out: nothing reads them, and the
+	// payload under a journal key never changes shape, because a journal
+	// written by an older build may already hold the key.
+	Counters []counters.Counters `json:"counters,omitempty"`
+	data     resilient.RunData
 }
 
-// corpusJobs lists the corpus population in its fixed order: the
-// single-threaded suite, the multi-threaded runs, then the multi-program
-// pairs. The order is what the serial build used, so folding results in
-// job order keeps the corpus bit-identical at any worker count.
-func (s *Session) corpusJobs(cfg uarch.Config) []corpusJob {
-	spec := s.SpecProfiles()
-	par := workload.Parsec()
+// corpusPart is one kind of corpus run of a variant: run i is simulated
+// by run(i), and name(i) is its RunData name and the tail of its journal
+// key, "corpus/<variant>/" + kind + name(i).
+type corpusPart struct {
+	kind string
+	n    int
+	name func(i int) string
+	run  func(i int) core.Result
+}
+
+// singlePart is every spec profile alone on core 0 for RunCycles.
+func (s *Session) singlePart(v pdn.ProcVariant) corpusPart {
+	cfg, spec := s.ChipConfig(v), s.SpecProfiles()
+	rc := core.RunConfig{Cycles: s.Scale.RunCycles, WarmupCycles: s.Scale.WarmupCycles}
+	return corpusPart{
+		kind: "single/",
+		n:    len(spec),
+		name: func(i int) string { return spec[i].Name },
+		run:  func(i int) core.Result { return core.RunSingle(cfg, spec[i].NewStream(), rc) },
+	}
+}
+
+// multiThreadedPart is every multi-threaded program with its two threads
+// on the two cores for RunCycles. The threads are distinct stream
+// instances (they share the binary, not the exact dynamic path; the
+// second thread gets a derived seed).
+func (s *Session) multiThreadedPart(v pdn.ProcVariant) corpusPart {
+	cfg, par := s.ChipConfig(v), workload.Parsec()
 	if s.Scale.SpecSubset > 0 && s.Scale.SpecSubset < len(par) {
 		par = par[:s.Scale.SpecSubset]
 	}
-
-	rcSingle := core.RunConfig{Cycles: s.Scale.RunCycles, WarmupCycles: s.Scale.WarmupCycles}
-	rcPair := core.RunConfig{Cycles: s.Scale.PairCycles, WarmupCycles: s.Scale.WarmupCycles}
-
-	jobs := make([]corpusJob, 0, len(spec)+len(par)+len(spec)*len(spec))
-	for _, p := range spec {
-		jobs = append(jobs, corpusJob{p.Name, kindSingleThreaded, func() core.Result {
-			return core.RunSingle(cfg, p.NewStream(), rcSingle)
-		}})
+	rc := core.RunConfig{Cycles: s.Scale.RunCycles, WarmupCycles: s.Scale.WarmupCycles}
+	return corpusPart{
+		kind: "",
+		n:    len(par),
+		name: func(i int) string { return par[i].Name + "(mt)" },
+		run: func(i int) core.Result {
+			q := par[i]
+			q.Seed++
+			res := core.RunPair(cfg, par[i].NewStream(), q.NewStream(), rc)
+			res.Counters = nil // not journaled; see corpusRun.Counters
+			return res
+		},
 	}
-	// Multi-threaded runs: both cores execute threads of the same program
-	// (distinct stream instances — threads share the binary, not the
-	// exact dynamic path; the second thread gets a derived seed).
-	for _, p := range par {
-		q := p
-		q.Seed = p.Seed + 1
-		jobs = append(jobs, corpusJob{p.Name + "(mt)", kindMultiThreaded, func() core.Result {
-			return core.RunPair(cfg, p.NewStream(), q.NewStream(), rcSingle)
-		}})
+}
+
+// pairPart is every ordered spec pair for PairCycles, run k placing
+// spec[k/n] on core 0 and spec[k%n] on core 1.
+func (s *Session) pairPart(v pdn.ProcVariant) corpusPart {
+	cfg, spec := s.ChipConfig(v), s.SpecProfiles()
+	n := len(spec)
+	rc := core.RunConfig{Cycles: s.Scale.PairCycles, WarmupCycles: s.Scale.WarmupCycles}
+	return corpusPart{
+		kind: "pair/",
+		n:    n * n,
+		name: func(k int) string { return spec[k/n].Name + "+" + spec[k%n].Name },
+		run: func(k int) core.Result {
+			return core.RunPair(cfg, spec[k/n].NewStream(), spec[k%n].NewStream(), rc)
+		},
 	}
-	for _, a := range spec {
-		for _, b := range spec {
-			jobs = append(jobs, corpusJob{a.Name + "+" + b.Name, kindMultiProgram, func() core.Result {
-				return core.RunPair(cfg, a.NewStream(), b.NewStream(), rcPair)
-			}})
+}
+
+// sweepRuns simulates, or replays from the journal, the runs of part p of
+// variant v over the session sweep. done is called once per run as it
+// completes.
+func (s *Session) sweepRuns(ctx context.Context, v pdn.ProcVariant, p corpusPart, done func(*corpusRun)) []corpusRun {
+	progress := ProgressFrom(ctx)
+	prefix := "corpus/" + v.Name + "/" + p.kind
+	runs := make([]corpusRun, p.n)
+	s.sweep(ctx, p.n, func(i int) {
+		r := &runs[i]
+		key := prefix + p.name(i)
+		s.unit(progress, key, r, func() {
+			res := p.run(i)
+			r.Cycles, r.Scope, r.Counters = res.Cycles, res.Scope, res.Counters
+		})
+		r.data = resilient.FromScope(key[len(prefix):], r.Cycles, r.Scope)
+		done(r)
+	})
+	return runs
+}
+
+// population returns the runs of part p of variant v from g, a shared
+// run population, sweeping them on the first call. done is called once
+// per run for every caller: as each run completes when this call sweeps
+// the population, and for every run afterwards when it shares the
+// population another consumer swept. Each consumer's counters therefore
+// count every run it reads once, whether it measured, replayed or shared
+// it.
+func (s *Session) population(ctx context.Context, g *parallel.Group[string, []corpusRun], v pdn.ProcVariant,
+	p corpusPart, done func(*corpusRun)) []corpusRun {
+	built := false
+	runs, err := g.DoCtx(ctx, v.Name, func() []corpusRun {
+		built = true
+		return s.sweepRuns(ctx, v, p, done)
+	})
+	if err != nil {
+		panic(&parallel.AbortError{Err: err})
+	}
+	if !built {
+		for i := range runs {
+			done(&runs[i])
 		}
 	}
-	return jobs
+	return runs
 }
 
-// corpusRecord is the journal payload of one completed corpus run:
-// exactly the fields the corpus fold consumes, so a run replayed from the
-// journal contributes bit-identically to a run just measured.
-type corpusRecord struct {
-	Cycles uint64       `json:"cycles"`
-	Scope  *sense.Scope `json:"scope"`
+// singleRuns returns v's single-threaded population, which the corpus and
+// fig15 read.
+func (s *Session) singleRuns(ctx context.Context, v pdn.ProcVariant, done func(*corpusRun)) []corpusRun {
+	return s.population(ctx, &s.singles, v, s.singlePart(v), done)
 }
 
+// pairRuns returns v's multi-program population, which the corpus and the
+// oracle table read.
+func (s *Session) pairRuns(ctx context.Context, v pdn.ProcVariant, done func(*corpusRun)) []corpusRun {
+	return s.population(ctx, &s.pairs, v, s.pairPart(v), done)
+}
+
+// buildCorpus folds the single-threaded population, the corpus's own
+// multi-threaded runs and the multi-program population, in that order,
+// so the corpus is bit-identical at any worker count and whichever
+// consumer built the shared populations.
 func (s *Session) buildCorpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
-	cfg := s.ChipConfig(v)
-	jobs := s.corpusJobs(cfg)
-	progress := ProgressFrom(ctx)
-
-	// unitDone feeds the campaign telemetry per completed unit: the units
+	// unitDone feeds the campaign telemetry once per corpus run: the units
 	// counter drives the live status line, and each run's crossings at the
 	// characterization margin accumulate into "emergencies so far".
-	unitDone := func(rec *corpusRecord) {
+	unitDone := func(r *corpusRun) {
 		h := hooks.Load()
 		if h == nil {
 			return
@@ -358,48 +456,31 @@ func (s *Session) buildCorpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 		if h.Units != nil {
 			h.Units.Inc()
 		}
-		if h.Emergencies != nil && rec.Scope != nil {
-			h.Emergencies.Add(rec.Scope.Crossings(core.PhaseMargin))
+		if h.Emergencies != nil {
+			h.Emergencies.Add(r.data.EmergenciesAt(core.PhaseMargin))
 		}
 	}
 
-	// Measure in parallel (each job is an independent seeded simulation),
-	// then fold serially in job order so the merged scope and run list
-	// match the serial build exactly. Completed runs are checkpointed to
-	// the session journal as they finish and replayed from it on resume.
-	results := make([]corpusRecord, len(jobs))
-	s.sweep(ctx, len(jobs), func(i int) {
-		key := "corpus/" + v.Name + "/" + jobs[i].name
-		if s.lookupUnit(key, &results[i]) {
-			progress(key)
-			unitDone(&results[i])
-			return
-		}
-		res := jobs[i].run()
-		results[i] = corpusRecord{Cycles: res.Cycles, Scope: res.Scope}
-		// A poisoned journal degrades the session to journal-less
-		// execution (one warning) instead of aborting: the unit was
-		// measured, only its checkpoint is lost.
-		s.recordUnit(key, results[i])
-		progress(key)
-		unitDone(&results[i])
-	})
+	singles := s.singleRuns(ctx, v, unitDone)
+	mt := s.sweepRuns(ctx, v, s.multiThreadedPart(v), unitDone)
+	pairs := s.pairRuns(ctx, v, unitDone)
 
 	c := &Corpus{
-		Variant: v,
-		Merged:  sense.NewScope(cfg.PDN.VNom, core.DefaultMargins()),
+		Variant:        v,
+		Runs:           make([]resilient.RunData, 0, len(singles)+len(mt)+len(pairs)),
+		Merged:         sense.NewScope(s.ChipConfig(v).PDN.VNom, core.DefaultMargins()),
+		SingleThreaded: len(singles),
+		MultiThreaded:  len(mt),
+		MultiProgram:   len(pairs),
 	}
-	for i, j := range jobs {
-		res := results[i]
-		c.Runs = append(c.Runs, resilient.FromScope(j.name, res.Cycles, res.Scope))
-		c.Merged.Merge(res.Scope)
-		switch j.kind {
-		case kindSingleThreaded:
-			c.SingleThreaded++
-		case kindMultiThreaded:
-			c.MultiThreaded++
-		case kindMultiProgram:
-			c.MultiProgram++
+	for _, runs := range [][]corpusRun{singles, mt, pairs} {
+		for i := range runs {
+			c.Runs = append(c.Runs, runs[i].data)
+			c.Merged.Merge(runs[i].Scope)
+			// The corpus is the only reader of a run's scope, and it
+			// folds each run once: release the scope instead of holding
+			// it in the shared population for the rest of the session.
+			runs[i].Scope = nil
 		}
 	}
 	return c
@@ -409,57 +490,35 @@ func (s *Session) buildCorpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 // The paper's scheduling study (Sec IV) runs on the Proc3 future-node
 // stand-in. Like Corpus, cancellation unwinds as an abort panic.
 func (s *Session) PairTable(ctx context.Context, v pdn.ProcVariant) *sched.PairTable {
-	t, err := s.tables.DoCtx(ctx, v.Name, func() *sched.PairTable {
-		progress := ProgressFrom(ctx)
-		bc := sched.BuildConfig{
-			Chip:     s.ChipConfig(v),
-			Cycles:   s.Scale.PairCycles,
-			Warmup:   s.Scale.WarmupCycles,
-			Margin:   s.Margin(v),
-			Workers:  s.Workers,
-			Progress: func(unit string) { progress("table/" + v.Name + "/" + unit) },
-		}
-		if s.Journal != nil {
-			bc.Cache = &journalCellCache{s: s, prefix: "table/" + v.Name + "/"}
-		}
-		tt, err := sched.BuildPairTableCtx(ctx, bc, s.SpecProfiles())
-		if err != nil {
-			panic(&parallel.AbortError{Err: err})
-		}
-		return tt
-	})
+	t, err := s.tables.DoCtx(ctx, v.Name, func() *sched.PairTable { return s.buildPairTable(ctx, v) })
 	if err != nil {
 		panic(&parallel.AbortError{Err: err})
 	}
 	return t
 }
 
-// journalCellCache adapts the session journal to the pair-table builder's
-// cache seam: every completed cell is recorded under a variant-scoped key
-// and replayed exactly on resume. It routes through the session's
-// degradation-aware lookup/record, so a poisoned journal silently turns
-// the cache off instead of aborting the build.
-type journalCellCache struct {
-	s      *Session
-	prefix string
-}
-
-func (c *journalCellCache) LoadSingle(name string) (sched.SingleCell, bool) {
-	var out sched.SingleCell
-	ok := c.s.lookupUnit(c.prefix+"single/"+name, &out)
-	return out, ok
-}
-
-func (c *journalCellCache) StoreSingle(name string, cell sched.SingleCell) {
-	c.s.recordUnit(c.prefix+"single/"+name, cell)
-}
-
-func (c *journalCellCache) LoadPair(a, b string) (sched.PairCell, bool) {
-	var out sched.PairCell
-	ok := c.s.lookupUnit(c.prefix+"pair/"+a+"+"+b, &out)
-	return out, ok
-}
-
-func (c *journalCellCache) StorePair(a, b string, cell sched.PairCell) {
-	c.s.recordUnit(c.prefix+"pair/"+a+"+"+b, cell)
+// buildPairTable measures the table's single-core references, which run
+// for PairCycles, and takes every pair cell from v's multi-program
+// population: the oracle's pre-run phase and the corpus's multi-program
+// part are one set of runs.
+func (s *Session) buildPairTable(ctx context.Context, v pdn.ProcVariant) *sched.PairTable {
+	cfg, spec, margin := s.ChipConfig(v), s.SpecProfiles(), s.Margin(v)
+	rc := core.RunConfig{Cycles: s.Scale.PairCycles, WarmupCycles: s.Scale.WarmupCycles}
+	progress := ProgressFrom(ctx)
+	names := make([]string, len(spec))
+	singles := make([]sched.SingleCell, len(spec))
+	s.sweep(ctx, len(spec), func(i int) {
+		names[i] = spec[i].Name
+		s.unit(progress, "table/"+v.Name+"/single/"+spec[i].Name, &singles[i], func() {
+			res := core.RunSingle(cfg, spec[i].NewStream(), rc)
+			singles[i] = sched.SingleCell{Droops: res.DroopsPerKCycle(margin), IPC: res.IPC(0)}
+		})
+		sched.CellDone()
+	})
+	runs := s.pairRuns(ctx, v, func(*corpusRun) { sched.CellDone() })
+	pairs := make([]sched.PairRun, len(runs))
+	for k := range runs {
+		pairs[k] = sched.PairRun{Data: runs[k].data, Counters: runs[k].Counters}
+	}
+	return sched.NewPairTable(names, margin, s.Scale.PairCycles, singles, pairs)
 }

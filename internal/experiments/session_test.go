@@ -58,7 +58,8 @@ func TestCorpusParallelMatchesSerial(t *testing.T) {
 
 // TestSessionConcurrentUse hammers one session from many goroutines; the
 // per-key singleflight must hand every caller the same built-once values.
-// (Run under -race this also proves the caches are data-race free.)
+// (Run under -race this also proves the caches, and the run populations
+// the corpus, the table and fig15 share, are data-race free.)
 func TestSessionConcurrentUse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus builds are slow")
@@ -68,18 +69,28 @@ func TestSessionConcurrentUse(t *testing.T) {
 	corpora := make([]*Corpus, callers)
 	tables := make([]any, callers)
 	passing := make([]*Tab1Fig19Result, callers)
+	fig15 := make([]string, callers)
 	var wg sync.WaitGroup
 	wg.Add(callers)
 	for k := 0; k < callers; k++ {
 		go func(k int) {
 			defer wg.Done()
+			if k%2 == 1 {
+				fig15[k] = Fig15(context.Background(), s).Render()
+			}
 			corpora[k] = s.Corpus(context.Background(), pdn.Proc3)
 			tables[k] = s.PairTable(context.Background(), pdn.Proc3)
 			passing[k] = Tab1Fig19(context.Background(), s)
+			if k%2 == 0 {
+				fig15[k] = Fig15(context.Background(), s).Render()
+			}
 		}(k)
 	}
 	wg.Wait()
 	for k := 1; k < callers; k++ {
+		if fig15[k] != fig15[0] {
+			t.Fatal("concurrent callers rendered distinct fig15s")
+		}
 		if corpora[k] != corpora[0] {
 			t.Fatal("concurrent callers got distinct corpora")
 		}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 
+	"voltsmooth/internal/counters"
 	"voltsmooth/internal/sense"
 )
 
@@ -60,6 +61,13 @@ func (r *RunData) EmergenciesAt(margin float64) uint64 {
 		}
 	}
 	panic(fmt.Sprintf("resilient: margin %g not tracked for run %s", margin, r.Name))
+}
+
+// DroopsPerKCycle returns the emergencies at the given margin per 1000
+// measured cycles (the unit of the paper's droop plots); margin must be
+// tracked, as for EmergenciesAt.
+func (r *RunData) DroopsPerKCycle(margin float64) float64 {
+	return counters.PerKCycles(r.EmergenciesAt(margin), r.Cycles)
 }
 
 // Model holds the machine parameters of the resilient design.

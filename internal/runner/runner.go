@@ -209,8 +209,8 @@ func RunBatch(ctx context.Context, s *experiments.Session, entries []experiments
 }
 
 // runOne drives one experiment through the attempt/classify/backoff loop.
-func runOne(ctx context.Context, s *experiments.Session, e experiments.Entry, cfg Config) Result {
-	res := Result{ID: e.ID, Title: e.Title}
+func runOne(ctx context.Context, s *experiments.Session, e experiments.Entry, cfg Config) (res Result) {
+	res = Result{ID: e.ID, Title: e.Title}
 	// Jitter is seeded per experiment so a rerun of the same batch draws
 	// the same backoff schedule regardless of worker interleaving.
 	jitter := rand.New(rand.NewSource(cfg.Seed ^ int64(hashID(e.ID))))

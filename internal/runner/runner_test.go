@@ -102,6 +102,22 @@ func TestBatchRunsAllEntriesInOrder(t *testing.T) {
 // watchdog acceptance test: a deliberately-stalled fake experiment is
 // cancelled by the watchdog, classified ErrStalled, retried once, and
 // reported as failed — while a sibling experiment completes promptly.
+// TestResultElapsedCoversTheRun pins the per-experiment wall time the CLI
+// prints in each header: it must cover the attempt, not read zero.
+func TestResultElapsedCoversTheRun(t *testing.T) {
+	slow := entry("slow", func(ctx context.Context, s *experiments.Session) experiments.Renderer {
+		time.Sleep(20 * time.Millisecond)
+		return okRenderer{"slow"}
+	})
+	results, err := RunBatch(context.Background(), session(), []experiments.Entry{slow}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results[0].Elapsed; got < 20*time.Millisecond {
+		t.Errorf("Elapsed = %v, want at least the 20ms the run slept", got)
+	}
+}
+
 func TestStalledExperimentIsCancelledRetriedAndDoesNotBlockSiblings(t *testing.T) {
 	log := &eventLog{}
 	stall := entry("stall", func(ctx context.Context, _ *experiments.Session) experiments.Renderer {

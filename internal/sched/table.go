@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"voltsmooth/internal/core"
+	"voltsmooth/internal/counters"
 	"voltsmooth/internal/parallel"
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/stats"
@@ -61,39 +62,22 @@ type BuildConfig struct {
 	// at any width. <= 0 means parallel.DefaultWorkers(); 1 is the serial
 	// path.
 	Workers int
-	// Cache, when non-nil, is consulted before each measurement and told
-	// each fresh result: the seam the campaign journal plugs into so an
-	// interrupted table build resumes from its completed cells. Cached
-	// cells must round-trip exactly (the journal's JSON does), keeping
-	// the resumed table bit-identical to a fresh build.
-	Cache CellCache
-	// Progress, when non-nil, is called once per completed cell with a
-	// short unit label. The batch runner's stall watchdog feeds on it.
-	Progress func(unit string)
 }
 
-// SingleCell is the persisted content of one single-core reference
-// measurement.
+// SingleCell is one single-core reference of the table: a program alone
+// on core 0 with the other core idling.
 type SingleCell struct {
 	Droops float64 `json:"droops"`
 	IPC    float64 `json:"ipc"`
 }
 
-// PairCell is the persisted content of one pair measurement.
-type PairCell struct {
-	Droops float64           `json:"droops"`
-	IPC    float64           `json:"ipc"`
-	Run    resilient.RunData `json:"run"`
-}
-
-// CellCache lets a caller interpose a persistent store under the pair
-// sweep. Implementations must be safe for concurrent use; Load misses
-// simply recompute.
-type CellCache interface {
-	LoadSingle(name string) (SingleCell, bool)
-	StoreSingle(name string, c SingleCell)
-	LoadPair(a, b string) (PairCell, bool)
-	StorePair(a, b string, c PairCell)
+// PairRun is one measured pair as NewPairTable consumes it: the run's
+// emergencies at every tracked margin and its per-core counters over the
+// measured window. The table keeps Data itself, so a caller that already
+// holds the run's RunData shares it instead of copying it.
+type PairRun struct {
+	Data     resilient.RunData
+	Counters []counters.Counters
 }
 
 // DefaultBuildConfig returns the configuration used by the experiments:
@@ -127,8 +111,7 @@ func BuildPairTable(cfg BuildConfig, profiles []workload.Profile) *PairTable {
 // BuildPairTableCtx is BuildPairTable with cooperative cancellation: the
 // sweep polls ctx at run boundaries (the oracle phase boundary — each run
 // is one indivisible seeded simulation) and returns the context's error
-// with no table. Completed cells already handed to cfg.Cache survive, so
-// a cancelled build resumes from where it stopped.
+// with no table. It measures every cell and hands them to NewPairTable.
 func BuildPairTableCtx(ctx context.Context, cfg BuildConfig, profiles []workload.Profile) (*PairTable, error) {
 	if len(profiles) == 0 {
 		panic("sched: BuildPairTable needs at least one profile")
@@ -143,83 +126,73 @@ func BuildPairTableCtx(ctx context.Context, cfg BuildConfig, profiles []workload
 	rc := core.RunConfig{Cycles: cfg.Cycles, WarmupCycles: cfg.Warmup, Margins: margins}
 
 	n := len(profiles)
+	names := make([]string, n)
+	for i, p := range profiles {
+		names[i] = p.Name
+	}
+	singles := make([]SingleCell, n)
+	if err := parallel.SweepCtx(ctx, cfg.Workers, n, func(i int) {
+		res := core.RunSingle(cfg.Chip, profiles[i].NewStream(), rc)
+		singles[i] = SingleCell{Droops: res.DroopsPerKCycle(cfg.Margin), IPC: res.IPC(0)}
+		CellDone()
+	}); err != nil {
+		return nil, err
+	}
+	// The N² pair sweep, flattened to one index space: run k measures
+	// program k/n on core 0 against program k%n on core 1.
+	pairs := make([]PairRun, n*n)
+	if err := parallel.SweepCtx(ctx, cfg.Workers, n*n, func(k int) {
+		a, b := profiles[k/n], profiles[k%n]
+		res := core.RunPair(cfg.Chip, a.NewStream(), b.NewStream(), rc)
+		pairs[k] = PairRun{
+			Data:     resilient.FromScope(a.Name+"+"+b.Name, res.Cycles, res.Scope),
+			Counters: res.Counters,
+		}
+		CellDone()
+	}); err != nil {
+		return nil, err
+	}
+	return NewPairTable(names, cfg.Margin, cfg.Cycles, singles, pairs), nil
+}
+
+// NewPairTable assembles the oracle from measured cells: singles[i] is
+// program names[i] alone, and pairs[i*n+j] runs names[i] on core 0
+// against names[j] on core 1, each over cycles measured cycles. Every
+// pair must track margin. The table takes ownership of names and shares
+// each pair's RunData.
+func NewPairTable(names []string, margin float64, cycles uint64, singles []SingleCell, pairs []PairRun) *PairTable {
+	n := len(names)
+	if n == 0 || len(singles) != n || len(pairs) != n*n {
+		panic(fmt.Sprintf("sched: NewPairTable: %d names, %d singles, %d pairs", n, len(singles), len(pairs)))
+	}
 	t := &PairTable{
-		Names:        make([]string, n),
-		Margin:       cfg.Margin,
-		Cycles:       cfg.Cycles,
+		Names:        names,
+		Margin:       margin,
+		Cycles:       cycles,
 		Droops:       make([][]float64, n),
 		IPC:          make([][]float64, n),
 		Runs:         make([][]resilient.RunData, n),
 		SingleDroops: make([]float64, n),
 		SingleIPC:    make([]float64, n),
 	}
-	for i, p := range profiles {
-		t.Names[i] = p.Name
+	for i := range names {
+		t.SingleDroops[i] = singles[i].Droops
+		t.SingleIPC[i] = singles[i].IPC
 		t.Droops[i] = make([]float64, n)
 		t.IPC[i] = make([]float64, n)
 		t.Runs[i] = make([]resilient.RunData, n)
-	}
-	progress := cfg.Progress
-	if progress == nil {
-		progress = func(string) {}
-	}
-	cellDone := func() {
-		if h := hooks.Load(); h != nil && h.Cells != nil {
-			h.Cells.Inc()
-		}
-	}
-	if err := parallel.SweepCtx(ctx, cfg.Workers, n, func(i int) {
-		name := profiles[i].Name
-		if cfg.Cache != nil {
-			if c, ok := cfg.Cache.LoadSingle(name); ok {
-				t.SingleDroops[i] = c.Droops
-				t.SingleIPC[i] = c.IPC
-				progress("single/" + name)
-				cellDone()
-				return
+		for j := range names {
+			p := &pairs[i*n+j]
+			t.Droops[i][j] = p.Data.DroopsPerKCycle(margin)
+			var ipc float64
+			for c := range p.Counters {
+				ipc += p.Counters[c].IPC()
 			}
+			t.IPC[i][j] = ipc
+			t.Runs[i][j] = p.Data
 		}
-		res := core.RunSingle(cfg.Chip, profiles[i].NewStream(), rc)
-		t.SingleDroops[i] = res.DroopsPerKCycle(cfg.Margin)
-		t.SingleIPC[i] = res.IPC(0)
-		if cfg.Cache != nil {
-			cfg.Cache.StoreSingle(name, SingleCell{Droops: t.SingleDroops[i], IPC: t.SingleIPC[i]})
-		}
-		progress("single/" + name)
-		cellDone()
-	}); err != nil {
-		return nil, err
 	}
-	// The N² pair sweep, flattened to one index space: run k measures
-	// program k/n on core 0 against program k%n on core 1.
-	if err := parallel.SweepCtx(ctx, cfg.Workers, n*n, func(k int) {
-		i, j := k/n, k%n
-		a, b := profiles[i].Name, profiles[j].Name
-		if cfg.Cache != nil {
-			if c, ok := cfg.Cache.LoadPair(a, b); ok {
-				t.Droops[i][j] = c.Droops
-				t.IPC[i][j] = c.IPC
-				t.Runs[i][j] = c.Run
-				progress("pair/" + a + "+" + b)
-				cellDone()
-				return
-			}
-		}
-		res := core.RunPair(cfg.Chip, profiles[i].NewStream(), profiles[j].NewStream(), rc)
-		t.Droops[i][j] = res.DroopsPerKCycle(cfg.Margin)
-		t.IPC[i][j] = res.TotalIPC()
-		t.Runs[i][j] = resilient.FromScope(
-			fmt.Sprintf("%s+%s", a, b),
-			res.Cycles, res.Scope)
-		if cfg.Cache != nil {
-			cfg.Cache.StorePair(a, b, PairCell{Droops: t.Droops[i][j], IPC: t.IPC[i][j], Run: t.Runs[i][j]})
-		}
-		progress("pair/" + a + "+" + b)
-		cellDone()
-	}); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t
 }
 
 // Size returns the number of benchmarks in the table.

@@ -20,8 +20,10 @@ type Hooks struct {
 	// Emergencies accumulates margin crossings measured over completed
 	// online schedules.
 	Emergencies *telemetry.Counter
-	// Cells counts completed oracle pair-table cells (single-core
-	// references and pairs, replayed-from-cache ones included).
+	// Cells counts completed oracle pair-table cells, single-core
+	// references and pairs: BuildPairTableCtx counts the cells it
+	// measures, and a caller that measures cells itself for NewPairTable
+	// counts them with CellDone.
 	Cells *telemetry.Counter
 	// Trace receives one "sched.swap" event per pair change.
 	Trace *telemetry.Trace
@@ -33,3 +35,10 @@ var hooks atomic.Pointer[Hooks]
 // and returns the previously installed set. Typically wired once at
 // campaign start by internal/telemetry/wire.
 func SetHooks(h *Hooks) *Hooks { return hooks.Swap(h) }
+
+// CellDone counts one completed oracle cell on the Cells hook.
+func CellDone() {
+	if h := hooks.Load(); h != nil && h.Cells != nil {
+		h.Cells.Inc()
+	}
+}
