@@ -196,6 +196,29 @@ func BenchmarkStepCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkStepCycleLanes measures the lane kernel the corpus populations
+// run on: one chip cycle of PDN integration on K decap variants' networks
+// (Proc100, Proc25, Proc3) sharing one load. One op is one K-network
+// cycle, so lanes=3 compares against three BenchmarkStepCycle ops.
+func BenchmarkStepCycleLanes(b *testing.B) {
+	cfg := uarch.DefaultConfig()
+	cycleTime := 1 / cfg.ClockHz
+	variants := []pdn.ProcVariant{pdn.Proc100, pdn.Proc25, pdn.Proc3}
+	for k := 1; k <= len(variants); k++ {
+		b.Run(fmt.Sprintf("lanes=%d", k), func(b *testing.B) {
+			nets := make([]*pdn.Network, k)
+			for l := range nets {
+				nets[l] = pdn.NewAtLoad(cfg.PDN.WithCapFraction(variants[l].CapFraction), 20)
+			}
+			v := make([]float64, k)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pdn.StepCycleLanes(nets, cycleTime, 20+float64(i&15), cfg.Substeps, v)
+			}
+		})
+	}
+}
+
 // BenchmarkStreamNext measures synthetic instruction generation.
 func BenchmarkStreamNext(b *testing.B) {
 	p, err := workload.ByName("gcc")

@@ -35,7 +35,9 @@
 // builders jitter by a few allocs run to run from goroutine scheduling, so
 // an exact gate there would flake), or when the benchmark disappears from
 // the new run (a renamed benchmark silently un-gates itself otherwise).
-// Cold benchmarks are reported but never fail the gate. The report
+// A hot benchmark the baseline lacks is reported as NEW and ungated until
+// a baseline records it. Cold benchmarks are reported but never fail the
+// gate. The report
 // prints both files' conditions and flags a GOMAXPROCS or CPU-count
 // mismatch, which makes ns/op, above all for the parallel builders, not
 // comparable; the flag never changes the verdict. When the baseline file
@@ -239,8 +241,9 @@ func (f *File) conditions() string {
 // ns/op past budget, allocs/op regression (exact when the baseline is
 // zero, budget-relative otherwise), or disappearance. It returns the
 // violations and a human-readable report: both files' conditions, a flag
-// when their GOMAXPROCS or CPU counts differ, and every benchmark present
-// in both files.
+// when their GOMAXPROCS or CPU counts differ, every benchmark present in
+// both files, and every hot benchmark only the new file has, marked NEW
+// and ungated.
 func compare(base, next *File, hot *regexp.Regexp, budget float64) ([]regression, string) {
 	nextBy := map[string]Result{}
 	for _, b := range next.Benchmarks {
@@ -288,6 +291,18 @@ func compare(base, next *File, hot *regexp.Regexp, budget float64) ([]regression
 				regs = append(regs, regression{old.Name,
 					fmt.Sprintf("allocs/op %d -> %d (budget %+.1f%%)", old.AllocsPerOp, nu.AllocsPerOp, 100*budget)})
 			}
+		}
+	}
+	// A hot benchmark only the new run has cannot be gated yet; list it so
+	// the report shows every hot number the run produced.
+	inBase := map[string]bool{}
+	for _, old := range base.Benchmarks {
+		inBase[old.Name] = true
+	}
+	for _, nu := range next.Benchmarks {
+		if hot.MatchString(nu.Name) && !inBase[nu.Name] {
+			fmt.Fprintf(&report, "NEW %-46s %12s -> %12.1f ns/op (no baseline: ungated)  allocs %d\n",
+				nu.Name, "", nu.NsPerOp, nu.AllocsPerOp)
 		}
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].name < regs[j].name })

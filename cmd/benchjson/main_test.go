@@ -235,6 +235,28 @@ func TestCompareFailsOnMissingHotBenchmark(t *testing.T) {
 	}
 }
 
+func TestCompareReportsNewHotBenchmark(t *testing.T) {
+	// A hot benchmark the baseline lacks is listed, ungated; a new cold
+	// one is not, and neither changes the verdict.
+	base := &File{Schema: schemaID, Benchmarks: []Result{bench("BenchmarkStepCycle", 230, 0)}}
+	next := &File{Schema: schemaID, Benchmarks: []Result{
+		bench("BenchmarkStepCycle", 231, 0),
+		bench("BenchmarkStepCycleLanes/lanes=3", 420, 0),
+		bench("BenchmarkFig02MarginFrequency", 900, 3),
+	}}
+	regs, report := compare(base, next, hotRE(t), 0.10)
+	if len(regs) != 0 {
+		t.Fatalf("a new benchmark changed the verdict: %+v", regs)
+	}
+	if !strings.Contains(report, "NEW BenchmarkStepCycleLanes/lanes=3") ||
+		!strings.Contains(report, "420.0 ns/op (no baseline: ungated)") {
+		t.Errorf("report does not list the new hot benchmark:\n%s", report)
+	}
+	if strings.Contains(report, "Fig02") {
+		t.Errorf("report lists a new cold benchmark:\n%s", report)
+	}
+}
+
 func TestLatestBaseline(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"BENCH_2.json", "BENCH_6.json", "BENCH_10.json", "BENCH_x.json", "notes.json"} {

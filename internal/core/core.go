@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"voltsmooth/internal/counters"
+	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/sense"
 	"voltsmooth/internal/uarch"
 	"voltsmooth/internal/workload"
@@ -117,39 +118,13 @@ func (r *Result) DroopsPerKCycle(margin float64) float64 {
 // rc.Cycles measured cycles on a chip built from cfg, and returns the
 // measured result. Runs are deterministic.
 func Run(cfg uarch.Config, streams []workload.Stream, rc RunConfig) Result {
-	if len(streams) > cfg.NumCores {
-		panic(fmt.Sprintf("core: %d streams for %d cores", len(streams), cfg.NumCores))
-	}
-	if rc.Cycles == 0 {
-		panic("core: RunConfig.Cycles must be positive")
-	}
-	margins := rc.Margins
-	if margins == nil {
-		margins = DefaultMargins()
-	}
-	seriesMargin := rc.SeriesMargin
-	if seriesMargin == 0 {
-		seriesMargin = PhaseMargin
-	}
-
-	chip := uarch.NewChip(cfg)
-	names := make([]string, cfg.NumCores)
-	for i := 0; i < cfg.NumCores; i++ {
-		names[i] = "idle"
-		if i < len(streams) && streams[i] != nil {
-			chip.SetStream(i, streams[i])
-			names[i] = streams[i].Name()
-		}
-	}
-
+	margins, seriesMargin := rc.margins()
+	chip, names := newChip(cfg, streams)
 	for i := uint64(0); i < rc.WarmupCycles; i++ {
 		chip.Cycle()
 	}
 	// Counter snapshot after warmup so results cover the window only.
-	snaps := make([]counters.Counters, cfg.NumCores)
-	for i := range snaps {
-		snaps[i] = *chip.Counters(i)
-	}
+	snaps := snapshot(chip)
 
 	scope := sense.NewScope(cfg.PDN.VNom, margins)
 	var series []float64
@@ -165,11 +140,107 @@ func Run(cfg uarch.Config, streams []workload.Stream, rc RunConfig) Result {
 			intervalStart = i + 1
 		}
 	}
+	return result(chip, names, snaps, rc, scope, series)
+}
 
+// RunLanes runs the workloads once on a chip built from cfg and drives
+// one power-delivery network per entry of nets from that chip's current,
+// so every decap variant of one run costs one pipeline simulation. Lane
+// l's result equals Run with cfg.PDN = nets[l] in every field: the
+// pipeline never reads the die voltage, so each lane sees the current
+// trace its own Run would draw, and pdn.StepCycleLanes steps each lane
+// exactly as StepCycle would.
+//
+// One lane is Run itself, on the single-network kernel. Several lanes
+// need the shared supply and no interval series (split-supply and
+// phase-trace runs keep Run), and at most pdn.MaxLanes of them.
+func RunLanes(cfg uarch.Config, nets []pdn.Params, streams []workload.Stream, rc RunConfig) []Result {
+	if len(nets) == 1 {
+		cfg.PDN = nets[0]
+		return []Result{Run(cfg, streams, rc)}
+	}
+	if cfg.SplitSupply || rc.IntervalCycles > 0 {
+		panic("core: RunLanes shares one supply per lane and records no interval series")
+	}
+	margins, _ := rc.margins()
+	cfg.PDN = nets[0]
+	chip, names := newChip(cfg, streams)
+	lanes := make([]*pdn.Network, len(nets))
+	scopes := make([]*sense.Scope, len(nets))
+	for l, p := range nets {
+		// NewChip settles its own network at the idle draw it reports.
+		lanes[l] = pdn.NewAtLoad(p, chip.TotalCurrent())
+		scopes[l] = sense.NewScope(p.VNom, margins)
+	}
+	v := make([]float64, len(nets))
+	cycleTime := 1 / cfg.ClockHz
+	for i := uint64(0); i < rc.WarmupCycles; i++ {
+		pdn.StepCycleLanes(lanes, cycleTime, chip.CycleLoad(), cfg.Substeps, v)
+	}
+	snaps := snapshot(chip)
+	for i := uint64(0); i < rc.Cycles; i++ {
+		pdn.StepCycleLanes(lanes, cycleTime, chip.CycleLoad(), cfg.Substeps, v)
+		for l, scope := range scopes {
+			scope.Sample(v[l])
+		}
+	}
+	out := make([]Result, len(nets))
+	for l := range out {
+		out[l] = result(chip, names, snaps, rc, scopes[l], nil)
+	}
+	return out
+}
+
+// margins resolves the run's margin set and series margin defaults.
+func (rc RunConfig) margins() (margins []float64, seriesMargin float64) {
+	if rc.Cycles == 0 {
+		panic("core: RunConfig.Cycles must be positive")
+	}
+	margins = rc.Margins
+	if margins == nil {
+		margins = DefaultMargins()
+	}
+	seriesMargin = rc.SeriesMargin
+	if seriesMargin == 0 {
+		seriesMargin = PhaseMargin
+	}
+	return margins, seriesMargin
+}
+
+// newChip builds the run's chip with one stream per core (nil entries
+// and missing ones idle) and returns it with the per-core workload names.
+func newChip(cfg uarch.Config, streams []workload.Stream) (*uarch.Chip, []string) {
+	if len(streams) > cfg.NumCores {
+		panic(fmt.Sprintf("core: %d streams for %d cores", len(streams), cfg.NumCores))
+	}
+	chip := uarch.NewChip(cfg)
+	names := make([]string, cfg.NumCores)
+	for i := 0; i < cfg.NumCores; i++ {
+		names[i] = "idle"
+		if i < len(streams) && streams[i] != nil {
+			chip.SetStream(i, streams[i])
+			names[i] = streams[i].Name()
+		}
+	}
+	return chip, names
+}
+
+// snapshot copies every core's counters.
+func snapshot(chip *uarch.Chip) []counters.Counters {
+	snaps := make([]counters.Counters, chip.Config().NumCores)
+	for i := range snaps {
+		snaps[i] = *chip.Counters(i)
+	}
+	return snaps
+}
+
+// result assembles one run's Result from the chip's counters since snaps.
+func result(chip *uarch.Chip, names []string, snaps []counters.Counters, rc RunConfig,
+	scope *sense.Scope, series []float64) Result {
 	res := Result{
 		Names:       names,
 		Cycles:      rc.Cycles,
-		Counters:    make([]counters.Counters, cfg.NumCores),
+		Counters:    make([]counters.Counters, len(snaps)),
 		Scope:       scope,
 		DroopSeries: series,
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 func init() {
-	register("fig12", "Single-core microbenchmark swings relative to idle", runFig12)
-	register("fig13", "Cross-core event interference heatmap", runFig13)
+	register("fig12", "Single-core microbenchmark swings relative to idle", runFig12, nil)
+	register("fig13", "Cross-core event interference heatmap", runFig13, nil)
 }
 
 // microP2P measures the chip-wide peak-to-peak swing (percent of nominal)

@@ -31,15 +31,22 @@ type Entry struct {
 	ID    string
 	Title string
 	Run   func(ctx context.Context, s *Session) Renderer
+
+	// reads declares the shared run populations Run reads, so that
+	// Session.Plan can build each one once for every variant a batch
+	// reads (TestReadsDeclarationsMatch holds each entry to it).
+	reads reads
 }
 
 var registry = map[string]Entry{}
 
-func register(id, title string, run func(ctx context.Context, s *Session) Renderer) {
+// register adds an experiment and declares the run populations it reads
+// (nil when it reads none).
+func register(id, title string, run func(ctx context.Context, s *Session) Renderer, r reads) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}
-	registry[id] = Entry{ID: id, Title: title, Run: run}
+	registry[id] = Entry{ID: id, Title: title, Run: run, reads: r}
 }
 
 // Lookup returns the experiment with the given id.

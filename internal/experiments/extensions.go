@@ -14,9 +14,9 @@ import (
 )
 
 func init() {
-	register("ext1", "Extension: online stall-ratio scheduler (no droop sensor)", runExt1)
-	register("ext2", "Extension: split vs connected core supplies", runExt2)
-	register("ext3", "Extension: IPC/Droop^n sensitivity to recovery cost", runExt3)
+	register("ext1", "Extension: online stall-ratio scheduler (no droop sensor)", runExt1, nil)
+	register("ext2", "Extension: split vs connected core supplies", runExt2, nil)
+	register("ext3", "Extension: IPC/Droop^n sensitivity to recovery cost", runExt3, reads{schedVariant: tableParts | corpusParts})
 }
 
 // Ext1Result compares online counter-driven scheduling policies: the

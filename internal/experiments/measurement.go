@@ -13,9 +13,9 @@ import (
 )
 
 func init() {
-	register("fig4", "Impedance profile: analytic vs software current loop", runFig4)
-	register("fig6", "Reset droops across decap-removal processors (Figs 5m-r, 6)", runFig6)
-	register("fig11", "TLB-miss overshoots riding the VRM ripple", runFig11)
+	register("fig4", "Impedance profile: analytic vs software current loop", runFig4, nil)
+	register("fig6", "Reset droops across decap-removal processors (Figs 5m-r, 6)", runFig6, nil)
+	register("fig11", "TLB-miss overshoots riding the VRM ripple", runFig11, nil)
 }
 
 // Fig4Result reproduces Fig 4: the platform impedance profile built with

@@ -6,8 +6,8 @@ import (
 )
 
 func init() {
-	register("fig1", "Projected voltage swings across technology nodes", runFig1)
-	register("fig2", "Peak frequency vs. voltage margin per node", runFig2)
+	register("fig1", "Projected voltage swings across technology nodes", runFig1, nil)
+	register("fig2", "Peak frequency vs. voltage margin per node", runFig2, nil)
 }
 
 // Fig1Result reproduces Fig 1: peak-to-peak swing growth from 45 nm to

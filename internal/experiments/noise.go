@@ -10,10 +10,12 @@ import (
 )
 
 func init() {
-	register("fig7", "CDF of voltage samples across the run corpus (Proc100)", runFig7)
-	register("fig8", "Typical-case improvement vs margin per recovery cost (Proc100)", runFig8)
-	register("fig9", "Typical-case CDFs on the future-node chips (Proc25, Proc3)", runFig9)
-	register("fig10", "Improvement heatmaps: margin x recovery cost x decap variant", runFig10)
+	register("fig7", "CDF of voltage samples across the run corpus (Proc100)", runFig7, reads{pdn.Proc100: corpusParts})
+	register("fig8", "Typical-case improvement vs margin per recovery cost (Proc100)", runFig8, reads{pdn.Proc100: corpusParts})
+	register("fig9", "Typical-case CDFs on the future-node chips (Proc25, Proc3)", runFig9,
+		reads{pdn.Proc100: corpusParts, pdn.Proc25: corpusParts, pdn.Proc3: corpusParts})
+	register("fig10", "Improvement heatmaps: margin x recovery cost x decap variant", runFig10,
+		reads{pdn.Proc100: corpusParts, pdn.Proc25: corpusParts, pdn.Proc3: corpusParts})
 }
 
 // recoveryCosts is the paper's sweep: Razor-class (1), DeCoR-class (10),

@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	register("fig14", "Voltage-noise phases over full executions (sphinx, gamess, tonto)", runFig14)
-	register("fig15", "Droop counts and stall ratio across the suite", runFig15)
+	register("fig14", "Voltage-noise phases over full executions (sphinx, gamess, tonto)", runFig14, nil)
+	register("fig15", "Droop counts and stall ratio across the suite", runFig15, reads{pdn.Proc3: partSingle})
 }
 
 // Fig14Result reproduces Fig 14: droops-per-1K-cycles time series for the
@@ -114,7 +114,7 @@ func runFig15(ctx context.Context, s *Session) Renderer { return Fig15(ctx, s) }
 // runs, so fig15 shares the session's single-run population instead of
 // simulating them again.
 func Fig15(ctx context.Context, s *Session) *Fig15Result {
-	runs := s.singleRuns(ctx, pdn.Proc3, func(*corpusRun) {})
+	runs := s.runs(ctx, partSingle, pdn.Proc3, func(*corpusRun) {})
 	margin := s.Margin(pdn.Proc3)
 	n := len(runs)
 	r := &Fig15Result{

@@ -16,7 +16,7 @@ import (
 )
 
 func init() {
-	register("figx-recovery", "Cross-validation: executed failsafe engine vs the analytical resilient model", runRecovery)
+	register("figx-recovery", "Cross-validation: executed failsafe engine vs the analytical resilient model", runRecovery, nil)
 }
 
 // RecoveryTolerancePct is the documented agreement bound between the

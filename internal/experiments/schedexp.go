@@ -12,11 +12,11 @@ import (
 )
 
 func init() {
-	register("fig16", "Sliding-window co-scheduling of astar (interference phases)", runFig16)
-	register("fig17", "Droop spread across co-runners per benchmark", runFig17)
-	register("fig18", "Scheduling policy scatter: droops vs performance", runFig18)
-	register("fig19", "Passing-schedule increase over SPECrate per recovery cost", runFig19)
-	register("tab1", "SPECrate typical-case analysis at optimal margins", runTab1)
+	register("fig16", "Sliding-window co-scheduling of astar (interference phases)", runFig16, nil)
+	register("fig17", "Droop spread across co-runners per benchmark", runFig17, reads{schedVariant: tableParts})
+	register("fig18", "Scheduling policy scatter: droops vs performance", runFig18, reads{schedVariant: tableParts})
+	register("fig19", "Passing-schedule increase over SPECrate per recovery cost", runFig19, reads{schedVariant: tableParts | corpusParts})
+	register("tab1", "SPECrate typical-case analysis at optimal margins", runTab1, reads{schedVariant: tableParts | corpusParts})
 }
 
 // schedVariant is the chip every Sec IV experiment runs on: "As everything

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"voltsmooth/internal/core"
-	"voltsmooth/internal/counters"
 	"voltsmooth/internal/journal"
 	"voltsmooth/internal/parallel"
 	"voltsmooth/internal/pdn"
@@ -77,13 +76,17 @@ type Session struct {
 	tables  parallel.Group[string, *sched.PairTable]
 	passing parallel.Group[string, *Tab1Fig19Result]
 
-	// singles and pairs are the per-variant run populations more than one
-	// consumer reads: every spec profile alone for RunCycles, and every
-	// ordered spec pair for PairCycles. The corpus folds both, the oracle
-	// table takes its pair cells from pairs and fig15 reads the Proc3
-	// singles, so each of those runs is simulated once per session.
-	singles parallel.Group[string, []corpusRun]
-	pairs   parallel.Group[string, []corpusRun]
+	// populations are the corpus run populations, one per part and lane
+	// group (see Plan). The corpus folds all three parts, the oracle
+	// table takes its pair cells from the pairs and fig15 reads the
+	// Proc3 single-threaded runs, so each of those runs is simulated once
+	// per session, and once for every variant planned beside it.
+	populations parallel.Group[populationKey, [][]corpusRun]
+	plan        atomic.Pointer[lanePlan]
+
+	// onRead, when set, observes every population read (tests use it to
+	// check each experiment's reads declaration).
+	onRead func(part, pdn.ProcVariant)
 }
 
 // NewSession creates a session at the given scale.
@@ -205,10 +208,11 @@ func (s *Session) recordUnit(key string, v any) {
 	panic(&parallel.AbortError{Err: fmt.Errorf("experiments: journal %s: %w", key, err)})
 }
 
-// unit is the one path every journaled measurement of the session takes.
-// It replays key's record into rec, a pointer, when the journal holds
-// one; otherwise it runs measure, which must fill rec, and checkpoints
-// rec under key. Either way it then reports key as progress.
+// unit is the path every journaled measurement of the session takes
+// outside the corpus populations, whose lanes share one chip run (see
+// buildPopulation). It replays key's record into rec, a pointer, when the
+// journal holds one; otherwise it runs measure, which must fill rec, and
+// checkpoints rec under key. Either way it then reports key as progress.
 func (s *Session) unit(progress func(string), key string, rec any, measure func()) {
 	if !s.lookupUnit(key, rec) {
 		measure()
@@ -307,143 +311,10 @@ func (s *Session) Corpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 	return c
 }
 
-// corpusRun is one measured corpus run. Its exported fields are the run's
-// journal record; data is derived from them once, when the run is
-// measured or replayed, and every consumer of the run shares it.
-type corpusRun struct {
-	Cycles uint64       `json:"cycles"`
-	Scope  *sense.Scope `json:"scope"`
-	// Counters are the per-core counters of the measured window. The
-	// multi-threaded runs leave them out: nothing reads them, and the
-	// payload under a journal key never changes shape, because a journal
-	// written by an older build may already hold the key.
-	Counters []counters.Counters `json:"counters,omitempty"`
-	data     resilient.RunData
-}
-
-// corpusPart is one kind of corpus run of a variant: run i is simulated
-// by run(i), and name(i) is its RunData name and the tail of its journal
-// key, "corpus/<variant>/" + kind + name(i).
-type corpusPart struct {
-	kind string
-	n    int
-	name func(i int) string
-	run  func(i int) core.Result
-}
-
-// singlePart is every spec profile alone on core 0 for RunCycles.
-func (s *Session) singlePart(v pdn.ProcVariant) corpusPart {
-	cfg, spec := s.ChipConfig(v), s.SpecProfiles()
-	rc := core.RunConfig{Cycles: s.Scale.RunCycles, WarmupCycles: s.Scale.WarmupCycles}
-	return corpusPart{
-		kind: "single/",
-		n:    len(spec),
-		name: func(i int) string { return spec[i].Name },
-		run:  func(i int) core.Result { return core.RunSingle(cfg, spec[i].NewStream(), rc) },
-	}
-}
-
-// multiThreadedPart is every multi-threaded program with its two threads
-// on the two cores for RunCycles. The threads are distinct stream
-// instances (they share the binary, not the exact dynamic path; the
-// second thread gets a derived seed).
-func (s *Session) multiThreadedPart(v pdn.ProcVariant) corpusPart {
-	cfg, par := s.ChipConfig(v), workload.Parsec()
-	if s.Scale.SpecSubset > 0 && s.Scale.SpecSubset < len(par) {
-		par = par[:s.Scale.SpecSubset]
-	}
-	rc := core.RunConfig{Cycles: s.Scale.RunCycles, WarmupCycles: s.Scale.WarmupCycles}
-	return corpusPart{
-		kind: "",
-		n:    len(par),
-		name: func(i int) string { return par[i].Name + "(mt)" },
-		run: func(i int) core.Result {
-			q := par[i]
-			q.Seed++
-			res := core.RunPair(cfg, par[i].NewStream(), q.NewStream(), rc)
-			res.Counters = nil // not journaled; see corpusRun.Counters
-			return res
-		},
-	}
-}
-
-// pairPart is every ordered spec pair for PairCycles, run k placing
-// spec[k/n] on core 0 and spec[k%n] on core 1.
-func (s *Session) pairPart(v pdn.ProcVariant) corpusPart {
-	cfg, spec := s.ChipConfig(v), s.SpecProfiles()
-	n := len(spec)
-	rc := core.RunConfig{Cycles: s.Scale.PairCycles, WarmupCycles: s.Scale.WarmupCycles}
-	return corpusPart{
-		kind: "pair/",
-		n:    n * n,
-		name: func(k int) string { return spec[k/n].Name + "+" + spec[k%n].Name },
-		run: func(k int) core.Result {
-			return core.RunPair(cfg, spec[k/n].NewStream(), spec[k%n].NewStream(), rc)
-		},
-	}
-}
-
-// sweepRuns simulates, or replays from the journal, the runs of part p of
-// variant v over the session sweep. done is called once per run as it
-// completes.
-func (s *Session) sweepRuns(ctx context.Context, v pdn.ProcVariant, p corpusPart, done func(*corpusRun)) []corpusRun {
-	progress := ProgressFrom(ctx)
-	prefix := "corpus/" + v.Name + "/" + p.kind
-	runs := make([]corpusRun, p.n)
-	s.sweep(ctx, p.n, func(i int) {
-		r := &runs[i]
-		key := prefix + p.name(i)
-		s.unit(progress, key, r, func() {
-			res := p.run(i)
-			r.Cycles, r.Scope, r.Counters = res.Cycles, res.Scope, res.Counters
-		})
-		r.data = resilient.FromScope(key[len(prefix):], r.Cycles, r.Scope)
-		done(r)
-	})
-	return runs
-}
-
-// population returns the runs of part p of variant v from g, a shared
-// run population, sweeping them on the first call. done is called once
-// per run for every caller: as each run completes when this call sweeps
-// the population, and for every run afterwards when it shares the
-// population another consumer swept. Each consumer's counters therefore
-// count every run it reads once, whether it measured, replayed or shared
-// it.
-func (s *Session) population(ctx context.Context, g *parallel.Group[string, []corpusRun], v pdn.ProcVariant,
-	p corpusPart, done func(*corpusRun)) []corpusRun {
-	built := false
-	runs, err := g.DoCtx(ctx, v.Name, func() []corpusRun {
-		built = true
-		return s.sweepRuns(ctx, v, p, done)
-	})
-	if err != nil {
-		panic(&parallel.AbortError{Err: err})
-	}
-	if !built {
-		for i := range runs {
-			done(&runs[i])
-		}
-	}
-	return runs
-}
-
-// singleRuns returns v's single-threaded population, which the corpus and
-// fig15 read.
-func (s *Session) singleRuns(ctx context.Context, v pdn.ProcVariant, done func(*corpusRun)) []corpusRun {
-	return s.population(ctx, &s.singles, v, s.singlePart(v), done)
-}
-
-// pairRuns returns v's multi-program population, which the corpus and the
-// oracle table read.
-func (s *Session) pairRuns(ctx context.Context, v pdn.ProcVariant, done func(*corpusRun)) []corpusRun {
-	return s.population(ctx, &s.pairs, v, s.pairPart(v), done)
-}
-
-// buildCorpus folds the single-threaded population, the corpus's own
-// multi-threaded runs and the multi-program population, in that order,
-// so the corpus is bit-identical at any worker count and whichever
-// consumer built the shared populations.
+// buildCorpus folds v's single-threaded, multi-threaded and multi-program
+// populations, in that order, so the corpus is bit-identical at any
+// worker count, whichever consumer built the populations and whichever
+// variants were built beside v.
 func (s *Session) buildCorpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 	// unitDone feeds the campaign telemetry once per corpus run: the units
 	// counter drives the live status line, and each run's crossings at the
@@ -461,9 +332,9 @@ func (s *Session) buildCorpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 		}
 	}
 
-	singles := s.singleRuns(ctx, v, unitDone)
-	mt := s.sweepRuns(ctx, v, s.multiThreadedPart(v), unitDone)
-	pairs := s.pairRuns(ctx, v, unitDone)
+	singles := s.runs(ctx, partSingle, v, unitDone)
+	mt := s.runs(ctx, partMT, v, unitDone)
+	pairs := s.runs(ctx, partPair, v, unitDone)
 
 	c := &Corpus{
 		Variant:        v,
@@ -515,7 +386,7 @@ func (s *Session) buildPairTable(ctx context.Context, v pdn.ProcVariant) *sched.
 		})
 		sched.CellDone()
 	})
-	runs := s.pairRuns(ctx, v, func(*corpusRun) { sched.CellDone() })
+	runs := s.runs(ctx, partPair, v, func(*corpusRun) { sched.CellDone() })
 	pairs := make([]sched.PairRun, len(runs))
 	for k := range runs {
 		pairs[k] = sched.PairRun{Data: runs[k].data, Counters: runs[k].Counters}

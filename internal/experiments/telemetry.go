@@ -18,9 +18,11 @@ type Hooks struct {
 	// whether the corpus build measured it, replayed it from the journal,
 	// or shares it with a consumer that built it first (the oracle table
 	// reads the multi-program runs and fig15 the Proc3 single-threaded
-	// runs). A shared run counts as it completes when the corpus is the
-	// one building it, and when the corpus reads it otherwise. Oracle-table
-	// cells, shared pair runs included, are counted by sched.Hooks.Cells.
+	// runs, and another variant's corpus may have built it as a lane of
+	// the same chip run). A shared run counts as it completes when the
+	// corpus is the one building it, and when the corpus reads it
+	// otherwise. Oracle-table cells, shared pair runs included, are
+	// counted by sched.Hooks.Cells.
 	Units *telemetry.Counter
 	// Emergencies accumulates each corpus run's margin crossings at the
 	// paper's characterization margin (core.PhaseMargin) — the campaign's

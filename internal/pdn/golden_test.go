@@ -114,8 +114,9 @@ func TestFusedKernelGolden(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocs pins the zero-allocation contract of the hot kernel:
-// neither a raw substep nor a full default-substep cycle may allocate.
+// TestStepZeroAllocs pins the zero-allocation contract of the hot kernels:
+// neither a raw substep, a full default-substep cycle nor a lane-batched
+// cycle may allocate.
 func TestStepZeroAllocs(t *testing.T) {
 	n := NewAtLoad(Core2Duo(), 20)
 	const cycle = 1 / 1.86e9
@@ -128,5 +129,14 @@ func TestStepZeroAllocs(t *testing.T) {
 		n.StepCycle(cycle, 24, 6)
 	}); avg != 0 {
 		t.Fatalf("Network.StepCycle allocates %.1f allocs/op, want 0", avg)
+	}
+	lanes := []*Network{n, NewAtLoad(Core2Duo().WithCapFraction(Proc3.CapFraction), 20)}
+	v := make([]float64, len(lanes))
+	for _, substeps := range []int{7, 6} { // the lane kernel, then the subdividing fallback
+		if avg := testing.AllocsPerRun(1000, func() {
+			StepCycleLanes(lanes, cycle, 24, substeps, v)
+		}); avg != 0 {
+			t.Fatalf("StepCycleLanes at %d substeps allocates %.1f allocs/op, want 0", substeps, avg)
+		}
 	}
 }

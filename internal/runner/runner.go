@@ -165,10 +165,14 @@ type Result struct {
 // experiment failures live in the Results, not in the returned error.
 //
 // The session's caches make sibling deduplication automatic: two entries
-// sharing a corpus wait on one build. A watchdog or deadline cancelling
-// one attempt does not poison the shared cache — aborted builds are
-// evicted, and the retry rebuilds under its own live context.
+// sharing a corpus wait on one build. Before the first entry starts, the
+// session is planned for the whole batch (Session.Plan), so a run
+// population several entries read on different decap variants is built
+// once for all of them. A watchdog or deadline cancelling one attempt
+// does not poison the shared cache — aborted builds are evicted, and the
+// retry rebuilds under its own live context.
 func RunBatch(ctx context.Context, s *experiments.Session, entries []experiments.Entry, cfg Config) ([]Result, error) {
+	s.Plan(entries)
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
 	}

@@ -54,7 +54,8 @@ func TestSubstepsAlignedToStabilityBound(t *testing.T) {
 // TestChipCycleZeroAllocs pins the zero-allocation contract of the
 // simulator hot path: a chip cycle with both cores executing (instruction
 // issue, current model, PDN integration) must not allocate, and neither
-// may a recovery stall cycle or a cycle with injected fault current.
+// may a recovery stall cycle, a cycle with injected fault current or a
+// current-only cycle.
 func TestChipCycleZeroAllocs(t *testing.T) {
 	chip := hotChip(t)
 	if avg := testing.AllocsPerRun(2000, func() {
@@ -72,6 +73,12 @@ func TestChipCycleZeroAllocs(t *testing.T) {
 		chip.Cycle()
 	}); avg != 0 {
 		t.Fatalf("Chip.Cycle with injection allocates %.1f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(2000, func() {
+		chip.InjectCurrent(5)
+		chip.CycleLoad()
+	}); avg != 0 {
+		t.Fatalf("Chip.CycleLoad allocates %.1f allocs/op, want 0", avg)
 	}
 }
 

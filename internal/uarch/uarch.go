@@ -387,7 +387,15 @@ func (c *Chip) RailVoltage(rail int) float64 { return c.nets[rail].V() }
 // Cycle advances the chip by one clock cycle: each core executes, the
 // summed current drives the PDN, and the resulting die voltage is
 // returned. This is the hot path of every experiment.
-func (c *Chip) Cycle() float64 {
+func (c *Chip) Cycle() float64 { return c.driveNets(c.CycleLoad()) }
+
+// CycleLoad is the first half of Cycle: it advances every core's pipeline
+// by one clock cycle, applies any injected current, advances the chip
+// clock and returns the total die current, without stepping the chip's
+// own network. Nothing in the pipeline reads the die voltage, so a caller
+// can drive any number of networks from one CycleLoad per cycle (the
+// shared supply of core.RunLanes); Voltage then stays at its last value.
+func (c *Chip) CycleLoad() float64 {
 	cm := &c.cfg.Current
 	uncoreShare := c.uncoreShare
 	perCore := c.perCore
@@ -420,7 +428,7 @@ func (c *Chip) Cycle() float64 {
 			perCore[i] += extra / c.numCoresF
 		}
 	}
-	return c.driveNets(perCore, total)
+	return c.draw(total)
 }
 
 // StallCycle advances the chip by one clock cycle with every pipeline
@@ -444,7 +452,7 @@ func (c *Chip) StallCycle() float64 {
 		perCore[i] = cm.GatedAmps + co.aSmooth*cm.ActiveAmps + uncoreShare
 		total += perCore[i]
 	}
-	return c.driveNets(perCore, total)
+	return c.driveNets(c.draw(total))
 }
 
 // InjectCurrent queues extra die current (amperes) to be drawn during the
@@ -456,26 +464,33 @@ func (c *Chip) StallCycle() float64 {
 // injection.
 func (c *Chip) InjectCurrent(amps float64) { c.injectAmps += amps }
 
-// driveNets applies any injected fault current, drives the rail(s) with
-// the per-core draws, and advances the chip clock.
-func (c *Chip) driveNets(perCore []float64, total float64) float64 {
+// draw applies any injected fault current to the cycle's per-core draws
+// in c.perCore and to their sum, total, records the chip current and
+// advances the chip clock. It returns the total die current.
+func (c *Chip) draw(total float64) float64 {
 	if c.injectAmps != 0 {
 		total += c.injectAmps
 		share := c.injectAmps / c.numCoresF
-		for i := range perCore {
-			perCore[i] += share
+		for i := range c.perCore {
+			c.perCore[i] += share
 		}
 		c.injectAmps = 0
 	}
 	c.current = total
 	c.cycles++
+	return total
+}
+
+// driveNets drives the rail(s) for one cycle: the shared network with the
+// total current, or each split rail with its core's draw in c.perCore.
+func (c *Chip) driveNets(total float64) float64 {
 	if len(c.nets) == 1 {
 		c.voltage = c.nets[0].StepCycle(c.cycleTime, total, c.cfg.Substeps)
 		return c.voltage
 	}
 	vMin := math.Inf(1)
 	for i, n := range c.nets {
-		if v := n.StepCycle(c.cycleTime, perCore[i], c.cfg.Substeps); v < vMin {
+		if v := n.StepCycle(c.cycleTime, c.perCore[i], c.cfg.Substeps); v < vMin {
 			vMin = v
 		}
 	}
