@@ -18,7 +18,6 @@ import (
 	"voltsmooth/internal/parallel"
 	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/telemetry"
-	"voltsmooth/internal/telemetry/wire"
 	"voltsmooth/internal/uarch"
 	"voltsmooth/internal/workload"
 )
@@ -241,10 +240,10 @@ func BenchmarkImpedanceSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead measures the cost of the telemetry hooks on
-// the simulation hot path, off vs on: a full chip cycle (whose PDN step is
-// the one per-cycle telemetry touchpoint — a single atomic pointer load
-// when disabled, plus one atomic add when enabled). The off/on delta is
+// BenchmarkTelemetryOverhead measures the cost of the declared instruments
+// on the simulation hot path, unbound vs bound: a full chip cycle (whose
+// PDN step is the one per-cycle telemetry touchpoint — a single atomic
+// pointer load when unbound, plus one atomic add when bound). The off/on delta is
 // the documented overhead budget (DESIGN §7): it must stay within ~5% of
 // cycle time.
 func BenchmarkTelemetryOverhead(b *testing.B) {
@@ -267,7 +266,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 	b.Run("off", run)
 	b.Run("on", func(b *testing.B) {
-		uninstall := wire.Install(telemetry.NewRegistry(), telemetry.NewTrace(0))
+		uninstall := telemetry.Install(telemetry.NewRegistry(), telemetry.NewTrace(0))
 		defer uninstall()
 		run(b)
 	})

@@ -50,7 +50,7 @@ func main() {
 	retries := flag.Int("retries", runner.DefaultMaxAttempts, "attempts per experiment (first run + retries)")
 	journalPath := flag.String("journal", "", "checkpoint completed measurements to this file (JSONL)")
 	resume := flag.Bool("resume", false, "continue an existing -journal file; it must match the current scale and fault config")
-	metricsAddr := flag.String("metrics-addr", "", "serve live campaign metrics (expvar JSON at /debug/vars) and pprof on this address (e.g. 127.0.0.1:6060)")
+	metricsAddr := flag.String("metrics-addr", "", "serve live campaign metrics (JSON at /metrics) and pprof (/debug/pprof/) on this address (e.g. 127.0.0.1:6060)")
 	tracePath := flag.String("trace", "", "export the campaign event trace to this file (JSONL) at exit")
 	status := flag.Duration("status", 0, "print a one-line campaign status to stderr at this interval (0 = off)")
 	chaosSoak := flag.Int("chaos-soak", 0,
@@ -178,8 +178,8 @@ bit-identical output. A journal recorded under a different scale or
 fault config is rejected.
 
 Telemetry (observes only; figures are bit-identical with it on or off):
--metrics-addr ADDR serves live campaign metrics as expvar JSON at
-/debug/vars plus the pprof profiler family; -trace FILE exports the
+-metrics-addr ADDR serves live campaign metrics as JSON at /metrics
+plus the pprof profiler family at /debug/pprof/; -trace FILE exports the
 campaign event trace (emergencies, recoveries, scheduler swaps, retries,
 journal appends) as JSONL at exit; -status DUR prints a one-line
 progress summary to stderr at that interval. All telemetry output goes

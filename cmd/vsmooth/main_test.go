@@ -12,22 +12,21 @@ import (
 
 	"voltsmooth/internal/experiments"
 	"voltsmooth/internal/telemetry"
-	"voltsmooth/internal/telemetry/wire"
 )
 
 // TestMetricsEndpointServesLiveCounters is the end-to-end telemetry smoke
 // test: bring the surface up exactly as the CLI does (startTelemetry),
 // run a tiny campaign, and — from the campaign's own progress callback,
-// while measurement is still in flight — hit the expvar endpoint and
-// assert it serves live, nonzero counters. Short-mode friendly: one tiny
-// experiment, a few seconds.
+// while measurement is still in flight — hit /metrics and assert it serves
+// live, nonzero counters, then require the pprof index on the same
+// listener. Short-mode friendly: one tiny experiment, a few seconds.
 func TestMetricsEndpointServesLiveCounters(t *testing.T) {
 	tel, err := startTelemetry(runConfig{metricsAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tel.close()
-	url := fmt.Sprintf("http://%s/debug/vars", tel.listener.Addr())
+	url := fmt.Sprintf("http://%s/metrics", tel.listener.Addr())
 
 	// Probe the endpoint once mid-campaign, from the first progress
 	// callback after a few units have landed.
@@ -37,9 +36,7 @@ func TestMetricsEndpointServesLiveCounters(t *testing.T) {
 		probeErr error
 	)
 	probe := func() {
-		var payload struct {
-			VSmooth telemetry.Snapshot `json:"vsmooth"`
-		}
+		var payload telemetry.Snapshot
 		client := &http.Client{Timeout: 5 * time.Second}
 		resp, err := client.Get(url)
 		if err != nil {
@@ -52,10 +49,10 @@ func TestMetricsEndpointServesLiveCounters(t *testing.T) {
 			return
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-			probeErr = fmt.Errorf("decode expvar JSON: %w", err)
+			probeErr = fmt.Errorf("decode /metrics JSON: %w", err)
 			return
 		}
-		probed = payload.VSmooth
+		probed = payload
 	}
 
 	var units int
@@ -82,23 +79,34 @@ func TestMetricsEndpointServesLiveCounters(t *testing.T) {
 	if probed.Counters == nil {
 		t.Fatal("campaign finished without the mid-run probe firing")
 	}
-	if got := probed.Counters[wire.ExpUnits]; got == 0 {
-		t.Errorf("mid-campaign expvar snapshot shows no completed units: %+v", probed.Counters)
+	if got := probed.Counters["exp.units"]; got == 0 {
+		t.Errorf("mid-campaign /metrics snapshot shows no completed units: %+v", probed.Counters)
 	}
-	if got := probed.Counters[wire.PDNSteps]; got == 0 {
-		t.Errorf("mid-campaign expvar snapshot shows no PDN steps: %+v", probed.Counters)
+	if got := probed.Counters["pdn.steps"]; got == 0 {
+		t.Errorf("mid-campaign /metrics snapshot shows no PDN steps: %+v", probed.Counters)
+	}
+
+	pprofURL := fmt.Sprintf("http://%s/debug/pprof/", tel.listener.Addr())
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Get(pprofURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET %s: %s", pprofURL, resp.Status)
 	}
 }
 
 // TestStatusLineShape pins the live status line's fields so operators (and
 // log scrapers) can rely on them.
 func TestStatusLineShape(t *testing.T) {
-	tel := &campaignTelemetry{reg: telemetry.NewRegistry(), trace: telemetry.NewTrace(16)}
-	tel.reg.Counter(wire.ExpUnits).Add(7)
-	tel.reg.Counter(wire.RunnerRetries).Add(2)
-	tel.reg.Counter(wire.ExpEmergencies).Add(40)
-	tel.reg.Counter(wire.FailsafeEmergencies).Add(2)
-	got := tel.statusLine()
+	reg := telemetry.NewRegistry()
+	defer telemetry.Install(reg, nil)()
+	reg.Counter("exp.units").Add(7)
+	reg.Counter("runner.retries").Add(2)
+	reg.Counter("exp.emergencies").Add(40)
+	reg.Counter("failsafe.emergencies").Add(2)
+	got := statusLine()
 	want := "vsmooth: status units=7 cells=0 inflight=0 retries=2 emergencies=42"
 	if got != want {
 		t.Errorf("status line:\n  got  %q\n  want %q", got, want)

@@ -1,36 +1,27 @@
 package main
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"voltsmooth/internal/experiments"
+	"voltsmooth/internal/failsafe"
+	"voltsmooth/internal/runner"
+	"voltsmooth/internal/sched"
 	"voltsmooth/internal/telemetry"
-	"voltsmooth/internal/telemetry/wire"
-)
-
-// activeRegistry backs the process-wide expvar variable. expvar.Publish is
-// once-per-name for the process lifetime, so the published Func reads
-// whichever registry the current campaign installed rather than closing
-// over one.
-var (
-	activeRegistry atomic.Pointer[telemetry.Registry]
-	publishOnce    sync.Once
 )
 
 // campaignTelemetry is the optional observability surface of one run: a
-// metrics registry and event trace wired into every instrumented package,
-// an expvar+pprof HTTP endpoint, a periodic status line, a JSONL trace
-// export, and an end-of-run summary table. All of its output goes to
-// stderr, the trace file, or the HTTP endpoint — never stdout, which
-// carries figures and must stay bit-identical with telemetry on or off.
+// metrics registry and event trace installed for every instrumented
+// package, the /metrics+pprof HTTP endpoint, a periodic status line, a
+// JSONL trace export, and an end-of-run summary table. All of its output
+// goes to stderr, the trace file, or the HTTP endpoint — never stdout,
+// which carries figures and must stay bit-identical with telemetry on or
+// off.
 type campaignTelemetry struct {
 	reg   *telemetry.Registry
 	trace *telemetry.Trace
@@ -51,7 +42,7 @@ type campaignTelemetry struct {
 // failure to claim a resource (the metrics listen address, the trace file)
 // is returned before the campaign starts, so a misconfigured run fails
 // fast instead of hours in. A config with no telemetry flags set returns a
-// nil surface (and installs no hooks).
+// nil surface (and installs nothing).
 func startTelemetry(cfg runConfig) (*campaignTelemetry, error) {
 	if cfg.metricsAddr == "" && cfg.tracePath == "" && cfg.status <= 0 {
 		return nil, nil
@@ -80,33 +71,12 @@ func startTelemetry(cfg runConfig) (*campaignTelemetry, error) {
 			return nil, fmt.Errorf("listen on -metrics-addr: %w", err)
 		}
 		t.listener = ln
-
-		activeRegistry.Store(t.reg)
-		publishOnce.Do(func() {
-			expvar.Publish("vsmooth", expvar.Func(func() any {
-				if r := activeRegistry.Load(); r != nil {
-					return r.Snapshot()
-				}
-				return telemetry.Snapshot{}
-			}))
-		})
-
-		// One mux serving both debug surfaces: expvar's JSON at
-		// /debug/vars and the pprof profiler family. A dedicated mux (not
-		// http.DefaultServeMux) keeps the endpoint's routes explicit.
-		mux := http.NewServeMux()
-		mux.Handle("/debug/vars", expvar.Handler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		t.server = &http.Server{Handler: mux}
+		t.server = &http.Server{Handler: telemetry.Handler()}
 		go t.server.Serve(ln)
-		fmt.Fprintf(os.Stderr, "vsmooth: metrics at http://%s/debug/vars\n", ln.Addr())
+		fmt.Fprintf(os.Stderr, "vsmooth: metrics at http://%s/metrics\n", ln.Addr())
 	}
 
-	t.uninstall = wire.Install(t.reg, t.trace)
+	t.uninstall = telemetry.Install(t.reg, t.trace)
 
 	if cfg.status > 0 {
 		t.statusStop = make(chan struct{})
@@ -129,25 +99,26 @@ func (t *campaignTelemetry) statusLoop(interval time.Duration) {
 		case <-t.statusStop:
 			return
 		case <-tick.C:
-			fmt.Fprintln(os.Stderr, t.statusLine())
+			fmt.Fprintln(os.Stderr, statusLine())
 		}
 	}
 }
 
-func (t *campaignTelemetry) statusLine() string {
-	s := t.reg.Snapshot()
-	emergencies := s.Counters[wire.ExpEmergencies] +
-		s.Counters[wire.FailsafeEmergencies] +
-		s.Counters[wire.SchedEmergencies]
+// statusLine reads the installed instruments, which are t.reg's while the
+// campaign runs.
+func statusLine() string {
+	emergencies := experiments.ExpEmergencies.Load() +
+		failsafe.FailsafeEmergencies.Load() +
+		sched.SchedEmergencies.Load()
 	return fmt.Sprintf("vsmooth: status units=%d cells=%d inflight=%d retries=%d emergencies=%d",
-		s.Counters[wire.ExpUnits], s.Counters[wire.SchedCells],
-		s.Gauges[wire.RunnerInFlight], s.Counters[wire.RunnerRetries], emergencies)
+		experiments.ExpUnits.Load(), sched.SchedCells.Load(),
+		runner.RunnerInFlight.Load(), runner.RunnerRetries.Load(), emergencies)
 }
 
-// close tears the surface down in dependency order — status loop, hooks,
-// HTTP server, trace export — and prints the end-of-run summary. It
-// reports the first error (a failed trace export is the only expected
-// one).
+// close tears the surface down in dependency order — status loop,
+// instrument bindings, HTTP server, trace export — and prints the
+// end-of-run summary. It reports the first error (a failed trace export
+// is the only expected one).
 func (t *campaignTelemetry) close() error {
 	if t == nil {
 		return nil
@@ -162,7 +133,6 @@ func (t *campaignTelemetry) close() error {
 	if t.server != nil {
 		t.server.Close()
 	}
-	activeRegistry.CompareAndSwap(t.reg, nil)
 
 	var first error
 	if t.traceFile != nil {

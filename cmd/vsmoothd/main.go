@@ -31,7 +31,6 @@ import (
 	"voltsmooth/internal/durable"
 	"voltsmooth/internal/sigctx"
 	"voltsmooth/internal/telemetry"
-	"voltsmooth/internal/telemetry/wire"
 )
 
 func main() {
@@ -106,12 +105,11 @@ func run(argv []string) int {
 		return runFsck(st, *fsckRepair)
 	}
 
-	// Process-wide telemetry: one registry + trace wired into every
-	// instrumented package (including the api layer's own job/queue/drain
-	// instruments), served at GET /metrics.
-	reg := telemetry.NewRegistry()
-	trace := telemetry.NewTrace(0)
-	uninstall := wire.Install(reg, trace)
+	// Process-wide metrics: one registry bound to every instrumented
+	// package (including the api layer's own job/queue/drain instruments),
+	// served at GET /metrics. No process trace: nothing would read it, and
+	// each job keeps its own event ring.
+	uninstall := telemetry.Install(telemetry.NewRegistry(), nil)
 	defer uninstall()
 
 	var plane durable.FS
@@ -143,7 +141,6 @@ func run(argv []string) int {
 		DisableCache:          !*cache,
 		CacheMax:              *cacheMax,
 		SSEHeartbeat:          *sseHeartbeat,
-		Metrics:               reg,
 		Fleet:                 *fleet,
 		WorkerID:              *workerID,
 		LeaseTTL:              *leaseTTL,

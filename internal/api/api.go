@@ -28,9 +28,9 @@
 //
 // Progress is scoped strictly per job: counters are fed from the job's
 // own runner events and its own journal's replay observer, never from the
-// process-global telemetry hooks — so two jobs' progress never bleed into
-// each other, while the global registry still accumulates process totals
-// for /metrics.
+// process-wide telemetry instruments — so two jobs' progress never bleed
+// into each other, while the installed registry still accumulates process
+// totals for /metrics.
 package api
 
 import (
@@ -236,6 +236,9 @@ func (p *progress) snapshot(total int) Progress {
 	}
 }
 
+// jobEventsCap bounds each job's event ring.
+const jobEventsCap = 4096
+
 // job is the server's in-memory view of one campaign job.
 type job struct {
 	id      string
@@ -246,7 +249,8 @@ type job struct {
 	// the in-flight dedup key; computed once at admission/recovery.
 	fingerprint string
 
-	// trace is the job-scoped event ring served by /jobs/{id}/events.
+	// trace is the job-scoped event ring served by /jobs/{id}/events,
+	// bounded at jobEventsCap events.
 	trace *telemetry.Trace
 	prog  progress
 
@@ -314,7 +318,7 @@ func (s *Server) newJob(rec JobRecord) *job {
 		created:     time.Unix(0, rec.CreatedUnixNS),
 		fingerprint: rec.Spec.ConfigFingerprint(),
 		state:       StateQueued,
-		trace:       telemetry.NewTrace(s.cfg.EventsCap),
+		trace:       telemetry.NewTrace(jobEventsCap),
 	}
 	jb.enqueuedAt = jb.created
 	if rec.Spec.DeadlineMS > 0 {

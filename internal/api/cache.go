@@ -142,7 +142,7 @@ func (s *Server) cacheLookup(fp string) *CacheEntry {
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			s.logf("cache: %v (ignoring entry; job will execute)", err)
-			hookTrace(telemetry.Event{Kind: "api.cache.invalid", ID: fp, Detail: firstLine(err)})
+			telemetry.Emit(telemetry.Event{Kind: "api.cache.invalid", ID: fp, Detail: firstLine(err)})
 		}
 		return nil
 	}
@@ -178,7 +178,7 @@ func (s *Server) finishFromCache(jb *job, e *CacheEntry) {
 	jb.result = res
 	jb.mu.Unlock()
 
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.CacheHits })
+	apiCacheHits.Inc()
 	jb.trace.Emit(telemetry.Event{Kind: "api.job.cache_hit", ID: jb.id,
 		Detail: "served from cached execution of " + e.SourceJob})
 	s.commitResult(jb, res)
@@ -209,7 +209,7 @@ func (s *Server) serveFollower(f *job, src *Result) {
 	f.result = res
 	f.mu.Unlock()
 
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.CacheFollowed })
+	apiCacheFollowed.Inc()
 	f.trace.Emit(telemetry.Event{Kind: "api.job.cache_followed", ID: f.id,
 		Detail: "served from in-flight execution of " + src.ID})
 	s.commitResult(f, res)

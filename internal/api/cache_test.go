@@ -13,7 +13,6 @@ import (
 
 	"voltsmooth/internal/api"
 	"voltsmooth/internal/telemetry"
-	"voltsmooth/internal/telemetry/wire"
 )
 
 // newStoreServer is newTestServer with the store opened by the test, so
@@ -51,10 +50,10 @@ func fingerprintOf(t *testing.T, spec api.JobSpec) string {
 // from the durable cache with cached=true and the source job's ID.
 func TestCacheServesIdenticalSpecAcrossTenants(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	uninstall := wire.Install(reg, telemetry.NewTrace(0))
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
 	defer uninstall()
 
-	st, hs := newStoreServer(t, func(c *api.Config) { c.Metrics = reg })
+	st, hs := newStoreServer(t, nil)
 
 	var ack1 map[string]string
 	if resp := submit(t, hs.URL, "tenant-a", tinySpec(), &ack1); resp.StatusCode != http.StatusAccepted {
@@ -66,7 +65,7 @@ func TestCacheServesIdenticalSpecAcrossTenants(t *testing.T) {
 	}
 	var res1 api.Result
 	getJSON(t, hs.URL+"/jobs/"+ack1["id"]+"/result", &res1)
-	executed := reg.Snapshot().Counters[wire.ExpCompleted]
+	executed := reg.Snapshot().Counters["exp.completed"]
 	if executed == 0 {
 		t.Fatal("first job completed no experiments")
 	}
@@ -95,14 +94,14 @@ func TestCacheServesIdenticalSpecAcrossTenants(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counters[wire.ExpCompleted]; got != executed {
+	if got := snap.Counters["exp.completed"]; got != executed {
 		t.Errorf("experiments executed %d times, want exactly once (%d): the cache hit re-ran the campaign", got, executed)
 	}
-	if snap.Counters[wire.APICacheHits] != 1 {
-		t.Errorf("%s = %d, want 1", wire.APICacheHits, snap.Counters[wire.APICacheHits])
+	if snap.Counters["api.cache_hits"] != 1 {
+		t.Errorf("api.cache_hits = %d, want 1", snap.Counters["api.cache_hits"])
 	}
-	if snap.Counters[wire.APIJobsCompleted] != 2 {
-		t.Errorf("%s = %d, want 2 (both tenants' jobs complete)", wire.APIJobsCompleted, snap.Counters[wire.APIJobsCompleted])
+	if snap.Counters["api.jobs_completed"] != 2 {
+		t.Errorf("api.jobs_completed = %d, want 2 (both tenants' jobs complete)", snap.Counters["api.jobs_completed"])
 	}
 
 	// The durable entry names the execution that produced it.
@@ -159,7 +158,7 @@ func TestCachedAdmissionKeepsDeadline(t *testing.T) {
 // result the moment it lands — exactly one execution, both done.
 func TestInflightFollowerAttaches(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	uninstall := wire.Install(reg, telemetry.NewTrace(0))
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
 	defer uninstall()
 
 	entered := make(chan string, 2)
@@ -170,7 +169,6 @@ func TestInflightFollowerAttaches(t *testing.T) {
 
 	_, hs := newStoreServer(t, func(c *api.Config) {
 		c.JobWorkers = 2 // both jobs must be in runJob simultaneously
-		c.Metrics = reg
 		c.BeforeJob = func(id string) {
 			entered <- id
 			<-release
@@ -210,14 +208,14 @@ func TestInflightFollowerAttaches(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if snap.Counters[wire.APICacheFollowed] != 1 {
-		t.Errorf("%s = %d, want 1", wire.APICacheFollowed, snap.Counters[wire.APICacheFollowed])
+	if snap.Counters["api.cache_followed"] != 1 {
+		t.Errorf("api.cache_followed = %d, want 1", snap.Counters["api.cache_followed"])
 	}
-	if got, want := snap.Counters[wire.ExpCompleted], uint64(len(stA.Spec.Experiments)); got != want {
-		t.Errorf("%s = %d, want %d (one execution)", wire.ExpCompleted, got, want)
+	if got, want := snap.Counters["exp.completed"], uint64(len(stA.Spec.Experiments)); got != want {
+		t.Errorf("exp.completed = %d, want %d (one execution)", got, want)
 	}
-	if snap.Counters[wire.APIJobsCompleted] != 2 {
-		t.Errorf("%s = %d, want 2", wire.APIJobsCompleted, snap.Counters[wire.APIJobsCompleted])
+	if snap.Counters["api.jobs_completed"] != 2 {
+		t.Errorf("api.jobs_completed = %d, want 2", snap.Counters["api.jobs_completed"])
 	}
 }
 
@@ -228,10 +226,10 @@ func TestInflightFollowerAttaches(t *testing.T) {
 // heals the entry.
 func TestTornCacheEntryReExecutes(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	uninstall := wire.Install(reg, telemetry.NewTrace(0))
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
 	defer uninstall()
 
-	st, hs := newStoreServer(t, func(c *api.Config) { c.Metrics = reg })
+	st, hs := newStoreServer(t, nil)
 
 	var ack1 map[string]string
 	submit(t, hs.URL, "tenant-a", tinySpec(), &ack1)
@@ -240,7 +238,7 @@ func TestTornCacheEntryReExecutes(t *testing.T) {
 	}
 	var res1 api.Result
 	getJSON(t, hs.URL+"/jobs/"+ack1["id"]+"/result", &res1)
-	executed := reg.Snapshot().Counters[wire.ExpCompleted]
+	executed := reg.Snapshot().Counters["exp.completed"]
 
 	// Tear the entry: keep the first half of the bytes.
 	fp := fingerprintOf(t, tinySpec())
@@ -272,11 +270,11 @@ func TestTornCacheEntryReExecutes(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counters[wire.ExpCompleted]; got != 2*executed {
-		t.Errorf("%s = %d, want %d: the torn entry should have forced a second execution", wire.ExpCompleted, got, 2*executed)
+	if got := snap.Counters["exp.completed"]; got != 2*executed {
+		t.Errorf("exp.completed = %d, want %d: the torn entry should have forced a second execution", got, 2*executed)
 	}
-	if snap.Counters[wire.APICacheHits] != 0 {
-		t.Errorf("%s = %d, want 0", wire.APICacheHits, snap.Counters[wire.APICacheHits])
+	if snap.Counters["api.cache_hits"] != 0 {
+		t.Errorf("api.cache_hits = %d, want 0", snap.Counters["api.cache_hits"])
 	}
 
 	// The re-execution healed the entry.
@@ -336,12 +334,11 @@ func TestLoadCachedRejectsDefects(t *testing.T) {
 // published under <store>/cache.
 func TestCacheDisabledRunsEveryJob(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	uninstall := wire.Install(reg, telemetry.NewTrace(0))
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
 	defer uninstall()
 
 	st, hs := newStoreServer(t, func(c *api.Config) {
 		c.DisableCache = true
-		c.Metrics = reg
 	})
 
 	var ack1, ack2 map[string]string
@@ -359,10 +356,10 @@ func TestCacheDisabledRunsEveryJob(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got, want := snap.Counters[wire.ExpCompleted], uint64(2*len(s2.Spec.Experiments)); got != want {
-		t.Errorf("%s = %d, want %d (two independent executions)", wire.ExpCompleted, got, want)
+	if got, want := snap.Counters["exp.completed"], uint64(2*len(s2.Spec.Experiments)); got != want {
+		t.Errorf("exp.completed = %d, want %d (two independent executions)", got, want)
 	}
-	if snap.Counters[wire.APICacheHits] != 0 || snap.Counters[wire.APICacheMisses] != 0 {
+	if snap.Counters["api.cache_hits"] != 0 || snap.Counters["api.cache_misses"] != 0 {
 		t.Error("cache counters moved with the cache disabled")
 	}
 	if _, err := st.LoadCached(fingerprintOf(t, tinySpec())); !errors.Is(err, os.ErrNotExist) {
@@ -374,12 +371,11 @@ func TestCacheDisabledRunsEveryJob(t *testing.T) {
 // oldest fingerprints beyond the cap.
 func TestCacheEviction(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	uninstall := wire.Install(reg, telemetry.NewTrace(0))
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
 	defer uninstall()
 
 	st, hs := newStoreServer(t, func(c *api.Config) {
 		c.CacheMax = 1
-		c.Metrics = reg
 	})
 
 	specOld := tinySpec()
@@ -405,8 +401,8 @@ func TestCacheEviction(t *testing.T) {
 	if _, err := st.LoadCached(fingerprintOf(t, specNew)); err != nil {
 		t.Errorf("newest entry missing after eviction: %v", err)
 	}
-	if got := reg.Snapshot().Counters[wire.APICacheEvicted]; got != 1 {
-		t.Errorf("%s = %d, want 1", wire.APICacheEvicted, got)
+	if got := reg.Snapshot().Counters["api.cache_evicted"]; got != 1 {
+		t.Errorf("api.cache_evicted = %d, want 1", got)
 	}
 }
 
@@ -415,7 +411,7 @@ func TestCacheEviction(t *testing.T) {
 // lease fence, with exactly one execution fleet-wide.
 func TestFleetCachedAdoption(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	uninstall := wire.Install(reg, telemetry.NewTrace(0))
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
 	defer uninstall()
 
 	dir := t.TempDir()
@@ -433,7 +429,7 @@ func TestFleetCachedAdoption(t *testing.T) {
 	if st1.State != api.StateDone || st1.Cached {
 		t.Fatalf("first job on A: state=%s cached=%v", st1.State, st1.Cached)
 	}
-	executed := reg.Snapshot().Counters[wire.ExpCompleted]
+	executed := reg.Snapshot().Counters["exp.completed"]
 
 	// Fleet admission never serves the cache inline — the cached
 	// completion goes through the job's lease in runJob — so the ack is a
@@ -458,11 +454,11 @@ func TestFleetCachedAdoption(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counters[wire.ExpCompleted]; got != executed {
-		t.Errorf("%s = %d, want %d: the fleet executed the campaign twice", wire.ExpCompleted, got, executed)
+	if got := snap.Counters["exp.completed"]; got != executed {
+		t.Errorf("exp.completed = %d, want %d: the fleet executed the campaign twice", got, executed)
 	}
-	if snap.Counters[wire.APICacheHits] != 1 {
-		t.Errorf("%s = %d, want 1", wire.APICacheHits, snap.Counters[wire.APICacheHits])
+	if snap.Counters["api.cache_hits"] != 1 {
+		t.Errorf("api.cache_hits = %d, want 1", snap.Counters["api.cache_hits"])
 	}
 }
 
@@ -473,7 +469,7 @@ func TestFleetCachedAdoption(t *testing.T) {
 // execution count stays at one.
 func TestFleetIdenticalInflightExecutesOnce(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	uninstall := wire.Install(reg, telemetry.NewTrace(0))
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
 	defer uninstall()
 
 	dir := t.TempDir()
@@ -541,7 +537,7 @@ func TestFleetIdenticalInflightExecutesOnce(t *testing.T) {
 	if !reflect.DeepEqual(res1.Renders, res2.Renders) {
 		t.Error("renders diverge between the leader and the held-back job")
 	}
-	if got, want := reg.Snapshot().Counters[wire.ExpCompleted], uint64(len(tinySpec().Experiments)); got != want {
-		t.Errorf("%s = %d, want %d: the identical in-flight spec executed twice", wire.ExpCompleted, got, want)
+	if got, want := reg.Snapshot().Counters["exp.completed"], uint64(len(tinySpec().Experiments)); got != want {
+		t.Errorf("exp.completed = %d, want %d: the identical in-flight spec executed twice", got, want)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // persist the terminal result atomically. Progress and events are fed
 // exclusively from job-scoped observers — the job's own runner.OnEvent
 // closure and its own journal's OnReplay hook — never from the
-// process-global telemetry hooks, so concurrent jobs cannot bleed into
+// process-wide telemetry instruments, so concurrent jobs cannot bleed into
 // each other's counters.
 func (s *Server) runJob(jb *job) {
 	if s.cfg.BeforeJob != nil {
@@ -125,9 +125,9 @@ func (s *Server) runJob(jb *job) {
 				s.depth++
 				depth := s.depth
 				s.mu.Unlock()
-				hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
+				apiQueueDepth.Set(int64(depth))
 				jb.setState(StateQueued, "following identical in-flight job "+l.id)
-				hookTrace(telemetry.Event{Kind: "api.job.follows", ID: jb.id, Detail: l.id})
+				telemetry.Emit(telemetry.Event{Kind: "api.job.follows", ID: jb.id, Detail: l.id})
 				return
 			}
 			// This job executes: register as the dedup leader so identical
@@ -137,10 +137,10 @@ func (s *Server) runJob(jb *job) {
 			s.mu.Unlock()
 		} else if l := s.dedupLeader(jb.fingerprint); l != nil && l != jb {
 			jb.setState(StateQueued, "following identical in-flight job "+l.id)
-			hookTrace(telemetry.Event{Kind: "api.job.follows", ID: jb.id, Detail: l.id})
+			telemetry.Emit(telemetry.Event{Kind: "api.job.follows", ID: jb.id, Detail: l.id})
 			return
 		}
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.CacheMisses })
+		apiCacheMisses.Inc()
 	}
 
 	// Deadline feasibility (DESIGN §13): a job whose absolute deadline has
@@ -154,8 +154,8 @@ func (s *Server) runJob(jb *job) {
 		s.mu.Unlock()
 		fresh := jb.prog.units.Load() == 0
 		if remaining <= 0 || (fresh && avg > 0 && remaining < avg) {
-			hookInc(func(h *Hooks) *telemetry.Counter { return h.DeadlineInfeasible })
-			hookTrace(telemetry.Event{Kind: "api.job.deadline_infeasible", ID: jb.id})
+			apiJobsDeadlineInfeasible.Inc()
+			telemetry.Emit(telemetry.Event{Kind: "api.job.deadline_infeasible", ID: jb.id})
 			s.finishJob(jb, StateFailed, fmt.Sprintf("%v (remaining %s, average job %s)",
 				ErrDeadlineInfeasible, remaining.Round(time.Millisecond), avg.Round(time.Millisecond)), nil, nil)
 			return
@@ -195,9 +195,9 @@ func (s *Server) runJob(jb *job) {
 		delete(s.running, jb.id)
 		s.mu.Unlock()
 	}()
-	hookGaugeAdd(func(h *Hooks) *telemetry.Gauge { return h.Running }, 1)
-	defer hookGaugeAdd(func(h *Hooks) *telemetry.Gauge { return h.Running }, -1)
-	hookTrace(telemetry.Event{Kind: "api.job.running", ID: jb.id})
+	apiJobsRunning.Add(1)
+	defer apiJobsRunning.Add(-1)
+	telemetry.Emit(telemetry.Event{Kind: "api.job.running", ID: jb.id})
 
 	if hold != nil {
 		// Heartbeat: renew the lease on job progress until the run ends or
@@ -298,14 +298,14 @@ func (s *Server) runJob(jb *job) {
 		// Nothing here may be persisted — the successor's run is the truth.
 		// Revert to queued; the scanner adopts the successor's result.
 		jb.setState(StateQueued, "lease fenced; a successor owns this job")
-		hookTrace(telemetry.Event{Kind: "api.job.fenced", ID: jb.id})
+		telemetry.Emit(telemetry.Event{Kind: "api.job.fenced", ID: jb.id})
 		s.logf("job %s: fenced after %d units; discarding this run's outcome", jb.id, jb.prog.units.Load())
 	case runErr != nil && errors.Is(s.jobsCtx.Err(), context.Canceled) && !jb.isCanceled():
 		// The server is shutting down, not the job failing: revert to
 		// queued. No result.json is written, so the next boot re-enqueues
 		// the job and its journal resumes every completed unit.
 		jb.setState(StateQueued, "server shutdown; will resume from journal")
-		hookTrace(telemetry.Event{Kind: "api.job.requeued", ID: jb.id, Detail: "shutdown"})
+		telemetry.Emit(telemetry.Event{Kind: "api.job.requeued", ID: jb.id, Detail: "shutdown"})
 		s.logf("job %s: interrupted by shutdown after %d units; resumable", jb.id, jb.prog.units.Load())
 	case jb.isCanceled():
 		s.finishJob(jb, StateCanceled, "canceled", renders, attempts)
@@ -324,8 +324,8 @@ func (s *Server) runJob(jb *job) {
 		n := jb.preemptions
 		jb.mu.Unlock()
 		jb.setState(StateSuspended, "preempted; checkpoint kept, will resume")
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Preempted })
-		hookTrace(telemetry.Event{Kind: "api.job.suspended", ID: jb.id, Value: float64(n)})
+		apiJobsPreempted.Inc()
+		telemetry.Emit(telemetry.Event{Kind: "api.job.suspended", ID: jb.id, Value: float64(n)})
 		s.logf("job %s: suspended after %d units (preemption #%d, journal %s)",
 			jb.id, jb.prog.units.Load(), n, jnl.Status())
 	case runErr != nil:
@@ -485,7 +485,7 @@ func (s *Server) commitResult(jb *job, res *Result) {
 			} else if n, err := s.store.EvictCachedOver(s.cfg.CacheMax); err != nil {
 				s.logf("cache: evict: %v", err)
 			} else if n > 0 {
-				hookIncBy(func(h *Hooks) *telemetry.Counter { return h.CacheEvicted }, n)
+				apiCacheEvicted.Add(uint64(n))
 			}
 		}
 		return nil
@@ -503,7 +503,7 @@ func (s *Server) commitResult(jb *job, res *Result) {
 			jb.cacheSource = ""
 			jb.mu.Unlock()
 			jb.setState(StateQueued, "terminal write fenced; successor owns the job")
-			hookTrace(telemetry.Event{Kind: "api.job.fenced", ID: jb.id, Detail: "terminal write rejected"})
+			telemetry.Emit(telemetry.Event{Kind: "api.job.fenced", ID: jb.id, Detail: "terminal write rejected"})
 			return
 		}
 	} else {
@@ -516,14 +516,14 @@ func (s *Server) commitResult(jb *job, res *Result) {
 		s.logf("job %s: persist result: %v (job will re-run on next boot)", jb.id, werr)
 	}
 	jb.setState(res.State, res.Error)
-	hookTrace(telemetry.Event{Kind: "api.job." + string(res.State), ID: jb.id, Detail: res.Error})
+	telemetry.Emit(telemetry.Event{Kind: "api.job." + string(res.State), ID: jb.id, Detail: res.Error})
 	switch res.State {
 	case StateDone:
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Completed })
+		apiJobsCompleted.Inc()
 	case StateFailed:
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Failed })
+		apiJobsFailed.Inc()
 	case StateCanceled:
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Canceled })
+		apiJobsCanceled.Inc()
 	}
 	s.observeDuration(res)
 	s.logf("job %s: %s (%d units, %d replayed)", jb.id, res.State, jb.prog.units.Load(), jb.prog.replayed.Load())
@@ -603,7 +603,7 @@ func (s *Server) settle(jb *job, res *Result) {
 	}
 	depth := s.depth
 	s.mu.Unlock()
-	hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
+	apiQueueDepth.Set(int64(depth))
 
 	for _, f := range served {
 		s.serveFollower(f, res)

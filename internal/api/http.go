@@ -26,6 +26,7 @@ import (
 //	GET    /healthz          process liveness (200 while the process serves)
 //	GET    /readyz           admission readiness (503 once draining)
 //	GET    /metrics          process-wide registry snapshot (JSON)
+//	       /debug/pprof/     runtime profiles
 //
 // Submission backpressure is explicit, never buffering: a spent client
 // quota or a full queue is 429 with a Retry-After header, and a draining
@@ -41,7 +42,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	debug := telemetry.Handler()
+	mux.Handle("GET /metrics", debug)
+	mux.Handle("/debug/pprof/", debug)
 	return mux
 }
 
@@ -61,7 +64,7 @@ func clientOf(r *http.Request) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	client := clientOf(r)
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.Submitted })
+	apiJobsSubmitted.Inc()
 
 	// Drain check first: a draining server refuses before spending the
 	// client's quota tokens on a doomed submission. Like every other
@@ -69,7 +72,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// drain budget actually remaining, since a restart (or a fleet peer)
 	// can be serving well within it.
 	if s.isDraining() {
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Unavailable })
+		apiJobsUnavailable.Inc()
 		w.Header().Set("Retry-After", s.retryAfterDraining())
 		writeError(w, http.StatusServiceUnavailable, "server is draining; resubmit after restart")
 		return
@@ -89,8 +92,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if ok, retry := s.quotas.take(client); !ok {
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Rejected })
-		hookTrace(telemetry.Event{Kind: "api.reject.quota", ID: client})
+		apiJobsRejected.Inc()
+		telemetry.Emit(telemetry.Event{Kind: "api.reject.quota", ID: client})
 		w.Header().Set("Retry-After", retryAfterSeconds(retry))
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("client %q is over its admission quota; retry after %s", client, retryAfterSeconds(retry)+"s"))
@@ -155,7 +158,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.Admitted })
+	apiJobsAdmitted.Inc()
 	jb.trace.Emit(telemetry.Event{Kind: "api.job.queued", ID: id})
 	w.Header().Set("Location", "/jobs/"+id)
 	if hit != nil {
@@ -170,8 +173,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	depth := s.depth
 	s.mu.Unlock()
-	hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
-	hookTrace(telemetry.Event{Kind: "api.job.queued", ID: id, Detail: client})
+	apiQueueDepth.Set(int64(depth))
+	telemetry.Emit(telemetry.Event{Kind: "api.job.queued", ID: id, Detail: client})
 	s.enqueue(jb)
 	s.maybePreempt(jb.rank())
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": string(StateQueued)})
@@ -185,7 +188,7 @@ func (s *Server) reserveSlot(w http.ResponseWriter, client string, spec JobSpec)
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Unavailable })
+		apiJobsUnavailable.Inc()
 		w.Header().Set("Retry-After", s.retryAfterDraining())
 		writeError(w, http.StatusServiceUnavailable, "server is draining; resubmit after restart")
 		return false
@@ -197,9 +200,9 @@ func (s *Server) reserveSlot(w http.ResponseWriter, client string, spec JobSpec)
 	// the tenant when a slot should plausibly free instead.
 	if priorityRank(spec.Priority) == rankBulk && s.depth >= s.cfg.ShedWatermark {
 		s.mu.Unlock()
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Rejected })
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Shed })
-		hookTrace(telemetry.Event{Kind: "api.reject.shed", ID: client})
+		apiJobsRejected.Inc()
+		apiJobsShed.Inc()
+		telemetry.Emit(telemetry.Event{Kind: "api.reject.shed", ID: client})
 		w.Header().Set("Retry-After", s.retryAfterQueueFull())
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("bulk work shed: queue depth is past the watermark (%d); retry later", s.cfg.ShedWatermark))
@@ -207,8 +210,8 @@ func (s *Server) reserveSlot(w http.ResponseWriter, client string, spec JobSpec)
 	}
 	if s.depth >= s.cfg.QueueCap {
 		s.mu.Unlock()
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Rejected })
-		hookTrace(telemetry.Event{Kind: "api.reject.queue_full", ID: client})
+		apiJobsRejected.Inc()
+		telemetry.Emit(telemetry.Event{Kind: "api.reject.queue_full", ID: client})
 		w.Header().Set("Retry-After", s.retryAfterQueueFull())
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("admission queue is full (%d waiting); retry later", s.cfg.QueueCap))
@@ -425,14 +428,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Metrics == nil {
-		writeError(w, http.StatusNotFound, "metrics registry not configured")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cfg.Metrics.Snapshot())
 }
 
 // retryAfterSeconds formats a backoff as whole seconds, rounded up and at

@@ -116,7 +116,7 @@ func (s *Server) dequeue() (*job, bool) {
 	jb.mu.Lock()
 	jb.enqueued = false
 	jb.mu.Unlock()
-	hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(s.depth))
+	apiQueueDepth.Set(int64(s.depth))
 	return jb, false
 }
 
@@ -175,7 +175,7 @@ func (s *Server) maybePreempt(newRank int) {
 
 	victim.trace.Emit(telemetry.Event{Kind: "api.job.preempting", ID: victim.id,
 		Detail: "higher-priority arrival; suspending at next run boundary"})
-	hookTrace(telemetry.Event{Kind: "api.job.preempting", ID: victim.id})
+	telemetry.Emit(telemetry.Event{Kind: "api.job.preempting", ID: victim.id})
 	s.logf("job %s: preempting (rank %d) for a rank-%d arrival", victim.id, victimRank, newRank)
 	cancel()
 }
@@ -212,7 +212,7 @@ func (s *Server) requeueSuspended(jb *job) {
 	depth := s.depth
 	s.mu.Unlock()
 	if ok {
-		hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(depth))
+		apiQueueDepth.Set(int64(depth))
 		s.signalWork()
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"voltsmooth/internal/api"
 	"voltsmooth/internal/telemetry"
-	"voltsmooth/internal/telemetry/wire"
 )
 
 // TestRecoveryResumesUnfinishedJob pins the crash-recovery contract at the
@@ -125,18 +124,17 @@ func TestRecoveryResumesUnfinishedJob(t *testing.T) {
 
 // TestTwoJobsProgressDoesNotBleed pins satellite fix #2: per-job progress
 // is fed only from job-scoped observers, so two jobs running under the
-// process-global wire hooks report their own unit counts, while the global
+// process-wide instruments report their own unit counts, while the global
 // registry accumulates the process-wide total. Before the fix, feeding job
 // progress from the global hooks made the second job inherit the first
 // job's units.
 func TestTwoJobsProgressDoesNotBleed(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	uninstall := wire.Install(reg, telemetry.NewTrace(0))
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
 	defer uninstall()
 
 	_, hs := newTestServer(t, func(c *api.Config) {
 		c.JobWorkers = 2 // concurrent: the harshest interleaving
-		c.Metrics = reg
 		// This test pins progress isolation between two *executing* jobs;
 		// identical-spec dedup (DESIGN §12) would serve B from A's run, so
 		// opt out of the cache to keep both campaigns live.
@@ -171,14 +169,14 @@ func TestTwoJobsProgressDoesNotBleed(t *testing.T) {
 
 	// Global: the process-wide registry still accumulates both campaigns.
 	snap := reg.Snapshot()
-	if got, want := snap.Counters[wire.ExpUnits], stA.Progress.Units+stB.Progress.Units; got != want {
-		t.Errorf("global %s = %d, want the cross-job total %d", wire.ExpUnits, got, want)
+	if got, want := snap.Counters["exp.units"], stA.Progress.Units+stB.Progress.Units; got != want {
+		t.Errorf("global exp.units = %d, want the cross-job total %d", got, want)
 	}
-	if snap.Counters[wire.APIJobsCompleted] != 2 {
-		t.Errorf("global %s = %d, want 2", wire.APIJobsCompleted, snap.Counters[wire.APIJobsCompleted])
+	if snap.Counters["api.jobs_completed"] != 2 {
+		t.Errorf("global api.jobs_completed = %d, want 2", snap.Counters["api.jobs_completed"])
 	}
-	if snap.Counters[wire.APIJobsAdmitted] != 2 {
-		t.Errorf("global %s = %d, want 2", wire.APIJobsAdmitted, snap.Counters[wire.APIJobsAdmitted])
+	if snap.Counters["api.jobs_admitted"] != 2 {
+		t.Errorf("global api.jobs_admitted = %d, want 2", snap.Counters["api.jobs_admitted"])
 	}
 
 	// The /metrics endpoint serves the same snapshot.
@@ -188,7 +186,7 @@ func TestTwoJobsProgressDoesNotBleed(t *testing.T) {
 	if code := getJSON(t, hs.URL+"/metrics", &metrics); code != http.StatusOK {
 		t.Fatalf("GET /metrics: %d", code)
 	}
-	if metrics.Counters[wire.APIJobsSubmitted] != 2 {
-		t.Errorf("/metrics %s = %d, want 2", wire.APIJobsSubmitted, metrics.Counters[wire.APIJobsSubmitted])
+	if metrics.Counters["api.jobs_submitted"] != 2 {
+		t.Errorf("/metrics api.jobs_submitted = %d, want 2", metrics.Counters["api.jobs_submitted"])
 	}
 }

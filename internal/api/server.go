@@ -55,9 +55,6 @@ type Config struct {
 	// record — a server must survive whole-machine crashes).
 	SyncEvery int
 
-	// EventsCap bounds each job's event ring; <= 0 means 4096.
-	EventsCap int
-
 	// Preempt enables priority preemption (DESIGN §13): when every worker
 	// slot is busy and a strictly higher-priority job arrives, the
 	// worst-ranked running job is cancelled at its next run boundary,
@@ -90,15 +87,6 @@ type Config struct {
 	// streams (keeps idle proxies from timing the stream out); <= 0
 	// means 15s.
 	SSEHeartbeat time.Duration
-	// SSEWriteTimeout bounds each SSE frame write: a consumer that can't
-	// drain a frame within it is dropped (counted in api.sse_dropped)
-	// rather than pinning server memory or blocking the stream goroutine.
-	// <= 0 means 5s.
-	SSEWriteTimeout time.Duration
-
-	// Metrics, when non-nil, is served as JSON at GET /metrics.
-	Metrics *telemetry.Registry
-
 	// Logf receives server logs; nil means stderr.
 	Logf func(format string, args ...any)
 
@@ -203,14 +191,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = 1
 	}
-	if cfg.EventsCap <= 0 {
-		cfg.EventsCap = 4096
-	}
 	if cfg.SSEHeartbeat <= 0 {
 		cfg.SSEHeartbeat = 15 * time.Second
-	}
-	if cfg.SSEWriteTimeout <= 0 {
-		cfg.SSEWriteTimeout = 5 * time.Second
 	}
 	if cfg.AgeAfter <= 0 {
 		cfg.AgeAfter = 30 * time.Second
@@ -303,12 +285,12 @@ func New(cfg Config) (*Server, error) {
 		jb.enqueued = true
 		s.queue = append(s.queue, jb)
 		s.signalWork()
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Recovered })
+		apiJobsRecovered.Inc()
 		jb.trace.Emit(telemetry.Event{Kind: "api.job.recovered", ID: jb.id})
-		hookTrace(telemetry.Event{Kind: "api.job.recovered", ID: jb.id})
+		telemetry.Emit(telemetry.Event{Kind: "api.job.recovered", ID: jb.id})
 		logf("recovery: job %s re-enqueued (will resume from its journal)", jb.id)
 	}
-	hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.QueueDepth }, int64(s.depth))
+	apiQueueDepth.Set(int64(s.depth))
 
 	s.workerWG.Add(cfg.JobWorkers)
 	for i := 0; i < cfg.JobWorkers; i++ {
@@ -520,8 +502,8 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.drainDeadline = dl
 	}
 	s.mu.Unlock()
-	hookGaugeSet(func(h *Hooks) *telemetry.Gauge { return h.Draining }, 1)
-	hookTrace(telemetry.Event{Kind: "api.drain.start"})
+	apiDraining.Set(1)
+	telemetry.Emit(telemetry.Event{Kind: "api.drain.start"})
 	s.pickOnce.Do(func() { close(s.stopPick) })
 
 	done := make(chan struct{})
@@ -539,7 +521,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-done
 	}
 	s.jobsCancel()
-	hookTrace(telemetry.Event{Kind: "api.drain.done"})
+	telemetry.Emit(telemetry.Event{Kind: "api.drain.done"})
 	return err
 }
 

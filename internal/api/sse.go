@@ -11,6 +11,11 @@ import (
 	"voltsmooth/internal/telemetry"
 )
 
+// sseWriteTimeout bounds each SSE frame write: a consumer that can't drain
+// a frame within it is dropped (counted in api.sse_dropped) rather than
+// pinning server memory or blocking the stream goroutine.
+const sseWriteTimeout = 5 * time.Second
+
 // streamEvents serves GET /jobs/{id}/events as a Server-Sent-Events
 // stream (DESIGN §12): an immediate `progress` snapshot, another on every
 // job-scoped observer tick (runner OnEvent, journal OnReplay, state
@@ -30,7 +35,7 @@ import (
 //
 // Slow-consumer protection: the stream is exempted from the http.Server
 // ReadTimeout (a long-lived GET sends no further bytes), but every frame
-// is written under a fresh SSEWriteTimeout deadline. A client that stalls
+// is written under a fresh sseWriteTimeout deadline. A client that stalls
 // its receive window past the deadline fails the write; the watcher is
 // dropped — counted in api.sse_dropped — instead of pinning the
 // connection, its buffers, and a notifier slot forever.
@@ -53,13 +58,13 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jb *job) {
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
 
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.SSEStreams })
+	apiSSEStreams.Inc()
 
 	// flush pushes one frame under a per-frame write deadline. false means
-	// the client has stalled past SSEWriteTimeout (or the connection died):
+	// the client has stalled past sseWriteTimeout (or the connection died):
 	// the caller must drop the stream.
 	flush := func() bool {
-		if err := rc.SetWriteDeadline(s.now().Add(s.cfg.SSEWriteTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		if err := rc.SetWriteDeadline(s.now().Add(sseWriteTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
 			return false
 		}
 		fl.Flush()
@@ -69,9 +74,9 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jb *job) {
 		return true
 	}
 	dropped := func() {
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.SSEDropped })
-		hookTrace(telemetry.Event{Kind: "api.sse.dropped", ID: jb.id})
-		s.logf("job %s: sse: slow consumer stalled past %s; dropping stream", jb.id, s.cfg.SSEWriteTimeout)
+		apiSSEDropped.Inc()
+		telemetry.Emit(telemetry.Event{Kind: "api.sse.dropped", ID: jb.id})
+		s.logf("job %s: sse: slow consumer stalled past %s; dropping stream", jb.id, sseWriteTimeout)
 	}
 
 	// Subscribe before the first snapshot: a transition landing between

@@ -12,7 +12,6 @@ import (
 
 	"voltsmooth/internal/api"
 	"voltsmooth/internal/telemetry"
-	"voltsmooth/internal/telemetry/wire"
 )
 
 // sseEvent is one parsed frame of a text/event-stream response; comments
@@ -66,7 +65,7 @@ func openSSE(t *testing.T, ctx context.Context, base, id string) (*http.Response
 // event carrying the full terminal Result, after which the stream ends.
 func TestSSELifecycleStream(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	uninstall := wire.Install(reg, telemetry.NewTrace(0))
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
 	defer uninstall()
 
 	entered := make(chan struct{}, 1)
@@ -78,7 +77,6 @@ func TestSSELifecycleStream(t *testing.T) {
 	_, hs := newTestServer(t, func(c *api.Config) {
 		c.JobWorkers = 1
 		c.SSEHeartbeat = 50 * time.Millisecond
-		c.Metrics = reg
 		c.BeforeJob = func(string) {
 			select {
 			case entered <- struct{}{}:
@@ -160,8 +158,8 @@ func TestSSELifecycleStream(t *testing.T) {
 	if !sawResult || last.name != "result" {
 		t.Errorf("stream ended on %q (result seen: %v), want the result event last", last.name, sawResult)
 	}
-	if got := reg.Snapshot().Counters[wire.APISSEStreams]; got != 1 {
-		t.Errorf("%s = %d, want 1", wire.APISSEStreams, got)
+	if got := reg.Snapshot().Counters["api.sse_streams"]; got != 1 {
+		t.Errorf("api.sse_streams = %d, want 1", got)
 	}
 }
 

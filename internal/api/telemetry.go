@@ -1,107 +1,62 @@
 package api
 
-import (
-	"sync/atomic"
+import "voltsmooth/internal/telemetry"
 
-	"voltsmooth/internal/telemetry"
-)
-
-// Hooks is the service layer's process-global telemetry surface: fleet
-// totals for the /metrics endpoint and the instrument table. Every field
-// may be nil. Per-job progress deliberately does NOT come from here — it
+// The service layer's process-wide instruments: fleet totals for
+// GET /metrics. Per-job progress deliberately does NOT come from here — it
 // is fed from job-scoped observers (see exec.go) so that concurrent jobs
-// never bleed into each other; these hooks are the accumulating
-// process-wide view.
-type Hooks struct {
-	// Submitted counts POST /jobs requests that parsed and validated.
-	Submitted *telemetry.Counter
-	// Admitted counts submissions accepted into the queue (202).
-	Admitted *telemetry.Counter
-	// Rejected counts submissions refused with 429 (quota or full queue).
-	Rejected *telemetry.Counter
-	// Unavailable counts submissions refused with 503 (draining).
-	Unavailable *telemetry.Counter
-	// Completed / Failed / Canceled count terminal jobs by outcome.
-	Completed *telemetry.Counter
-	Failed    *telemetry.Counter
-	Canceled  *telemetry.Counter
-	// Recovered counts unfinished jobs re-enqueued by boot-time recovery.
-	Recovered *telemetry.Counter
-	// CacheHits counts jobs served from the durable cross-tenant result
-	// cache; CacheMisses counts executions that checked it and ran;
-	// CacheFollowed counts jobs completed by attaching to an identical
-	// in-flight job; CacheEvicted counts entries removed by the CacheMax
-	// bound. (Fleet workers following a peer land in CacheHits — they
-	// adopt the peer's published entry once it exists.)
-	CacheHits     *telemetry.Counter
-	CacheMisses   *telemetry.Counter
-	CacheFollowed *telemetry.Counter
-	CacheEvicted  *telemetry.Counter
-	// SSEStreams counts /jobs/{id}/events event-stream connections.
-	SSEStreams *telemetry.Counter
-	// SSEDropped counts event-stream watchers dropped because the client
-	// stalled past the per-frame write deadline (slow-consumer shedding).
-	SSEDropped *telemetry.Counter
-	// Preempted counts runs suspended at a run boundary to yield their
-	// worker slot to a higher-priority arrival.
-	Preempted *telemetry.Counter
-	// Shed counts bulk submissions refused 429 past the shed watermark.
-	Shed *telemetry.Counter
-	// DeadlineInfeasible counts jobs failed fast because their deadline
-	// could no longer be met.
-	DeadlineInfeasible *telemetry.Counter
-	// QueueDepth tracks jobs waiting in the admission queue.
-	QueueDepth *telemetry.Gauge
-	// Running tracks jobs currently executing.
-	Running *telemetry.Gauge
-	// Draining is 1 while the server refuses new work during shutdown.
-	Draining *telemetry.Gauge
-	// Trace receives api.job.* lifecycle events for the process-wide
-	// trace (each job also keeps its own bounded ring).
-	Trace *telemetry.Trace
-}
-
-var hooks atomic.Pointer[Hooks]
-
-// SetHooks installs (or, with nil, removes) the package's telemetry hooks
-// and returns the previously installed set. Typically wired once at
-// server start by internal/telemetry/wire.
-func SetHooks(h *Hooks) *Hooks { return hooks.Swap(h) }
-
-func hookInc(c func(h *Hooks) *telemetry.Counter) {
-	if h := hooks.Load(); h != nil {
-		if counter := c(h); counter != nil {
-			counter.Inc()
-		}
-	}
-}
-
-func hookIncBy(c func(h *Hooks) *telemetry.Counter, n int) {
-	if h := hooks.Load(); h != nil {
-		if counter := c(h); counter != nil {
-			counter.Add(uint64(n))
-		}
-	}
-}
-
-func hookGaugeAdd(g func(h *Hooks) *telemetry.Gauge, delta int64) {
-	if h := hooks.Load(); h != nil {
-		if gauge := g(h); gauge != nil {
-			gauge.Add(delta)
-		}
-	}
-}
-
-func hookGaugeSet(g func(h *Hooks) *telemetry.Gauge, v int64) {
-	if h := hooks.Load(); h != nil {
-		if gauge := g(h); gauge != nil {
-			gauge.Set(v)
-		}
-	}
-}
-
-func hookTrace(ev telemetry.Event) {
-	if h := hooks.Load(); h != nil && h.Trace != nil {
-		h.Trace.Emit(ev)
-	}
-}
+// never bleed into each other; these are the accumulating process-wide
+// view. Job lifecycle events go to each job's own ring, and api.* events
+// to the installed trace, if any.
+var (
+	// apiJobsSubmitted counts POST /jobs requests that parsed and
+	// validated.
+	apiJobsSubmitted = telemetry.DeclareCounter("api.jobs_submitted")
+	// apiJobsAdmitted counts submissions accepted into the queue (202).
+	apiJobsAdmitted = telemetry.DeclareCounter("api.jobs_admitted")
+	// apiJobsRejected counts submissions refused with 429 (quota or full
+	// queue).
+	apiJobsRejected = telemetry.DeclareCounter("api.jobs_rejected")
+	// apiJobsUnavailable counts submissions refused with 503 (draining).
+	apiJobsUnavailable = telemetry.DeclareCounter("api.jobs_unavailable")
+	// apiJobsCompleted, apiJobsFailed and apiJobsCanceled count terminal
+	// jobs by outcome.
+	apiJobsCompleted = telemetry.DeclareCounter("api.jobs_completed")
+	apiJobsFailed    = telemetry.DeclareCounter("api.jobs_failed")
+	apiJobsCanceled  = telemetry.DeclareCounter("api.jobs_canceled")
+	// apiJobsRecovered counts unfinished jobs re-enqueued by boot-time
+	// recovery.
+	apiJobsRecovered = telemetry.DeclareCounter("api.jobs_recovered")
+	// apiCacheHits counts jobs served from the durable cross-tenant result
+	// cache; apiCacheMisses counts executions that checked it and ran;
+	// apiCacheFollowed counts jobs completed by attaching to an identical
+	// in-flight job; apiCacheEvicted counts entries removed by the
+	// CacheMax bound. (Fleet workers following a peer land in
+	// apiCacheHits — they adopt the peer's published entry once it
+	// exists.)
+	apiCacheHits     = telemetry.DeclareCounter("api.cache_hits")
+	apiCacheMisses   = telemetry.DeclareCounter("api.cache_misses")
+	apiCacheFollowed = telemetry.DeclareCounter("api.cache_followed")
+	apiCacheEvicted  = telemetry.DeclareCounter("api.cache_evicted")
+	// apiSSEStreams counts /jobs/{id}/events event-stream connections.
+	apiSSEStreams = telemetry.DeclareCounter("api.sse_streams")
+	// apiSSEDropped counts event-stream watchers dropped because the
+	// client stalled past the per-frame write deadline (slow-consumer
+	// shedding).
+	apiSSEDropped = telemetry.DeclareCounter("api.sse_dropped")
+	// apiJobsPreempted counts runs suspended at a run boundary to yield
+	// their worker slot to a higher-priority arrival.
+	apiJobsPreempted = telemetry.DeclareCounter("api.jobs_preempted")
+	// apiJobsShed counts bulk submissions refused 429 past the shed
+	// watermark.
+	apiJobsShed = telemetry.DeclareCounter("api.jobs_shed")
+	// apiJobsDeadlineInfeasible counts jobs failed fast because their
+	// deadline could no longer be met.
+	apiJobsDeadlineInfeasible = telemetry.DeclareCounter("api.jobs_deadline_infeasible")
+	// apiQueueDepth tracks jobs waiting in the admission queue.
+	apiQueueDepth = telemetry.DeclareGauge("api.queue_depth")
+	// apiJobsRunning tracks jobs currently executing.
+	apiJobsRunning = telemetry.DeclareGauge("api.jobs_running")
+	// apiDraining is 1 while the server refuses new work during shutdown.
+	apiDraining = telemetry.DeclareGauge("api.draining")
+)

@@ -248,17 +248,12 @@ func (fs *FS) next(class opClass, name string) (fault Fault, dead bool, r uint64
 	fs.mu.Unlock()
 
 	if fault != None {
-		if h := hooks.Load(); h != nil {
-			if fault == Kill && h.Kills != nil {
-				h.Kills.Inc()
-			}
-			if fault != Kill && h.Faults != nil {
-				h.Faults.Inc()
-			}
-			if h.Trace != nil {
-				h.Trace.Emit(telemetry.Event{Kind: "chaos." + fault.String(), ID: name, Value: float64(op)})
-			}
+		if fault == Kill {
+			chaosKills.Inc()
+		} else {
+			chaosFaults.Inc()
 		}
+		telemetry.Emit(telemetry.Event{Kind: "chaos." + fault.String(), ID: name, Value: float64(op)})
 	}
 	if killNow != nil {
 		killNow()

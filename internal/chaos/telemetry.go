@@ -1,28 +1,14 @@
 package chaos
 
-import (
-	"sync/atomic"
+import "voltsmooth/internal/telemetry"
 
-	"voltsmooth/internal/telemetry"
+// The fault plane's instruments, fed once per injected fault, outside any
+// simulation loop. Each injection also emits a "chaos.<fault>" event
+// carrying the file name and the op index the fault landed on.
+var (
+	// chaosFaults counts injected faults (torn/short writes, ENOSPC,
+	// failed fsyncs, bit-flips, latency), kill-points excluded.
+	chaosFaults = telemetry.DeclareCounter("chaos.faults")
+	// chaosKills counts kill-points fired (at most one per FS).
+	chaosKills = telemetry.DeclareCounter("chaos.kills")
 )
-
-// Hooks is the fault plane's telemetry surface. Every field may be nil.
-// Hook calls happen once per injected fault, outside any simulation loop,
-// and observe only.
-type Hooks struct {
-	// Faults counts injected faults (torn/short writes, ENOSPC, failed
-	// fsyncs, bit-flips, latency), kill-points excluded.
-	Faults *telemetry.Counter
-	// Kills counts kill-points fired (at most one per FS).
-	Kills *telemetry.Counter
-	// Trace receives one "chaos.<fault>" event per injection, carrying
-	// the file name and the op index the fault landed on.
-	Trace *telemetry.Trace
-}
-
-var hooks atomic.Pointer[Hooks]
-
-// SetHooks installs (or, with nil, removes) the package's telemetry hooks
-// and returns the previously installed set. Typically wired once at
-// campaign start by internal/telemetry/wire.
-func SetHooks(h *Hooks) *Hooks { return hooks.Swap(h) }

@@ -21,10 +21,9 @@ var corpusVariants = []pdn.ProcVariant{pdn.Proc100, pdn.Proc25, pdn.Proc3}
 // countSteps installs a fresh PDN step counter for the test's duration.
 func countSteps(t *testing.T) *telemetry.Counter {
 	t.Helper()
-	var c telemetry.Counter
-	prev := pdn.SetStepCounter(&c)
-	t.Cleanup(func() { pdn.SetStepCounter(prev) })
-	return &c
+	reg := telemetry.NewRegistry()
+	t.Cleanup(telemetry.Install(reg, nil))
+	return reg.Counter("pdn.steps")
 }
 
 func mustLookup(t *testing.T, ids ...string) []Entry {

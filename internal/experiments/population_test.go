@@ -10,7 +10,6 @@ import (
 	"voltsmooth/internal/journal"
 	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/resilient"
-	"voltsmooth/internal/sched"
 	"voltsmooth/internal/sense"
 	"voltsmooth/internal/telemetry"
 	"voltsmooth/internal/uarch"
@@ -55,15 +54,9 @@ func TestSharedRunsSimulatedOnce(t *testing.T) {
 		}},
 	} {
 		t.Run(order.name, func(t *testing.T) {
-			var steps, units, cells telemetry.Counter
-			prevSteps := pdn.SetStepCounter(&steps)
-			prevExp := SetHooks(&Hooks{Units: &units})
-			prevSched := sched.SetHooks(&sched.Hooks{Cells: &cells})
-			t.Cleanup(func() {
-				pdn.SetStepCounter(prevSteps)
-				SetHooks(prevExp)
-				sched.SetHooks(prevSched)
-			})
+			reg := telemetry.NewRegistry()
+			t.Cleanup(telemetry.Install(reg, nil))
+			steps, units, cells := reg.Counter("pdn.steps"), reg.Counter("exp.units"), reg.Counter("sched.cells")
 			s := NewSession(sc)
 			for _, step := range order.steps {
 				step(s)

@@ -111,28 +111,18 @@ var ErrExperimentPanicked = errors.New("experiments: runner panicked")
 // otherwise), so a failed figure in a long campaign is diagnosable from
 // the report alone.
 func (s *Session) Run(ctx context.Context, e Entry) (r Renderer, err error) {
-	if h := hooks.Load(); h != nil {
-		if h.Trace != nil {
-			h.Trace.Emit(telemetry.Event{Kind: "exp.start", ID: e.ID})
+	telemetry.Emit(telemetry.Event{Kind: "exp.start", ID: e.ID})
+	start := time.Now()
+	defer func() {
+		elapsed := time.Since(start)
+		expWallMS.Observe(elapsed)
+		expCompleted.Inc()
+		detail := "ok"
+		if err != nil {
+			detail = firstLine(err)
 		}
-		start := time.Now()
-		defer func() {
-			elapsed := time.Since(start)
-			if h.WallTime != nil {
-				h.WallTime.Observe(elapsed)
-			}
-			if h.Experiments != nil {
-				h.Experiments.Inc()
-			}
-			if h.Trace != nil {
-				detail := "ok"
-				if err != nil {
-					detail = firstLine(err)
-				}
-				h.Trace.Emit(telemetry.Event{Kind: "exp.done", ID: e.ID, Detail: detail, Value: elapsed.Seconds()})
-			}
-		}()
-	}
+		telemetry.Emit(telemetry.Event{Kind: "exp.done", ID: e.ID, Detail: detail, Value: elapsed.Seconds()})
+	}()
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -237,9 +227,7 @@ func (s *Session) degradeJournal(cause error) {
 		}
 	}
 	warn("journal failed; campaign continues without checkpoints (completed units after this point are not resumable): %v", cause)
-	if h := hooks.Load(); h != nil && h.Trace != nil {
-		h.Trace.Emit(telemetry.Event{Kind: "journal.degraded", Detail: firstLine(cause)})
-	}
+	telemetry.Emit(telemetry.Event{Kind: "journal.degraded", Detail: firstLine(cause)})
 }
 
 // sweep runs fn(i) for every i in [0, n) over the session's workers. Each
@@ -320,16 +308,8 @@ func (s *Session) buildCorpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 	// counter drives the live status line, and each run's crossings at the
 	// characterization margin accumulate into "emergencies so far".
 	unitDone := func(r *corpusRun) {
-		h := hooks.Load()
-		if h == nil {
-			return
-		}
-		if h.Units != nil {
-			h.Units.Inc()
-		}
-		if h.Emergencies != nil {
-			h.Emergencies.Add(r.data.EmergenciesAt(core.PhaseMargin))
-		}
+		ExpUnits.Inc()
+		ExpEmergencies.Add(r.data.EmergenciesAt(core.PhaseMargin))
 	}
 
 	singles := s.runs(ctx, partSingle, v, unitDone)
@@ -384,9 +364,9 @@ func (s *Session) buildPairTable(ctx context.Context, v pdn.ProcVariant) *sched.
 			res := core.RunSingle(cfg, spec[i].NewStream(), rc)
 			singles[i] = sched.SingleCell{Droops: res.DroopsPerKCycle(margin), IPC: res.IPC(0)}
 		})
-		sched.CellDone()
+		sched.SchedCells.Inc()
 	})
-	runs := s.runs(ctx, partPair, v, func(*corpusRun) { sched.CellDone() })
+	runs := s.runs(ctx, partPair, v, func(*corpusRun) { sched.SchedCells.Inc() })
 	pairs := make([]sched.PairRun, len(runs))
 	for k := range runs {
 		pairs[k] = sched.PairRun{Data: runs[k].data, Counters: runs[k].Counters}

@@ -291,9 +291,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []workload.Stream, usefulCy
 			scope.Sample(chip.StallCycle())
 		}
 		res.RecoveryStallCycles += n
-		if h := hooks.Load(); h != nil && h.StallCycles != nil {
-			h.StallCycles.Add(n)
-		}
+		failsafeStallCycles.Add(n)
 	}
 
 	// Livelock guard: generous enough for any sane scheme (each emergency
@@ -346,19 +344,14 @@ func RunCtx(ctx context.Context, cfg Config, streams []workload.Stream, usefulCy
 		isBelow := vObs < threshold
 		if isBelow && !below {
 			res.Emergencies++
-			h := hooks.Load()
-			if h != nil {
-				if h.Emergencies != nil {
-					h.Emergencies.Inc()
-				}
-				if h.Trace != nil {
-					h.Trace.Emit(telemetry.Event{
-						Kind:   "failsafe.emergency",
-						ID:     cfg.Scheme.Kind.String(),
-						Value:  vObs,
-						Detail: fmt.Sprintf("committed=%d", committed),
-					})
-				}
+			FailsafeEmergencies.Inc()
+			if telemetry.Tracing() {
+				telemetry.Emit(telemetry.Event{
+					Kind:   "failsafe.emergency",
+					ID:     cfg.Scheme.Kind.String(),
+					Value:  vObs,
+					Detail: fmt.Sprintf("committed=%d", committed),
+				})
 			}
 			switch cfg.Scheme.Kind {
 			case SchemeRazor:
@@ -366,18 +359,12 @@ func RunCtx(ctx context.Context, cfg Config, streams []workload.Stream, usefulCy
 				// recovery is a fixed flush.
 				stall(cfg.Scheme.FlushCycles)
 				holdoff = cfg.HoldoffCycles
-				if h != nil {
-					if h.Flushes != nil {
-						h.Flushes.Inc()
-					}
-					if h.Trace != nil {
-						h.Trace.Emit(telemetry.Event{
-							Kind:  "failsafe.recovery",
-							ID:    "flush",
-							Value: float64(cfg.Scheme.FlushCycles),
-						})
-					}
-				}
+				failsafeFlushes.Inc()
+				telemetry.Emit(telemetry.Event{
+					Kind:  "failsafe.recovery",
+					ID:    "flush",
+					Value: float64(cfg.Scheme.FlushCycles),
+				})
 			case SchemeCheckpoint:
 				lost := committed - ckptCommitted
 				if err := chip.RestoreArch(ckpt); err != nil {
@@ -390,21 +377,13 @@ func RunCtx(ctx context.Context, cfg Config, streams []workload.Stream, usefulCy
 				// re-arm latency; this is what guarantees the committed
 				// high-water mark strictly grows.
 				holdoff = lost + cfg.HoldoffCycles
-				if h != nil {
-					if h.Rollbacks != nil {
-						h.Rollbacks.Inc()
-					}
-					if h.ReplayedCycles != nil {
-						h.ReplayedCycles.Add(lost)
-					}
-					if h.Trace != nil {
-						h.Trace.Emit(telemetry.Event{
-							Kind:  "failsafe.recovery",
-							ID:    "rollback",
-							Value: float64(lost),
-						})
-					}
-				}
+				failsafeRollbacks.Inc()
+				failsafeReplayedCycles.Add(lost)
+				telemetry.Emit(telemetry.Event{
+					Kind:  "failsafe.recovery",
+					ID:    "rollback",
+					Value: float64(lost),
+				})
 			}
 			below = true // re-arm on the next rise above threshold
 			continue

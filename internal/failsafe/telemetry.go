@@ -1,35 +1,24 @@
 package failsafe
 
-import (
-	"sync/atomic"
+import "voltsmooth/internal/telemetry"
 
-	"voltsmooth/internal/telemetry"
+// The recovery engine's instruments. They are fed per emergency and per
+// recovery, never inside the per-cycle committed loop, and observe only:
+// the engine's ledger and counters are bit-identical whether they are
+// bound or not. Each detected crossing also emits a "failsafe.emergency"
+// event, and each completed recovery a "failsafe.recovery" event.
+var (
+	// FailsafeEmergencies counts detected margin crossings (each triggers
+	// one recovery).
+	FailsafeEmergencies = telemetry.DeclareCounter("failsafe.emergencies")
+	// failsafeFlushes counts Razor-style fixed-cost pipeline flushes.
+	failsafeFlushes = telemetry.DeclareCounter("failsafe.flushes")
+	// failsafeRollbacks counts checkpoint restores.
+	failsafeRollbacks = telemetry.DeclareCounter("failsafe.rollbacks")
+	// failsafeReplayedCycles accumulates committed work destroyed by
+	// rollbacks.
+	failsafeReplayedCycles = telemetry.DeclareCounter("failsafe.replayed_cycles")
+	// failsafeStallCycles accumulates cycles the machine spent frozen in
+	// recovery.
+	failsafeStallCycles = telemetry.DeclareCounter("failsafe.stall_cycles")
 )
-
-// Hooks is the recovery engine's telemetry surface. Every field may be
-// nil. Hook calls happen per emergency and per recovery — never inside the
-// per-cycle committed loop — and observe only: the engine's ledger and
-// counters are bit-identical with hooks installed or not.
-type Hooks struct {
-	// Emergencies counts detected margin crossings (each triggers one
-	// recovery).
-	Emergencies *telemetry.Counter
-	// Flushes counts Razor-style fixed-cost pipeline flushes.
-	Flushes *telemetry.Counter
-	// Rollbacks counts checkpoint restores.
-	Rollbacks *telemetry.Counter
-	// ReplayedCycles accumulates committed work destroyed by rollbacks.
-	ReplayedCycles *telemetry.Counter
-	// StallCycles accumulates cycles the machine spent frozen in recovery.
-	StallCycles *telemetry.Counter
-	// Trace receives one "failsafe.emergency" event per detected crossing
-	// (onset) and one "failsafe.recovery" event per completed recovery.
-	Trace *telemetry.Trace
-}
-
-var hooks atomic.Pointer[Hooks]
-
-// SetHooks installs (or, with nil, removes) the package's telemetry hooks
-// and returns the previously installed set. Typically wired once at
-// campaign start by internal/telemetry/wire.
-func SetHooks(h *Hooks) *Hooks { return hooks.Swap(h) }

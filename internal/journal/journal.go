@@ -136,8 +136,8 @@ type Journal struct {
 
 	// OnReplay, when set, observes every successful LookupInto replay.
 	// The campaign service uses it to count a job's replayed units
-	// without touching the process-global hooks, so concurrent jobs'
-	// progress never bleeds into each other.
+	// apart from the process-wide journal.replays counter, so concurrent
+	// jobs' progress never bleeds into each other.
 	OnReplay func(key string)
 }
 
@@ -413,9 +413,7 @@ func (j *Journal) LookupInto(key string, v any) bool {
 	if j.OnReplay != nil {
 		j.OnReplay(key)
 	}
-	if h := hooks.Load(); h != nil && h.Replays != nil {
-		h.Replays.Inc()
-	}
+	journalReplays.Inc()
 	return true
 }
 
@@ -428,14 +426,8 @@ func (j *Journal) poisonLocked(op, key string, cause error) error {
 	// ErrJournalFailed) for the degrade decision, errors.Is(err, cause)
 	// for diagnosing what the filesystem actually did.
 	j.failure = fmt.Errorf("%w: %s %q: %w", ErrJournalFailed, op, key, cause)
-	if h := hooks.Load(); h != nil {
-		if h.Failures != nil {
-			h.Failures.Inc()
-		}
-		if h.Trace != nil {
-			h.Trace.Emit(telemetry.Event{Kind: "journal.failed", ID: key, Detail: op + ": " + cause.Error()})
-		}
-	}
+	journalFailures.Inc()
+	telemetry.Emit(telemetry.Event{Kind: "journal.failed", ID: key, Detail: op + ": " + cause.Error()})
 	return j.failure
 }
 
@@ -497,14 +489,8 @@ func (j *Journal) Record(key string, v any) error {
 	if hook != nil {
 		hook(n, key)
 	}
-	if h := hooks.Load(); h != nil {
-		if h.Appends != nil {
-			h.Appends.Inc()
-		}
-		if h.Trace != nil {
-			h.Trace.Emit(telemetry.Event{Kind: "journal.append", ID: key, Value: float64(n)})
-		}
-	}
+	journalAppends.Inc()
+	telemetry.Emit(telemetry.Event{Kind: "journal.append", ID: key, Value: float64(n)})
 	return nil
 }
 

@@ -104,7 +104,7 @@ func TestLockReleasedOnPoisonedClose(t *testing.T) {
 
 // TestOnReplayObservesEveryReplayedUnit: the per-journal replay observer
 // fires once per successful LookupInto — the job-scoped counting seam the
-// campaign service uses instead of the process-global hooks.
+// campaign service uses instead of the process-wide instruments.
 func TestOnReplayObservesEveryReplayedUnit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.jsonl")
 	hash := ConfigHash("cfg")

@@ -1,32 +1,19 @@
 package journal
 
-import (
-	"sync/atomic"
+import "voltsmooth/internal/telemetry"
 
-	"voltsmooth/internal/telemetry"
+// The journal's instruments. They are fed per record (append or replay),
+// after the record is durably flushed, and observe only: what the journal
+// writes and replays is bit-identical whether they are bound or not. Each
+// durable record also emits a "journal.append" event, and a journal that
+// poisons itself a "journal.failed" event.
+var (
+	// journalAppends counts records durably written by Record.
+	journalAppends = telemetry.DeclareCounter("journal.appends")
+	// journalReplays counts LookupInto hits — units served from the
+	// journal instead of being recomputed.
+	journalReplays = telemetry.DeclareCounter("journal.replays")
+	// journalFailures counts journals poisoned by a failed
+	// write/flush/fsync (at most one per journal: the poison is sticky).
+	journalFailures = telemetry.DeclareCounter("journal.failures")
 )
-
-// Hooks is the journal's telemetry surface. Every field may be nil. Hook
-// calls happen per record (append or replay), after the record is durably
-// flushed, and observe only: what the journal writes and replays is
-// bit-identical with hooks installed or not.
-type Hooks struct {
-	// Appends counts records durably written by Record.
-	Appends *telemetry.Counter
-	// Replays counts LookupInto hits — units served from the journal
-	// instead of being recomputed.
-	Replays *telemetry.Counter
-	// Failures counts journals poisoned by a failed write/flush/fsync
-	// (at most one per journal: the poison is sticky).
-	Failures *telemetry.Counter
-	// Trace receives one "journal.append" event per durable record and
-	// one "journal.failed" event when a journal poisons itself.
-	Trace *telemetry.Trace
-}
-
-var hooks atomic.Pointer[Hooks]
-
-// SetHooks installs (or, with nil, removes) the package's telemetry hooks
-// and returns the previously installed set. Typically wired once at
-// campaign start by internal/telemetry/wire.
-func SetHooks(h *Hooks) *Hooks { return hooks.Swap(h) }

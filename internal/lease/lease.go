@@ -293,7 +293,7 @@ func (m *Manager) Claim(jobDir, jobID string) (*Handle, error) {
 		cur = nil
 	}
 	if cur.LiveAt(now) && cur.WorkerID != m.WorkerID {
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Refused })
+		leaseRefused.Inc()
 		return nil, fmt.Errorf("%w: job %s owned by %s (epoch %d) until %s",
 			ErrHeld, jobID, cur.WorkerID, cur.Epoch, time.Unix(0, cur.ExpiresUnixNS).Format(time.RFC3339Nano))
 	}
@@ -318,13 +318,13 @@ func (m *Manager) Claim(jobDir, jobID string) (*Handle, error) {
 	}
 	m.logEvent(jobDir, ev)
 
-	hookInc(func(h *Hooks) *telemetry.Counter { return h.Claims })
+	leaseClaims.Inc()
 	if cur != nil && cur.WorkerID != m.WorkerID && !cur.Released {
 		// Took over a dead peer's expired lease: the failover the fleet
 		// exists for.
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Takeovers })
+		leaseTakeovers.Inc()
 	}
-	hookTrace(telemetry.Event{Kind: "lease.claim", ID: jobID, Value: float64(next.Epoch), Detail: m.WorkerID})
+	telemetry.Emit(telemetry.Event{Kind: "lease.claim", ID: jobID, Value: float64(next.Epoch), Detail: m.WorkerID})
 	return &Handle{m: m, jobDir: jobDir, lease: *next}, nil
 }
 
@@ -355,8 +355,8 @@ func (h *Handle) verifyLocked(now time.Time) (*Lease, error) {
 	if cur == nil || cur.WorkerID != h.lease.WorkerID || cur.Epoch != h.lease.Epoch {
 		h.m.logEvent(h.jobDir, Event{Op: "fence", JobID: h.lease.JobID, WorkerID: h.lease.WorkerID,
 			Epoch: h.lease.Epoch, AtUnixNS: now.UnixNano(), ExpiresUnixNS: fenceExpiry(cur)})
-		hookInc(func(h *Hooks) *telemetry.Counter { return h.Fenced })
-		hookTrace(telemetry.Event{Kind: "lease.fenced", ID: h.lease.JobID,
+		leaseFenced.Inc()
+		telemetry.Emit(telemetry.Event{Kind: "lease.fenced", ID: h.lease.JobID,
 			Value: float64(h.lease.Epoch), Detail: h.lease.WorkerID})
 		if cur == nil {
 			return nil, fmt.Errorf("%w: job %s: lease file gone (held epoch %d)", ErrFenced, h.lease.JobID, h.lease.Epoch)
@@ -398,7 +398,7 @@ func (h *Handle) Renew(units uint64) error {
 	h.lease = next
 	h.m.logEvent(h.jobDir, Event{Op: "renew", JobID: next.JobID, WorkerID: next.WorkerID,
 		Epoch: next.Epoch, AtUnixNS: now.UnixNano(), ExpiresUnixNS: next.ExpiresUnixNS})
-	hookInc(func(hk *Hooks) *telemetry.Counter { return hk.Renewals })
+	leaseRenewals.Inc()
 	return nil
 }
 
@@ -432,12 +432,12 @@ func (h *Handle) ReleaseFor(reason string) error {
 	h.lease = next
 	h.m.logEvent(h.jobDir, Event{Op: "release", JobID: next.JobID, WorkerID: next.WorkerID,
 		Epoch: next.Epoch, AtUnixNS: now.UnixNano(), Reason: reason})
-	hookInc(func(hk *Hooks) *telemetry.Counter { return hk.Releases })
+	leaseReleases.Inc()
 	detail := next.WorkerID
 	if reason != "" {
 		detail += " (" + reason + ")"
 	}
-	hookTrace(telemetry.Event{Kind: "lease.release", ID: next.JobID, Value: float64(next.Epoch), Detail: detail})
+	telemetry.Emit(telemetry.Event{Kind: "lease.release", ID: next.JobID, Value: float64(next.Epoch), Detail: detail})
 	return nil
 }
 

@@ -1,47 +1,22 @@
 package lease
 
-import (
-	"sync/atomic"
+import "voltsmooth/internal/telemetry"
 
-	"voltsmooth/internal/telemetry"
-)
-
-// Hooks is the lease layer's telemetry surface. Every field may be nil.
-type Hooks struct {
-	// Claims counts successful claim transactions (epoch bumps).
-	Claims *telemetry.Counter
-	// Takeovers counts claims over another worker's expired lease — the
-	// dead-worker failovers.
-	Takeovers *telemetry.Counter
-	// Refused counts claims refused because a peer's lease was live.
-	Refused *telemetry.Counter
-	// Renewals counts successful heartbeat renewals.
-	Renewals *telemetry.Counter
-	// Releases counts deliberate releases.
-	Releases *telemetry.Counter
-	// Fenced counts mutations rejected because the handle's epoch was
+// The lease layer's instruments. Claims, releases and fences also emit
+// lease.claim / lease.release / lease.fenced events.
+var (
+	// leaseClaims counts successful claim transactions (epoch bumps).
+	leaseClaims = telemetry.DeclareCounter("lease.claims")
+	// leaseTakeovers counts claims over another worker's expired lease —
+	// the dead-worker failovers.
+	leaseTakeovers = telemetry.DeclareCounter("lease.takeovers")
+	// leaseRefused counts claims refused because a peer's lease was live.
+	leaseRefused = telemetry.DeclareCounter("lease.refused")
+	// leaseRenewals counts successful heartbeat renewals.
+	leaseRenewals = telemetry.DeclareCounter("lease.renewals")
+	// leaseReleases counts deliberate releases.
+	leaseReleases = telemetry.DeclareCounter("lease.releases")
+	// leaseFenced counts mutations rejected because the handle's epoch was
 	// superseded — each one is a stale write the fence stopped.
-	Fenced *telemetry.Counter
-	// Trace receives lease.claim / lease.release / lease.fenced events.
-	Trace *telemetry.Trace
-}
-
-var hooks atomic.Pointer[Hooks]
-
-// SetHooks installs (or, with nil, removes) the package's telemetry hooks
-// and returns the previously installed set.
-func SetHooks(h *Hooks) *Hooks { return hooks.Swap(h) }
-
-func hookInc(c func(h *Hooks) *telemetry.Counter) {
-	if h := hooks.Load(); h != nil {
-		if counter := c(h); counter != nil {
-			counter.Inc()
-		}
-	}
-}
-
-func hookTrace(ev telemetry.Event) {
-	if h := hooks.Load(); h != nil && h.Trace != nil {
-		h.Trace.Emit(ev)
-	}
-}
+	leaseFenced = telemetry.DeclareCounter("lease.fenced")
+)

@@ -56,9 +56,7 @@ func StepCycleLanes(nets []*Network, cycleTime, iLoad float64, substeps int, v [
 		}
 	}
 	stepLanes(nets, dt, iLoad, substeps, v[:len(nets)])
-	if c := stepCounter.Load(); c != nil {
-		c.Add(uint64(len(nets) * substeps))
-	}
+	pdnSteps.Add(uint64(len(nets) * substeps))
 }
 
 // stepLanes is the lane kernel: k substeps at a dt whose coefficients

@@ -81,11 +81,11 @@ func TestStepCycleLanesCountsNetworkSteps(t *testing.T) {
 	const cycle = 1 / 1.86e9
 	for _, substeps := range []int{7, 6} {
 		lanes, _ := lanePair(3, 20)
-		var c telemetry.Counter
-		prev := SetStepCounter(&c)
+		reg := telemetry.NewRegistry()
+		uninstall := telemetry.Install(reg, nil)
 		StepCycleLanes(lanes, cycle, 24, substeps, make([]float64, 3))
-		SetStepCounter(prev)
-		if got, want := c.Load(), uint64(3*substeps); got != want {
+		uninstall()
+		if got, want := reg.Counter("pdn.steps").Load(), uint64(3*substeps); got != want {
 			t.Errorf("substeps=%d: counted %d steps, want %d", substeps, got, want)
 		}
 	}

@@ -538,9 +538,7 @@ func (n *Network) StepCycle(cycleTime, iLoad float64, substeps int) float64 {
 		// through the struct once per substep.
 		v = n.stepN(dt, iLoad, substeps)
 	}
-	if c := stepCounter.Load(); c != nil {
-		c.Add(uint64(substeps))
-	}
+	pdnSteps.Add(uint64(substeps))
 	return v
 }
 

@@ -1,23 +1,10 @@
 package pdn
 
-import (
-	"sync/atomic"
+import "voltsmooth/internal/telemetry"
 
-	"voltsmooth/internal/telemetry"
-)
-
-// stepCounter, when set, counts integrator substeps executed by StepCycle —
-// the innermost per-cycle unit of every simulation. The hook is a single
-// atomic pointer load plus a branch when disabled and one atomic add per
-// simulated cycle when enabled, so it cannot perturb timing-sensitive
-// sweeps; it never touches the network state, so results are bit-identical
-// either way.
-var stepCounter atomic.Pointer[telemetry.Counter]
-
-// SetStepCounter installs (or, with nil, removes) the integrator step
-// counter and returns the previously installed one. Safe to call while
-// simulations run; typically wired once at campaign start by
-// internal/telemetry/wire.
-func SetStepCounter(c *telemetry.Counter) *telemetry.Counter {
-	return stepCounter.Swap(c)
-}
+// pdnSteps counts integrator substeps executed by StepCycle and
+// StepCycleLanes, one per network per substep — the innermost per-cycle
+// unit of every simulation. It is added once per cycle and never touches
+// the network state, so results are bit-identical whether it is bound or
+// not.
+var pdnSteps = telemetry.DeclareCounter("pdn.steps")

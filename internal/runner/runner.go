@@ -312,10 +312,8 @@ func runAttempt(ctx context.Context, s *experiments.Session, e experiments.Entry
 		emit(cfg, Event{Kind: EventProgress, ID: e.ID, Attempt: attempt, Unit: unit})
 	})
 
-	if h := hooks.Load(); h != nil && h.InFlight != nil {
-		h.InFlight.Add(1)
-		defer h.InFlight.Add(-1)
-	}
+	RunnerInFlight.Add(1)
+	defer RunnerInFlight.Add(-1)
 	r, err := s.Run(actx, e)
 	if err == nil {
 		return r, nil
@@ -365,7 +363,7 @@ func emit(cfg Config, ev Event) {
 	if cfg.OnEvent != nil {
 		cfg.OnEvent(ev)
 	}
-	feedHooks(ev)
+	observe(ev)
 }
 
 // Summary condenses a result set: counts per outcome class.

@@ -3,107 +3,74 @@ package runner
 import (
 	"errors"
 	"strings"
-	"sync/atomic"
 
 	"voltsmooth/internal/telemetry"
 )
 
-// Hooks is the batch supervisor's telemetry surface. Every field may be
-// nil. The supervisor feeds hooks from the same emit path that drives
-// Config.OnEvent, so the two views of a campaign always agree; hooks
-// observe only and never change retry or scheduling decisions.
-type Hooks struct {
-	// Attempts counts started attempts (first runs and retries alike).
-	Attempts *telemetry.Counter
-	// Retries counts attempts that failed with a retryable class and were
-	// rescheduled.
-	Retries *telemetry.Counter
-	// Stalls counts watchdog cancellations (retried or final).
-	Stalls *telemetry.Counter
-	// Aborts counts experiments ended by root-context cancellation.
-	Aborts *telemetry.Counter
-	// Failures counts experiments that exhausted their attempts (aborts
-	// excluded).
-	Failures *telemetry.Counter
-	// Completed counts experiments that finished successfully.
-	Completed *telemetry.Counter
-	// InFlight tracks attempts currently executing.
-	InFlight *telemetry.Gauge
-	// Trace receives one event per lifecycle transition:
-	// runner.attempt / runner.retry / runner.stall / runner.abort /
-	// runner.fail / runner.done.
-	Trace *telemetry.Trace
-}
+// The batch supervisor's instruments. They are fed from the same emit path
+// that drives Config.OnEvent, so the two views of a campaign always agree,
+// and observe only: they never change retry or scheduling decisions.
+var (
+	// runnerAttempts counts started attempts (first runs and retries
+	// alike).
+	runnerAttempts = telemetry.DeclareCounter("runner.attempts")
+	// RunnerRetries counts attempts that failed with a retryable class and
+	// were rescheduled.
+	RunnerRetries = telemetry.DeclareCounter("runner.retries")
+	// runnerStalls counts watchdog cancellations (retried or final).
+	runnerStalls = telemetry.DeclareCounter("runner.stalls")
+	// runnerAborts counts experiments ended by root-context cancellation.
+	runnerAborts = telemetry.DeclareCounter("runner.aborts")
+	// runnerFailures counts experiments that exhausted their attempts
+	// (aborts excluded).
+	runnerFailures = telemetry.DeclareCounter("runner.failures")
+	// runnerCompleted counts experiments that finished successfully.
+	runnerCompleted = telemetry.DeclareCounter("runner.completed")
+	// RunnerInFlight tracks attempts currently executing.
+	RunnerInFlight = telemetry.DeclareGauge("runner.inflight")
+)
 
-var hooks atomic.Pointer[Hooks]
-
-// SetHooks installs (or, with nil, removes) the package's telemetry hooks
-// and returns the previously installed set. Typically wired once at
-// campaign start by internal/telemetry/wire.
-func SetHooks(h *Hooks) *Hooks { return hooks.Swap(h) }
-
-// feedHooks translates one batch lifecycle event into metrics and trace
-// entries. Progress events are deliberately not traced — a full campaign
-// completes tens of thousands of units, which would flush everything else
-// out of the bounded ring; the experiments layer counts them instead.
-func feedHooks(ev Event) {
-	h := hooks.Load()
-	if h == nil {
-		return
-	}
+// observe translates one batch lifecycle event into metrics and one trace
+// event per transition: runner.attempt / runner.retry / runner.stall /
+// runner.abort / runner.fail / runner.done. Progress events are
+// deliberately not traced — a full campaign completes tens of thousands of
+// units, which would flush everything else out of the bounded ring; the
+// experiments layer counts them instead.
+func observe(ev Event) {
 	switch ev.Kind {
 	case EventStart:
-		if h.Attempts != nil {
-			h.Attempts.Inc()
-		}
-		if h.Trace != nil {
-			h.Trace.Emit(telemetry.Event{Kind: "runner.attempt", ID: ev.ID, Attempt: ev.Attempt})
-		}
+		runnerAttempts.Inc()
+		telemetry.Emit(telemetry.Event{Kind: "runner.attempt", ID: ev.ID, Attempt: ev.Attempt})
 	case EventRetry:
-		if h.Retries != nil {
-			h.Retries.Inc()
+		RunnerRetries.Inc()
+		kind := "runner.retry"
+		if errors.Is(ev.Err, ErrStalled) {
+			runnerStalls.Inc()
+			kind = "runner.stall"
 		}
-		stalled := errors.Is(ev.Err, ErrStalled)
-		if stalled && h.Stalls != nil {
-			h.Stalls.Inc()
-		}
-		if h.Trace != nil {
-			kind := "runner.retry"
-			if stalled {
-				kind = "runner.stall"
-			}
-			h.Trace.Emit(telemetry.Event{
-				Kind:    kind,
-				ID:      ev.ID,
-				Attempt: ev.Attempt,
-				Detail:  firstLine(ev.Err),
-				Value:   ev.Backoff.Seconds(),
-			})
-		}
+		telemetry.Emit(telemetry.Event{
+			Kind:    kind,
+			ID:      ev.ID,
+			Attempt: ev.Attempt,
+			Detail:  firstLine(ev.Err),
+			Value:   ev.Backoff.Seconds(),
+		})
 	case EventDone:
 		kind := "runner.done"
 		switch {
 		case ev.Err == nil:
-			if h.Completed != nil {
-				h.Completed.Inc()
-			}
+			runnerCompleted.Inc()
 		case errors.Is(ev.Err, ErrAborted):
 			kind = "runner.abort"
-			if h.Aborts != nil {
-				h.Aborts.Inc()
-			}
+			runnerAborts.Inc()
 		default:
 			kind = "runner.fail"
-			if errors.Is(ev.Err, ErrStalled) && h.Stalls != nil {
-				h.Stalls.Inc()
+			if errors.Is(ev.Err, ErrStalled) {
+				runnerStalls.Inc()
 			}
-			if h.Failures != nil {
-				h.Failures.Inc()
-			}
+			runnerFailures.Inc()
 		}
-		if h.Trace != nil {
-			h.Trace.Emit(telemetry.Event{Kind: kind, ID: ev.ID, Attempt: ev.Attempt, Detail: firstLine(ev.Err)})
-		}
+		telemetry.Emit(telemetry.Event{Kind: kind, ID: ev.ID, Attempt: ev.Attempt, Detail: firstLine(ev.Err)})
 	}
 }
 

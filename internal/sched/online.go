@@ -281,22 +281,16 @@ func runOnline(ctx context.Context, cfg OnlineConfig, jobs []*Job, policy Online
 		}
 		a, b := policy.Pick(view)
 		validatePick(view, a, b)
-		if h := hooks.Load(); h != nil {
-			if h.Quanta != nil {
-				h.Quanta.Inc()
-			}
-			if prevA != -2 && (a != prevA || b != prevB) {
-				if h.Swaps != nil {
-					h.Swaps.Inc()
-				}
-				if h.Trace != nil {
-					h.Trace.Emit(telemetry.Event{
-						Kind:   "sched.swap",
-						ID:     policy.Name(),
-						Detail: fmt.Sprintf("%d+%d->%d+%d", prevA, prevB, a, b),
-						Value:  float64(res.Quanta),
-					})
-				}
+		schedQuanta.Inc()
+		if prevA != -2 && (a != prevA || b != prevB) {
+			schedSwaps.Inc()
+			if telemetry.Tracing() {
+				telemetry.Emit(telemetry.Event{
+					Kind:   "sched.swap",
+					ID:     policy.Name(),
+					Detail: fmt.Sprintf("%d+%d->%d+%d", prevA, prevB, a, b),
+					Value:  float64(res.Quanta),
+				})
 			}
 		}
 		prevA, prevB = a, b
@@ -365,9 +359,7 @@ func finish(res *OnlineResult, scope *sense.Scope, cfg OnlineConfig) {
 	if res.TotalCycles > 0 {
 		res.DroopsPerKc = 1000 * float64(res.Emergencies) / float64(res.TotalCycles)
 	}
-	if h := hooks.Load(); h != nil && h.Emergencies != nil {
-		h.Emergencies.Add(res.Emergencies)
-	}
+	SchedEmergencies.Add(res.Emergencies)
 }
 
 // retire charges completed work against a job's remaining instructions.

@@ -134,7 +134,7 @@ func BuildPairTableCtx(ctx context.Context, cfg BuildConfig, profiles []workload
 	if err := parallel.SweepCtx(ctx, cfg.Workers, n, func(i int) {
 		res := core.RunSingle(cfg.Chip, profiles[i].NewStream(), rc)
 		singles[i] = SingleCell{Droops: res.DroopsPerKCycle(cfg.Margin), IPC: res.IPC(0)}
-		CellDone()
+		SchedCells.Inc()
 	}); err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func BuildPairTableCtx(ctx context.Context, cfg BuildConfig, profiles []workload
 			Data:     resilient.FromScope(a.Name+"+"+b.Name, res.Cycles, res.Scope),
 			Counters: res.Counters,
 		}
-		CellDone()
+		SchedCells.Inc()
 	}); err != nil {
 		return nil, err
 	}

@@ -1,24 +1,24 @@
 // Package telemetry is the campaign-observability layer: a dependency-free
 // metrics registry (atomic counters and gauges plus timing histograms built
-// on stats.Histogram) and a bounded ring-buffer event trace.
+// on stats.Histogram), a bounded ring-buffer event trace, and the one debug
+// HTTP handler (/metrics and pprof) both binaries serve.
 //
 // The paper's whole methodology is instrumentation — scope captures,
 // emergency counts per 1k cycles, per-run characterization (Secs II–IV) —
 // yet a long simulation campaign is otherwise blind until it finishes.
 // Telemetry makes a running campaign observable without perturbing it: the
-// instrumented packages hold nil-checkable hook pointers (see
-// internal/telemetry/wire), so a disabled hook costs one atomic pointer
-// load and a branch, and an enabled one a single atomic add. Nothing in
-// this package feeds back into any measurement: with telemetry on, every
-// figure, table, and journal byte is bit-identical to a run with it off
-// (gated by the wire package's determinism test).
+// instrumented packages declare named instruments (DeclareCounter and its
+// kin) that Install binds to a registry, so an unbound instrument costs one
+// atomic pointer load and a branch, and a bound one a single atomic add.
+// Nothing in this package feeds back into any measurement: with telemetry
+// on, every figure, table, and journal byte is bit-identical to a run with
+// it off (gated by TestTelemetryOutputBitIdentical).
 //
 // All types are safe for concurrent use; sweep workers feed the same
 // counters from many goroutines.
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,8 +100,8 @@ func (t *Timing) Stats() TimingStats {
 }
 
 // Registry is a named collection of metrics. Lookups are get-or-create, so
-// instrumented packages and consumers (the status line, the expvar
-// endpoint) agree on an instrument by name alone.
+// Install and consumers (the status line, the /metrics endpoint) agree on
+// an instrument by name alone.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -155,55 +155,32 @@ func (r *Registry) Timing(name string) *Timing {
 }
 
 // Snapshot is a point-in-time copy of every instrument, shaped for JSON
-// export (the expvar endpoint serves exactly this).
+// export (GET /metrics serves exactly this).
 type Snapshot struct {
 	Counters map[string]uint64      `json:"counters"`
 	Gauges   map[string]int64       `json:"gauges"`
 	Timings  map[string]TimingStats `json:"timings"`
 }
 
-// Snapshot captures every instrument's current value.
+// Snapshot captures every instrument's current value. It holds the
+// registry lock throughout: only Install and consumers look instruments
+// up, never a hot path.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	timings := make(map[string]*Timing, len(r.timings))
-	for k, v := range r.timings {
-		timings[k] = v
-	}
-	r.mu.Unlock()
-
+	defer r.mu.Unlock()
 	s := Snapshot{
-		Counters: make(map[string]uint64, len(counters)),
-		Gauges:   make(map[string]int64, len(gauges)),
-		Timings:  make(map[string]TimingStats, len(timings)),
+		Counters: make(map[string]uint64, len(r.counters)),
+		Gauges:   make(map[string]int64, len(r.gauges)),
+		Timings:  make(map[string]TimingStats, len(r.timings)),
 	}
-	for k, v := range counters {
+	for k, v := range r.counters {
 		s.Counters[k] = v.Load()
 	}
-	for k, v := range gauges {
+	for k, v := range r.gauges {
 		s.Gauges[k] = v.Load()
 	}
-	for k, v := range timings {
+	for k, v := range r.timings {
 		s.Timings[k] = v.Stats()
 	}
 	return s
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

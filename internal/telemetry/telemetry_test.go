@@ -118,6 +118,30 @@ func TestTraceRingOrderAndDrop(t *testing.T) {
 	}
 }
 
+// A ring grows on demand: a fresh trace holding a few events allocates a
+// few slots, never past its capacity, and retains and drops exactly as a
+// preallocated ring would.
+func TestTraceGrowsOnDemand(t *testing.T) {
+	tr := NewTrace(4096)
+	for i := 0; i < 3; i++ {
+		tr.Emit(Event{Kind: "k"})
+	}
+	if c := cap(tr.buf); c > 16 {
+		t.Errorf("3 events in a 4096-event ring hold %d slots, want at most 16", c)
+	}
+	for i := 3; i < 5000; i++ {
+		tr.Emit(Event{Kind: "k", Value: float64(i)})
+	}
+	if c := cap(tr.buf); c != 4096 {
+		t.Errorf("full ring holds %d slots, want exactly 4096", c)
+	}
+	evs := tr.Events()
+	if len(evs) != 4096 || evs[0].Seq != 5000-4096 || evs[4095].Seq != 4999 || tr.Dropped() != 5000-4096 {
+		t.Errorf("retained %d events (seq %d..%d), dropped %d; want 4096 (seq 904..4999), dropped 904",
+			len(evs), evs[0].Seq, evs[len(evs)-1].Seq, tr.Dropped())
+	}
+}
+
 func TestTraceWriteJSONL(t *testing.T) {
 	tr := NewTrace(8)
 	tr.Emit(Event{Kind: "a.b", ID: "fig1", Detail: "x", Attempt: 2})
@@ -141,5 +165,5 @@ func TestTraceWriteJSONL(t *testing.T) {
 
 func TestNilTraceEmitIsSafe(t *testing.T) {
 	var tr *Trace
-	tr.Emit(Event{Kind: "x"}) // must not panic: disabled hooks pass nil traces around
+	tr.Emit(Event{Kind: "x"}) // must not panic: Emit with no trace installed passes nil
 }

@@ -32,13 +32,15 @@ type Event struct {
 // Trace is a bounded ring buffer of events. When full, the oldest events
 // are overwritten and counted as dropped: a trace bounds its own memory no
 // matter how long the campaign runs, at the cost of retaining only the most
-// recent window. Emit is safe for concurrent use and cheap enough for
-// event-rate producers (per emergency, per quantum, per journal record);
-// per-cycle paths must use counters instead.
+// recent window. The ring grows on demand up to its capacity, so a trace
+// that holds a few events costs a few slots. Emit is safe for concurrent
+// use and cheap enough for event-rate producers (per emergency, per
+// quantum, per journal record); per-cycle paths must use counters instead.
 type Trace struct {
 	mu      sync.Mutex
 	buf     []Event
-	next    uint64 // total events ever emitted; buf[next%cap] is the next slot
+	limit   int    // capacity bound; cap(buf) never exceeds it
+	next    uint64 // total events ever emitted; once full, buf[next%limit] is the next slot
 	dropped uint64
 
 	// now stamps events; overridable for tests.
@@ -54,7 +56,7 @@ func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Trace{buf: make([]Event, 0, capacity), now: time.Now}
+	return &Trace{limit: capacity, now: time.Now}
 }
 
 // Emit appends one event, stamping its sequence number and wall time.
@@ -67,10 +69,16 @@ func (t *Trace) Emit(ev Event) {
 	t.mu.Lock()
 	ev.Seq = t.next
 	ev.T = now
-	if len(t.buf) < cap(t.buf) {
+	switch {
+	case len(t.buf) < cap(t.buf):
 		t.buf = append(t.buf, ev)
-	} else {
-		t.buf[t.next%uint64(cap(t.buf))] = ev
+	case len(t.buf) < t.limit:
+		// Double, but never past the limit: append's own growth could overshoot.
+		grown := make([]Event, len(t.buf), min(max(2*cap(t.buf), 16), t.limit))
+		copy(grown, t.buf)
+		t.buf = append(grown, ev)
+	default:
+		t.buf[t.next%uint64(t.limit)] = ev
 		t.dropped++
 	}
 	t.next++
@@ -103,11 +111,11 @@ func (t *Trace) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Event, 0, len(t.buf))
-	if len(t.buf) < cap(t.buf) {
+	if len(t.buf) < t.limit {
 		return append(out, t.buf...)
 	}
-	// Full ring: the oldest retained event sits at next%cap.
-	start := int(t.next % uint64(cap(t.buf)))
+	// Full ring: the oldest retained event sits at next%limit.
+	start := int(t.next % uint64(t.limit))
 	out = append(out, t.buf[start:]...)
 	out = append(out, t.buf[:start]...)
 	return out

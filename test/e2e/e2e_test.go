@@ -219,7 +219,7 @@ func renderOf(t *testing.T, res map[string]any, exp string) string {
 }
 
 // TestSmoke is the -short service check: boot, health, one whole job
-// lifecycle over HTTP, graceful SIGTERM with exit 143.
+// lifecycle over HTTP, the debug surface, graceful SIGTERM with exit 143.
 func TestSmoke(t *testing.T) {
 	sv := startServer(t, t.TempDir())
 
@@ -258,6 +258,15 @@ func TestSmoke(t *testing.T) {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("/metrics missing %q", name)
 		}
+	}
+	// The same debug surface as the CLI's -metrics-addr: pprof beside it.
+	presp, err := http.Get(sv.base + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	presp.Body.Close()
+	if presp.StatusCode != http.StatusOK {
+		t.Errorf("GET /debug/pprof/: %d", presp.StatusCode)
 	}
 
 	sv.stop(t, syscall.SIGTERM, 143)
