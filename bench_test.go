@@ -241,33 +241,53 @@ func BenchmarkImpedanceSolve(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead measures the cost of the declared instruments
-// on the simulation hot path, unbound vs bound: a full chip cycle (whose
-// PDN step is the one per-cycle telemetry touchpoint — a single atomic
-// pointer load when unbound, plus one atomic add when bound). The off/on delta is
-// the documented overhead budget (DESIGN §7): it must stay within ~5% of
-// cycle time.
+// on the simulation hot path, unbound vs bound: a full chip cycle, which
+// makes no call into telemetry (its rails count their own substeps and
+// publish them once per run). The off/on delta is the documented overhead
+// budget (DESIGN §7): it must stay within ~5% of cycle time. The parallel
+// cases step one chip per goroutine, as the session sweep runs one run per
+// worker, so a shared per-cycle write would show up there as contention
+// that the one-goroutine cases cannot see.
 func BenchmarkTelemetryOverhead(b *testing.B) {
-	run := func(b *testing.B) {
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := workload.ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	newChip := func() *uarch.Chip {
 		chip := uarch.NewChip(uarch.DefaultConfig())
-		p, err := workload.ByName("gcc")
-		if err != nil {
-			b.Fatal(err)
-		}
-		q, err := workload.ByName("mcf")
-		if err != nil {
-			b.Fatal(err)
-		}
 		chip.SetStream(0, p.NewStream())
 		chip.SetStream(1, q.NewStream())
+		return chip
+	}
+	run := func(b *testing.B) {
+		chip := newChip()
+		defer chip.PublishSteps()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			chip.Cycle()
 		}
 	}
+	runParallel := func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			chip := newChip()
+			defer chip.PublishSteps()
+			for pb.Next() {
+				chip.Cycle()
+			}
+		})
+	}
+	bound := func(run func(*testing.B)) func(*testing.B) {
+		return func(b *testing.B) {
+			defer telemetry.Install(telemetry.NewRegistry(), telemetry.NewTrace(0))()
+			run(b)
+		}
+	}
 	b.Run("off", run)
-	b.Run("on", func(b *testing.B) {
-		uninstall := telemetry.Install(telemetry.NewRegistry(), telemetry.NewTrace(0))
-		defer uninstall()
-		run(b)
-	})
+	b.Run("on", bound(run))
+	b.Run("parallel/off", runParallel)
+	b.Run("parallel/on", bound(runParallel))
 }

@@ -25,6 +25,7 @@ const (
 // given per-core streams.
 func peakToPeak(cfg uarch.Config, a, b workload.Stream) float64 {
 	chip := uarch.NewChip(cfg)
+	defer chip.PublishSteps()
 	if a != nil {
 		chip.SetStream(0, a)
 	}

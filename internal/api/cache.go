@@ -142,7 +142,6 @@ func (s *Server) cacheLookup(fp string) *CacheEntry {
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			s.logf("cache: %v (ignoring entry; job will execute)", err)
-			telemetry.Emit(telemetry.Event{Kind: "api.cache.invalid", ID: fp, Detail: firstLine(err)})
 		}
 		return nil
 	}

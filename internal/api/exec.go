@@ -53,7 +53,7 @@ func (s *Server) runJob(jb *job) {
 		h, err := s.leases.Claim(s.store.jobDir(jb.id), jb.id)
 		if err != nil {
 			if errors.Is(err, lease.ErrHeld) || errors.Is(err, lease.ErrLockBusy) {
-				jb.trace.Emit(telemetry.Event{Kind: "api.job.claim_lost", ID: jb.id, Detail: firstLine(err)})
+				jb.trace.Emit(telemetry.Event{Kind: "api.job.claim_lost", ID: jb.id, Detail: telemetry.FirstLine(err)})
 			} else {
 				s.logf("job %s: claim: %v", jb.id, err)
 			}
@@ -127,7 +127,6 @@ func (s *Server) runJob(jb *job) {
 				s.mu.Unlock()
 				apiQueueDepth.Set(int64(depth))
 				jb.setState(StateQueued, "following identical in-flight job "+l.id)
-				telemetry.Emit(telemetry.Event{Kind: "api.job.follows", ID: jb.id, Detail: l.id})
 				return
 			}
 			// This job executes: register as the dedup leader so identical
@@ -137,7 +136,6 @@ func (s *Server) runJob(jb *job) {
 			s.mu.Unlock()
 		} else if l := s.dedupLeader(jb.fingerprint); l != nil && l != jb {
 			jb.setState(StateQueued, "following identical in-flight job "+l.id)
-			telemetry.Emit(telemetry.Event{Kind: "api.job.follows", ID: jb.id, Detail: l.id})
 			return
 		}
 		apiCacheMisses.Inc()
@@ -155,7 +153,6 @@ func (s *Server) runJob(jb *job) {
 		fresh := jb.prog.units.Load() == 0
 		if remaining <= 0 || (fresh && avg > 0 && remaining < avg) {
 			apiJobsDeadlineInfeasible.Inc()
-			telemetry.Emit(telemetry.Event{Kind: "api.job.deadline_infeasible", ID: jb.id})
 			s.finishJob(jb, StateFailed, fmt.Sprintf("%v (remaining %s, average job %s)",
 				ErrDeadlineInfeasible, remaining.Round(time.Millisecond), avg.Round(time.Millisecond)), nil, nil)
 			return
@@ -197,7 +194,6 @@ func (s *Server) runJob(jb *job) {
 	}()
 	apiJobsRunning.Add(1)
 	defer apiJobsRunning.Add(-1)
-	telemetry.Emit(telemetry.Event{Kind: "api.job.running", ID: jb.id})
 
 	if hold != nil {
 		// Heartbeat: renew the lease on job progress until the run ends or
@@ -286,7 +282,7 @@ func (s *Server) runJob(jb *job) {
 	for _, r := range results {
 		attempts[r.ID] = r.Attempts
 		if r.Err != nil {
-			failed = append(failed, fmt.Sprintf("%s: %v", r.ID, firstLine(r.Err)))
+			failed = append(failed, fmt.Sprintf("%s: %v", r.ID, telemetry.FirstLine(r.Err)))
 			continue
 		}
 		renders[r.ID] = r.Renderer.Render()
@@ -298,14 +294,12 @@ func (s *Server) runJob(jb *job) {
 		// Nothing here may be persisted — the successor's run is the truth.
 		// Revert to queued; the scanner adopts the successor's result.
 		jb.setState(StateQueued, "lease fenced; a successor owns this job")
-		telemetry.Emit(telemetry.Event{Kind: "api.job.fenced", ID: jb.id})
 		s.logf("job %s: fenced after %d units; discarding this run's outcome", jb.id, jb.prog.units.Load())
 	case runErr != nil && errors.Is(s.jobsCtx.Err(), context.Canceled) && !jb.isCanceled():
 		// The server is shutting down, not the job failing: revert to
 		// queued. No result.json is written, so the next boot re-enqueues
 		// the job and its journal resumes every completed unit.
 		jb.setState(StateQueued, "server shutdown; will resume from journal")
-		telemetry.Emit(telemetry.Event{Kind: "api.job.requeued", ID: jb.id, Detail: "shutdown"})
 		s.logf("job %s: interrupted by shutdown after %d units; resumable", jb.id, jb.prog.units.Load())
 	case jb.isCanceled():
 		s.finishJob(jb, StateCanceled, "canceled", renders, attempts)
@@ -325,7 +319,6 @@ func (s *Server) runJob(jb *job) {
 		jb.mu.Unlock()
 		jb.setState(StateSuspended, "preempted; checkpoint kept, will resume")
 		apiJobsPreempted.Inc()
-		telemetry.Emit(telemetry.Event{Kind: "api.job.suspended", ID: jb.id, Value: float64(n)})
 		s.logf("job %s: suspended after %d units (preemption #%d, journal %s)",
 			jb.id, jb.prog.units.Load(), n, jnl.Status())
 	case runErr != nil:
@@ -400,13 +393,13 @@ func (s *Server) jobObserver(jb *job) func(runner.Event) {
 		case runner.EventRetry:
 			jb.prog.retries.Add(1)
 			jb.trace.Emit(telemetry.Event{Kind: "run.retry", ID: ev.ID, Value: float64(ev.Attempt),
-				Detail: firstLine(ev.Err)})
+				Detail: telemetry.FirstLine(ev.Err)})
 		case runner.EventDone:
 			if ev.Err == nil {
 				jb.prog.expDone.Add(1)
 				jb.trace.Emit(telemetry.Event{Kind: "run.done", ID: ev.ID, Detail: "ok"})
 			} else {
-				jb.trace.Emit(telemetry.Event{Kind: "run.done", ID: ev.ID, Detail: firstLine(ev.Err)})
+				jb.trace.Emit(telemetry.Event{Kind: "run.done", ID: ev.ID, Detail: telemetry.FirstLine(ev.Err)})
 			}
 		}
 		// Every observer event is an SSE tick; watchers coalesce, so this
@@ -503,7 +496,6 @@ func (s *Server) commitResult(jb *job, res *Result) {
 			jb.cacheSource = ""
 			jb.mu.Unlock()
 			jb.setState(StateQueued, "terminal write fenced; successor owns the job")
-			telemetry.Emit(telemetry.Event{Kind: "api.job.fenced", ID: jb.id, Detail: "terminal write rejected"})
 			return
 		}
 	} else {
@@ -516,7 +508,6 @@ func (s *Server) commitResult(jb *job, res *Result) {
 		s.logf("job %s: persist result: %v (job will re-run on next boot)", jb.id, werr)
 	}
 	jb.setState(res.State, res.Error)
-	telemetry.Emit(telemetry.Event{Kind: "api.job." + string(res.State), ID: jb.id, Detail: res.Error})
 	switch res.State {
 	case StateDone:
 		apiJobsCompleted.Inc()
@@ -615,18 +606,4 @@ func (s *Server) settle(jb *job, res *Result) {
 		// this enqueue does not bump depth.
 		s.enqueue(promote)
 	}
-}
-
-// firstLine trims an error to one line for event payloads.
-func firstLine(err error) string {
-	if err == nil {
-		return ""
-	}
-	msg := err.Error()
-	for i := 0; i < len(msg); i++ {
-		if msg[i] == '\n' {
-			return msg[:i]
-		}
-	}
-	return msg
 }

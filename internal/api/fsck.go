@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"voltsmooth/internal/durable"
+	"voltsmooth/internal/telemetry"
 )
 
 // Fsck (DESIGN §13) is the store scrubber behind `vsmoothd -fsck`: an
@@ -95,7 +96,7 @@ func (s *Store) Fsck(repair bool, warn func(format string, args ...any)) (*FsckR
 		if _, lerr := s.LoadResult(id); lerr == nil {
 			terminal = true
 		} else if !errors.Is(lerr, os.ErrNotExist) {
-			record("corrupt_result", filepath.Join(dir, "result.json"), firstLine(lerr), nil)
+			record("corrupt_result", filepath.Join(dir, "result.json"), telemetry.FirstLine(lerr), nil)
 		}
 		if !terminal {
 			continue
@@ -123,7 +124,7 @@ func (s *Store) Fsck(repair bool, warn func(format string, args ...any)) (*FsckR
 		dir := s.cacheDir(fp)
 		s.sweepTmp(dir, record)
 		if _, lerr := s.LoadCached(fp); lerr != nil && !errors.Is(lerr, os.ErrNotExist) {
-			record("torn_cache", dir, firstLine(lerr),
+			record("torn_cache", dir, telemetry.FirstLine(lerr),
 				func() error { return os.RemoveAll(dir) })
 		}
 	}

@@ -93,7 +93,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	if ok, retry := s.quotas.take(client); !ok {
 		apiJobsRejected.Inc()
-		telemetry.Emit(telemetry.Event{Kind: "api.reject.quota", ID: client})
 		w.Header().Set("Retry-After", retryAfterSeconds(retry))
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("client %q is over its admission quota; retry after %s", client, retryAfterSeconds(retry)+"s"))
@@ -174,7 +173,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	depth := s.depth
 	s.mu.Unlock()
 	apiQueueDepth.Set(int64(depth))
-	telemetry.Emit(telemetry.Event{Kind: "api.job.queued", ID: id, Detail: client})
 	s.enqueue(jb)
 	s.maybePreempt(jb.rank())
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": string(StateQueued)})
@@ -202,7 +200,6 @@ func (s *Server) reserveSlot(w http.ResponseWriter, client string, spec JobSpec)
 		s.mu.Unlock()
 		apiJobsRejected.Inc()
 		apiJobsShed.Inc()
-		telemetry.Emit(telemetry.Event{Kind: "api.reject.shed", ID: client})
 		w.Header().Set("Retry-After", s.retryAfterQueueFull())
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("bulk work shed: queue depth is past the watermark (%d); retry later", s.cfg.ShedWatermark))
@@ -211,7 +208,6 @@ func (s *Server) reserveSlot(w http.ResponseWriter, client string, spec JobSpec)
 	if s.depth >= s.cfg.QueueCap {
 		s.mu.Unlock()
 		apiJobsRejected.Inc()
-		telemetry.Emit(telemetry.Event{Kind: "api.reject.queue_full", ID: client})
 		w.Header().Set("Retry-After", s.retryAfterQueueFull())
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("admission queue is full (%d waiting); retry later", s.cfg.QueueCap))

@@ -175,7 +175,6 @@ func (s *Server) maybePreempt(newRank int) {
 
 	victim.trace.Emit(telemetry.Event{Kind: "api.job.preempting", ID: victim.id,
 		Detail: "higher-priority arrival; suspending at next run boundary"})
-	telemetry.Emit(telemetry.Event{Kind: "api.job.preempting", ID: victim.id})
 	s.logf("job %s: preempting (rank %d) for a rank-%d arrival", victim.id, victimRank, newRank)
 	cancel()
 }

@@ -287,7 +287,6 @@ func New(cfg Config) (*Server, error) {
 		s.signalWork()
 		apiJobsRecovered.Inc()
 		jb.trace.Emit(telemetry.Event{Kind: "api.job.recovered", ID: jb.id})
-		telemetry.Emit(telemetry.Event{Kind: "api.job.recovered", ID: jb.id})
 		logf("recovery: job %s re-enqueued (will resume from its journal)", jb.id)
 	}
 	apiQueueDepth.Set(int64(s.depth))
@@ -503,7 +502,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	apiDraining.Set(1)
-	telemetry.Emit(telemetry.Event{Kind: "api.drain.start"})
 	s.pickOnce.Do(func() { close(s.stopPick) })
 
 	done := make(chan struct{})
@@ -521,7 +519,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-done
 	}
 	s.jobsCancel()
-	telemetry.Emit(telemetry.Event{Kind: "api.drain.done"})
 	return err
 }
 

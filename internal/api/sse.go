@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"time"
-
-	"voltsmooth/internal/telemetry"
 )
 
 // sseWriteTimeout bounds each SSE frame write: a consumer that can't drain
@@ -75,7 +73,6 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jb *job) {
 	}
 	dropped := func() {
 		apiSSEDropped.Inc()
-		telemetry.Emit(telemetry.Event{Kind: "api.sse.dropped", ID: jb.id})
 		s.logf("job %s: sse: slow consumer stalled past %s; dropping stream", jb.id, sseWriteTimeout)
 	}
 

@@ -120,6 +120,7 @@ func (r *Result) DroopsPerKCycle(margin float64) float64 {
 func Run(cfg uarch.Config, streams []workload.Stream, rc RunConfig) Result {
 	margins, seriesMargin := rc.margins()
 	chip, names := newChip(cfg, streams)
+	defer chip.PublishSteps()
 	for i := uint64(0); i < rc.WarmupCycles; i++ {
 		chip.Cycle()
 	}
@@ -172,6 +173,12 @@ func RunLanes(cfg uarch.Config, nets []pdn.Params, streams []workload.Stream, rc
 		lanes[l] = pdn.NewAtLoad(p, chip.TotalCurrent())
 		scopes[l] = sense.NewScope(p.VNom, margins)
 	}
+	// The lanes stand in for the chip's own network, which never steps.
+	defer func() {
+		for _, n := range lanes {
+			n.PublishSteps()
+		}
+	}()
 	v := make([]float64, len(nets))
 	cycleTime := 1 / cfg.ClockHz
 	for i := uint64(0); i < rc.WarmupCycles; i++ {

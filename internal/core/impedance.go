@@ -39,6 +39,7 @@ func MeasureLoopImpedance(cfg uarch.Config, f float64, cycles uint64) float64 {
 	fRealized := cfg.ClockHz / realized
 
 	chip := uarch.NewChip(cfg)
+	defer chip.PublishSteps()
 	chip.SetStream(0, workload.ResonantVirus(half*cfg.IssueWidth, half))
 	chip.SetStream(1, workload.ResonantVirus(half*cfg.IssueWidth, half))
 

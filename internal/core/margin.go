@@ -44,6 +44,7 @@ func FindWorstCaseMargin(cfg uarch.Config, vCrit float64, cycles uint64, stepVol
 		c := cfg
 		c.PDN.VNom = supply
 		chip := uarch.NewChip(c)
+		defer chip.PublishSteps()
 		chip.SetStream(0, workload.ResonantVirus(burst, gap))
 		chip.SetStream(1, workload.ResonantVirus(burst, gap))
 		minV := math.Inf(1)

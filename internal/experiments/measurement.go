@@ -133,6 +133,7 @@ func runFig11(ctx context.Context, s *Session) Renderer { return Fig11(s) }
 func Fig11(s *Session) *Fig11Result {
 	cfg := uarch.DefaultConfig()
 	chip := uarch.NewChip(cfg)
+	defer chip.PublishSteps()
 	chip.SetStream(0, workload.Microbenchmark(workload.EventTLB))
 	for i := uint64(0); i < s.Scale.WarmupCycles; i++ {
 		chip.Cycle()
@@ -219,6 +220,7 @@ func sparkline(xs []float64, width int) string {
 // normalization baseline).
 func idleScopeP2P(cfg uarch.Config, warmup, cycles uint64) float64 {
 	chip := uarch.NewChip(cfg)
+	defer chip.PublishSteps()
 	for i := uint64(0); i < warmup; i++ {
 		chip.Cycle()
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -119,7 +118,7 @@ func (s *Session) Run(ctx context.Context, e Entry) (r Renderer, err error) {
 		expCompleted.Inc()
 		detail := "ok"
 		if err != nil {
-			detail = firstLine(err)
+			detail = telemetry.FirstLine(err)
 		}
 		telemetry.Emit(telemetry.Event{Kind: "exp.done", ID: e.ID, Detail: detail, Value: elapsed.Seconds()})
 	}()
@@ -140,16 +139,6 @@ func (s *Session) Run(ctx context.Context, e Entry) (r Renderer, err error) {
 		err = fmt.Errorf("%w: %s: %v\n%s", ErrExperimentPanicked, e.ID, p, stack)
 	}()
 	return e.Run(ctx, s), nil
-}
-
-// firstLine trims an error to its first line for trace payloads (panic
-// errors carry whole stacks).
-func firstLine(err error) string {
-	s := err.Error()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }
 
 // ConfigFingerprint digests everything that determines the session's
@@ -227,7 +216,7 @@ func (s *Session) degradeJournal(cause error) {
 		}
 	}
 	warn("journal failed; campaign continues without checkpoints (completed units after this point are not resumable): %v", cause)
-	telemetry.Emit(telemetry.Event{Kind: "journal.degraded", Detail: firstLine(cause)})
+	telemetry.Emit(telemetry.Event{Kind: "journal.degraded", Detail: telemetry.FirstLine(cause)})
 }
 
 // sweep runs fn(i) for every i in [0, n) over the session's workers. Each

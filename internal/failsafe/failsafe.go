@@ -241,6 +241,7 @@ func RunCtx(ctx context.Context, cfg Config, streams []workload.Stream, usefulCy
 	}
 
 	chip := uarch.NewChip(cfg.Chip)
+	defer chip.PublishSteps()
 	res := &Result{
 		Margin:       cfg.Margin,
 		Scheme:       cfg.Scheme,

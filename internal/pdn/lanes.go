@@ -9,15 +9,6 @@ import (
 // kernel call: enough for every decap variant a campaign reads at once.
 const MaxLanes = 4
 
-// laneState is one lane's integrator state, hoisted out of its Network
-// for the whole fused cycle exactly as stepN hoists it into locals.
-type laneState struct {
-	iL0, iL1, iL2, iLb    float64
-	vC1, vP, vCb, vC3     float64
-	iEMA, regBias, regErr float64
-	t, v                  float64
-}
-
 // StepCycleLanes advances every network in nets by one CPU clock cycle
 // while the die draws the same iLoad amperes on each, and writes network
 // l's end-of-cycle die voltage to v[l]. It is the lane-batched form of
@@ -32,8 +23,8 @@ type laneState struct {
 // lane takes its own StepCycle instead.
 //
 // nets must be distinct networks, at most MaxLanes of them, and v must
-// hold at least len(nets) values. The step counter advances by
-// len(nets)·substeps, one per network-substep, as StepCycle counts.
+// hold at least len(nets) values. Each network counts substeps steps, as
+// its StepCycle would.
 func StepCycleLanes(nets []*Network, cycleTime, iLoad float64, substeps int, v []float64) {
 	if len(nets) > MaxLanes {
 		panic(fmt.Sprintf("pdn: %d lanes exceed MaxLanes %d", len(nets), MaxLanes))
@@ -54,36 +45,26 @@ func StepCycleLanes(nets []*Network, cycleTime, iLoad float64, substeps int, v [
 		if dt != n.coefDt {
 			n.refreshCoefs(dt)
 		}
+		n.steps += uint64(substeps)
 	}
 	stepLanes(nets, dt, iLoad, substeps, v[:len(nets)])
-	pdnSteps.Add(uint64(len(nets) * substeps))
 }
 
 // stepLanes is the lane kernel: k substeps at a dt whose coefficients
 // every lane has cached. Substeps are the outer loop and lanes the inner
-// one, so consecutive iterations belong to independent lanes. The body of
+// one, so consecutive iterations belong to independent lanes. Each lane's
+// state is read from and written back to its own Network on every
+// substep, so nothing is staged in or out around the loop. The body of
 // the inner loop is stepN's substep verbatim — same operations, same
 // order, every division kept a division — so each lane's trajectory is
 // bit-identical to its own StepCycle (pinned by TestStepCycleLanesExact).
 func stepLanes(nets []*Network, dt, iLoad float64, k int, out []float64) {
-	var st [MaxLanes]laneState
-	for l, n := range nets {
-		st[l] = laneState{
-			iL0: n.iL0, iL1: n.iL1, iL2: n.iL2, iLb: n.iLb,
-			vC1: n.vC1, vP: n.vP, vCb: n.vCb, vC3: n.vC3,
-			iEMA: n.iEMA, regBias: n.regBias, regErr: n.regErr,
-			t: n.t, v: n.vDie,
-		}
-	}
-	lanes := st[:len(nets)]
-
 	for ; k > 0; k-- {
-		for l := range lanes {
-			n, s := nets[l], &lanes[l]
-			iL0, iL1, iL2, iLb := s.iL0, s.iL1, s.iL2, s.iLb
-			vC1, vP, vCb, vC3 := s.vC1, s.vP, s.vCb, s.vC3
-			iEMA, regBias, regErr := s.iEMA, s.regBias, s.regErr
-			t := s.t
+		for _, n := range nets {
+			iL0, iL1, iL2, iLb := n.iL0, n.iL1, n.iL2, n.iLb
+			vC1, vP, vCb, vC3 := n.vC1, n.vP, n.vCb, n.vC3
+			iEMA, regBias, regErr := n.iEMA, n.regBias, n.regErr
+			t := n.t
 			var v float64
 
 			ff := 0.0
@@ -133,21 +114,14 @@ func stepLanes(nets []*Network, dt, iLoad float64, k int, out []float64) {
 				v += n.rippleAmp * (2*frac - 1)
 			}
 
-			s.iL0, s.iL1, s.iL2, s.iLb = iL0, iL1, iL2, iLb
-			s.vC1, s.vP, s.vCb, s.vC3 = vC1, vP, vCb, vC3
-			s.iEMA, s.regBias, s.regErr = iEMA, regBias, regErr
-			s.t, s.v = t, v
+			n.iL0, n.iL1, n.iL2, n.iLb = iL0, iL1, iL2, iLb
+			n.vC1, n.vP, n.vCb, n.vC3 = vC1, vP, vCb, vC3
+			n.iEMA, n.regBias, n.regErr = iEMA, regBias, regErr
+			n.t, n.vDie = t, v
 		}
 	}
-
 	for l, n := range nets {
-		s := &lanes[l]
-		n.iL0, n.iL1, n.iL2, n.iLb = s.iL0, s.iL1, s.iL2, s.iLb
-		n.vC1, n.vP, n.vCb, n.vC3 = s.vC1, s.vP, s.vCb, s.vC3
-		n.iEMA, n.regBias, n.regErr = s.iEMA, s.regBias, s.regErr
-		n.t = s.t
-		n.vDie = s.v
 		n.lastILoad = iLoad
-		out[l] = s.v
+		out[l] = n.vDie
 	}
 }

@@ -76,7 +76,8 @@ func TestStepCycleLanesExact(t *testing.T) {
 
 // TestStepCycleLanesCountsNetworkSteps pins the step counter: a K-lane
 // cycle counts K·substeps network-steps on both the lane path and the
-// subdividing fallback, as K StepCycle calls would.
+// subdividing fallback, as K StepCycle calls would, once its networks
+// publish.
 func TestStepCycleLanesCountsNetworkSteps(t *testing.T) {
 	const cycle = 1 / 1.86e9
 	for _, substeps := range []int{7, 6} {
@@ -84,6 +85,9 @@ func TestStepCycleLanesCountsNetworkSteps(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		uninstall := telemetry.Install(reg, nil)
 		StepCycleLanes(lanes, cycle, 24, substeps, make([]float64, 3))
+		for _, n := range lanes {
+			n.PublishSteps()
+		}
 		uninstall()
 		if got, want := reg.Counter("pdn.steps").Load(), uint64(3*substeps); got != want {
 			t.Errorf("substeps=%d: counted %d steps, want %d", substeps, got, want)

@@ -245,6 +245,11 @@ type Network struct {
 	det                float64 // determinant of the ESR1-coupled block
 	ffA                float64 // clamped dt/RegFeedforwardTau EMA factor
 	kI                 float64 // dt · 2π · RegIntegralHz integral gain
+
+	// steps counts the substeps StepCycle and StepCycleLanes integrated
+	// since the last PublishSteps. It is a plain field of this network,
+	// so the per-cycle path writes nothing another goroutine shares.
+	steps uint64
 }
 
 // refreshCoefs recomputes the dt-dependent kernel coefficients. Every
@@ -538,8 +543,25 @@ func (n *Network) StepCycle(cycleTime, iLoad float64, substeps int) float64 {
 		// through the struct once per substep.
 		v = n.stepN(dt, iLoad, substeps)
 	}
-	pdnSteps.Add(uint64(substeps))
+	n.steps += uint64(substeps)
 	return v
+}
+
+// PublishSteps adds the substeps n counted since its last publish to the
+// pdn.steps counter and zeroes its own count. A run publishes once, when
+// it ends, so a live read of pdn.steps lags by the runs still in flight.
+func (n *Network) PublishSteps() {
+	pdnSteps.Add(n.steps)
+	n.steps = 0
+}
+
+// Restore returns n to snap, a copy of a Network taken earlier (a chip
+// snapshot), without rewinding the steps n has counted since: restoring
+// discards a trajectory, not the work that integrated it.
+func (n *Network) Restore(snap *Network) {
+	steps := n.steps
+	*n = *snap
+	n.steps = steps
 }
 
 // MaxStableStep returns the largest dt (seconds) the semi-implicit

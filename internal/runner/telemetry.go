@@ -2,7 +2,6 @@ package runner
 
 import (
 	"errors"
-	"strings"
 
 	"voltsmooth/internal/telemetry"
 )
@@ -52,7 +51,7 @@ func observe(ev Event) {
 			Kind:    kind,
 			ID:      ev.ID,
 			Attempt: ev.Attempt,
-			Detail:  firstLine(ev.Err),
+			Detail:  telemetry.FirstLine(ev.Err),
 			Value:   ev.Backoff.Seconds(),
 		})
 	case EventDone:
@@ -70,18 +69,6 @@ func observe(ev Event) {
 			}
 			runnerFailures.Inc()
 		}
-		telemetry.Emit(telemetry.Event{Kind: kind, ID: ev.ID, Attempt: ev.Attempt, Detail: firstLine(ev.Err)})
+		telemetry.Emit(telemetry.Event{Kind: kind, ID: ev.ID, Attempt: ev.Attempt, Detail: telemetry.FirstLine(ev.Err)})
 	}
-}
-
-// firstLine trims an error to its first line (panic errors carry stacks).
-func firstLine(err error) string {
-	if err == nil {
-		return ""
-	}
-	s := err.Error()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }

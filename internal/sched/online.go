@@ -242,6 +242,7 @@ func runOnline(ctx context.Context, cfg OnlineConfig, jobs []*Job, policy Online
 		panic("sched: zero quantum")
 	}
 	chip := uarch.NewChip(cfg.Chip)
+	defer chip.PublishSteps()
 	scope := sense.NewScope(cfg.Chip.PDN.VNom, []float64{cfg.Margin})
 	res := OnlineResult{Policy: policy.Name()}
 

@@ -55,6 +55,7 @@ func SlidingWindowCtx(ctx context.Context, cfg uarch.Config, x, y workload.Profi
 
 	run := func(withY bool) ([]float64, error) {
 		chip := uarch.NewChip(cfg)
+		defer chip.PublishSteps()
 		chip.SetStream(0, x.NewStream())
 		scope := sense.NewScope(cfg.PDN.VNom, []float64{margin})
 		series := make([]float64, 0, windows)

@@ -30,7 +30,10 @@ type Scope struct {
 
 	margins   []float64 // margin fractions, ascending
 	threshold []float64 // precomputed vnom·(1-margin), avoiding float drift
-	below     []bool
+	// below is how many margins the last sample was below. The
+	// thresholds fall as the margins rise, so those are always the first
+	// below margins: margin i is below exactly when i < below.
+	below     int
 	crossings []uint64
 }
 
@@ -57,7 +60,6 @@ func NewScope(vnom float64, margins []float64) *Scope {
 		hist:      stats.NewHistogram(-20, 20, 800),
 		margins:   ms,
 		threshold: thr,
-		below:     make([]bool, len(ms)),
 		crossings: make([]uint64, len(ms)),
 	}
 }
@@ -82,18 +84,25 @@ func validateMargins(ms []float64) error {
 // VNom returns the nominal voltage the scope was built for.
 func (s *Scope) VNom() float64 { return s.vnom }
 
-// Sample records one voltage sample (volts).
+// Sample records one voltage sample (volts). The margins v is below are
+// a prefix of the ascending margins, so Sample walks the prefix length
+// from the last sample's: up while v is below the next threshold, each
+// margin newly below counting one crossing, or down while v is not below
+// the last one still covered. A sample that compares false with every
+// threshold (NaN included) is below none.
 func (s *Scope) Sample(v float64) {
 	dev := 100 * (v - s.vnom) / s.vnom
 	s.hist.Add(dev)
 	s.samples++
-	for i, thr := range s.threshold {
-		isBelow := v < thr
-		if isBelow && !s.below[i] {
-			s.crossings[i]++
-		}
-		s.below[i] = isBelow
+	b := s.below
+	for b < len(s.threshold) && v < s.threshold[b] {
+		s.crossings[b]++
+		b++
 	}
+	for b > 0 && !(v < s.threshold[b-1]) {
+		b--
+	}
+	s.below = b
 }
 
 // Samples returns the number of samples recorded.
@@ -186,8 +195,8 @@ func (s *Scope) Merge(other *Scope) {
 func (s *Scope) Reset() {
 	s.hist.Reset()
 	s.samples = 0
+	s.below = 0
 	for i := range s.margins {
-		s.below[i] = false
 		s.crossings[i] = 0
 	}
 }

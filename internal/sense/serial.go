@@ -21,13 +21,18 @@ type scopeState struct {
 	Hist      *stats.Histogram `json:"hist"`
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. It writes the below state as one
+// boolean per margin, true for the first s.below of them.
 func (s *Scope) MarshalJSON() ([]byte, error) {
+	below := make([]bool, len(s.margins))
+	for i := 0; i < s.below; i++ {
+		below[i] = true
+	}
 	return json.Marshal(scopeState{
 		VNom:      s.vnom,
 		Samples:   s.samples,
 		Margins:   s.margins,
-		Below:     s.below,
+		Below:     below,
 		Crossings: s.crossings,
 		Hist:      s.hist,
 	})
@@ -53,6 +58,18 @@ func (s *Scope) UnmarshalJSON(data []byte) error {
 	if err := validateMargins(st.Margins); err != nil {
 		return err
 	}
+	// A live scope is below a prefix of its margins; any other below
+	// state could not have been sampled, so it is rejected too.
+	below := 0
+	for below < len(st.Below) && st.Below[below] {
+		below++
+	}
+	for i := below; i < len(st.Below); i++ {
+		if st.Below[i] {
+			return fmt.Errorf("sense: scope state below margin %g but not below the smaller margin %g",
+				st.Margins[i], st.Margins[below])
+		}
+	}
 	thr := make([]float64, len(st.Margins))
 	for i, m := range st.Margins {
 		thr[i] = st.VNom * (1 - m)
@@ -62,7 +79,7 @@ func (s *Scope) UnmarshalJSON(data []byte) error {
 	s.samples = st.Samples
 	s.margins = st.Margins
 	s.threshold = thr
-	s.below = st.Below
+	s.below = below
 	s.crossings = st.Crossings
 	if s.margins == nil {
 		s.margins = []float64{}

@@ -2,6 +2,7 @@ package sense
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,6 +86,28 @@ func TestScopeUnmarshalRejectsGarbage(t *testing.T) {
 		s := &Scope{}
 		if err := json.Unmarshal([]byte(bad), s); err == nil {
 			t.Errorf("corrupt scope state accepted: %s", bad)
+		}
+	}
+}
+
+// TestScopeUnmarshalRejectsNonPrefixBelow pins the restore of the below
+// state: a live scope is below a prefix of its ascending margins, so a
+// payload below a margin but not below a smaller one is rejected, and a
+// prefix restores as its length.
+func TestScopeUnmarshalRejectsNonPrefixBelow(t *testing.T) {
+	const state = `{"vnom":1.0,"margins":[0.01,0.02,0.04],"below":%s,"crossings":[1,1,1],"hist":{"lo":-20,"hi":20,"counts":[0],"total":0,"sum":0}}`
+	for _, bad := range []string{"[false,true,false]", "[true,false,true]", "[false,false,true]"} {
+		if err := json.Unmarshal([]byte(fmt.Sprintf(state, bad)), &Scope{}); err == nil {
+			t.Errorf("non-prefix below %s accepted", bad)
+		}
+	}
+	for want, ok := range []string{"[false,false,false]", "[true,false,false]", "[true,true,false]", "[true,true,true]"} {
+		s := &Scope{}
+		if err := json.Unmarshal([]byte(fmt.Sprintf(state, ok)), s); err != nil {
+			t.Fatalf("prefix below %s rejected: %v", ok, err)
+		}
+		if s.below != want {
+			t.Errorf("below %s restored as %d margins, want %d", ok, s.below, want)
 		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 // extremes) is derived from the bucket counts.
 //
 // Samples below Lo land in the underflow bucket and samples at or above Hi
-// land in the overflow bucket, so extreme excursions are never lost.
+// land in the overflow bucket, so extreme excursions are never lost. A NaN
+// sample has no place on the axis and is not recorded.
 type Histogram struct {
 	Lo, Hi    float64
 	counts    []uint64
@@ -40,8 +41,11 @@ func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
 	}
 }
 
-// Add records one sample.
+// Add records one sample; it ignores NaN.
 func (h *Histogram) Add(x float64) {
+	if math.IsNaN(x) {
+		return
+	}
 	h.total++
 	h.sum += x
 	if x < h.min {

@@ -44,6 +44,21 @@ func TestHistogramUnderOverflow(t *testing.T) {
 	}
 }
 
+// TestHistogramIgnoresNaN pins what a NaN sample does: nothing. It has
+// no place on the axis, so every statistic stays what the other samples
+// make it. (It used to index a bucket with int(NaN) and panic.)
+func TestHistogramIgnoresNaN(t *testing.T) {
+	h, want := NewHistogram(0, 1, 4), NewHistogram(0, 1, 4)
+	h.Add(0.5)
+	h.Add(math.NaN())
+	h.Add(2)
+	want.Add(0.5)
+	want.Add(2)
+	if !reflect.DeepEqual(h, want) {
+		t.Fatalf("a NaN sample changed the histogram:\n got %#v\nwant %#v", h, want)
+	}
+}
+
 func TestHistogramFractionBelowAtBucketEdges(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	for i := 0; i < 100; i++ {

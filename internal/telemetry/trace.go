@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"strings"
 	"sync"
 	"time"
 )
@@ -27,6 +28,19 @@ type Event struct {
 	Detail  string  `json:"detail,omitempty"`
 	Value   float64 `json:"value,omitempty"`
 	Attempt int     `json:"attempt,omitempty"`
+}
+
+// FirstLine trims an error to its first line for an event's Detail (a
+// panic error carries its whole stack). A nil error is "".
+func FirstLine(err error) string {
+	if err == nil {
+		return ""
+	}
+	s := err.Error()
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		s = s[:i]
+	}
+	return s
 }
 
 // Trace is a bounded ring buffer of events. When full, the oldest events

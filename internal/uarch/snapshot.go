@@ -89,13 +89,15 @@ func (c *Chip) RestoreArch(st *State) error {
 }
 
 // Restore reinstates the complete snapshot, architectural and electrical,
-// returning the chip to the exact moment Snapshot was called.
+// returning the chip to the exact moment Snapshot was called. The rails
+// keep the steps they counted since: the work was done even though its
+// trajectory is discarded.
 func (c *Chip) Restore(st *State) error {
 	if err := c.RestoreArch(st); err != nil {
 		return err
 	}
 	for i := range c.nets {
-		*c.nets[i] = st.nets[i]
+		c.nets[i].Restore(&st.nets[i])
 	}
 	c.cycles = st.cycles
 	c.current = st.current

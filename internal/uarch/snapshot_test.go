@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"voltsmooth/internal/telemetry"
 	"voltsmooth/internal/workload"
 )
 
@@ -185,5 +186,41 @@ func TestInjectCurrentDroopsVoltage(t *testing.T) {
 	clean, spiked := run(false), run(true)
 	if spiked >= clean {
 		t.Errorf("injected spike did not deepen droop: clean %.4f V, spiked %.4f V", clean, spiked)
+	}
+}
+
+// TestRestoreKeepsCountedSteps pins the rails' step counts across a full
+// restore: it rewinds their trajectory, not the work that integrated it.
+// Every cycle stepped before and after the restore reaches pdn.steps at
+// the publish, once per rail, and a second publish adds nothing.
+func TestRestoreKeepsCountedSteps(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	t.Cleanup(telemetry.Install(reg, nil))
+	cfg := DefaultConfig()
+	cfg.SplitSupply = true
+	chip := NewChip(cfg)
+	for i := 0; i < 100; i++ {
+		chip.Cycle()
+	}
+	st, err := chip.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		chip.StallCycle()
+	}
+	if err := chip.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		chip.Cycle()
+	}
+	if got := reg.Counter("pdn.steps").Load(); got != 0 {
+		t.Fatalf("pdn.steps read %d before any publish", got)
+	}
+	chip.PublishSteps()
+	chip.PublishSteps()
+	if got, want := reg.Counter("pdn.steps").Load(), uint64(175*cfg.NumCores*cfg.Substeps); got != want {
+		t.Errorf("published %d steps, want %d", got, want)
 	}
 }

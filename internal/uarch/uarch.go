@@ -384,6 +384,15 @@ func (c *Chip) Network() *pdn.Network { return c.nets[0] }
 // only rail on a shared supply).
 func (c *Chip) RailVoltage(rail int) float64 { return c.nets[rail].V() }
 
+// PublishSteps adds the substeps every rail integrated since its last
+// publish to the pdn.steps counter (pdn.Network.PublishSteps). A run that
+// builds a chip defers it right after NewChip.
+func (c *Chip) PublishSteps() {
+	for _, n := range c.nets {
+		n.PublishSteps()
+	}
+}
+
 // Cycle advances the chip by one clock cycle: each core executes, the
 // summed current drives the PDN, and the resulting die voltage is
 // returned. This is the hot path of every experiment.
