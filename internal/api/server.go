@@ -427,22 +427,6 @@ func (s *Server) adoptResult(jb *job, res *Result) {
 	s.logf("job %s: adopted peer result (%s, %d units)", jb.id, res.State, res.Units)
 }
 
-// Recovering is reported by Status for observability; the count of jobs
-// the last boot re-enqueued.
-func (s *Server) recoveredCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, jb := range s.jobs {
-		jb.mu.Lock()
-		if jb.recovered {
-			n++
-		}
-		jb.mu.Unlock()
-	}
-	return n
-}
-
 // worker picks jobs off the priority queue until drain closes stopPick.
 // Each wake token licenses one pick attempt; a spurious token (the queue
 // emptied, or another worker won the race) just loops.

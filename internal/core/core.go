@@ -152,14 +152,10 @@ func Run(cfg uarch.Config, streams []workload.Stream, rc RunConfig) Result {
 // trace its own Run would draw, and pdn.StepCycleLanes steps each lane
 // exactly as StepCycle would.
 //
-// One lane is Run itself, on the single-network kernel. Several lanes
-// need the shared supply and no interval series (split-supply and
-// phase-trace runs keep Run), and at most pdn.MaxLanes of them.
+// One lane runs this same loop. The lanes need the shared supply and no
+// interval series (split-supply and phase-trace runs keep Run), and at
+// most pdn.MaxLanes of them.
 func RunLanes(cfg uarch.Config, nets []pdn.Params, streams []workload.Stream, rc RunConfig) []Result {
-	if len(nets) == 1 {
-		cfg.PDN = nets[0]
-		return []Result{Run(cfg, streams, rc)}
-	}
 	if cfg.SplitSupply || rc.IntervalCycles > 0 {
 		panic("core: RunLanes shares one supply per lane and records no interval series")
 	}

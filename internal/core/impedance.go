@@ -74,19 +74,3 @@ func MeasureLoopImpedance(cfg uarch.Config, f float64, cycles uint64) float64 {
 	}
 	return math.Hypot(vRe, vIm) / iMag
 }
-
-// ImpedancePoint is one sample of the software-measured profile.
-type ImpedancePoint struct {
-	Freq float64
-	Mag  float64
-}
-
-// LoopImpedanceProfile sweeps MeasureLoopImpedance across frequencies,
-// reproducing Fig 4a. cyclesPerPoint bounds the per-frequency run length.
-func LoopImpedanceProfile(cfg uarch.Config, freqs []float64, cyclesPerPoint uint64) []ImpedancePoint {
-	out := make([]ImpedancePoint, 0, len(freqs))
-	for _, f := range freqs {
-		out = append(out, ImpedancePoint{Freq: f, Mag: MeasureLoopImpedance(cfg, f, cyclesPerPoint)})
-	}
-	return out
-}

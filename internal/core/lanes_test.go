@@ -12,7 +12,8 @@ import (
 // TestRunLanesEqualsRun pins the lane contract: lane l of RunLanes is
 // reflect.DeepEqual to Run on a chip whose network is nets[l] — counters,
 // scope, names and all — for a single program, a spec pair and a
-// two-thread program, and one lane is Run itself.
+// two-thread program, at every lane count from one, which runs the same
+// lane loop as several.
 func TestRunLanesEqualsRun(t *testing.T) {
 	must := func(name string) workload.Profile {
 		p, err := workload.ByName(name)

@@ -24,9 +24,10 @@ func lanePair(k int, load float64) (lanes, refs []*Network) {
 }
 
 // checkLanes drives K lanes through StepCycleLanes and K reference
-// networks through StepCycle with the same load sequence, and fails on
-// the first returned voltage whose bits differ or the first cycle after
-// which any lane's whole Network state differs from its reference.
+// networks through refStepCycle, the single-network integrator kept as a
+// test-only copy, with the same load sequence, and fails on the first
+// returned voltage whose bits differ or the first cycle after which any
+// lane's whole Network state differs from its reference.
 func checkLanes(t *testing.T, k, cycles, substeps int, load func(i int) float64) {
 	t.Helper()
 	const cycle = 1 / 1.86e9
@@ -36,25 +37,26 @@ func checkLanes(t *testing.T, k, cycles, substeps int, load func(i int) float64)
 		il := load(i)
 		StepCycleLanes(lanes, cycle, il, substeps, v)
 		for l := range refs {
-			want := refs[l].StepCycle(cycle, il, substeps)
+			want := refs[l].refStepCycle(cycle, il, substeps)
 			if math.Float64bits(v[l]) != math.Float64bits(want) {
 				t.Fatalf("K=%d substeps=%d cycle %d lane %d (%s): got %v want %v",
 					k, substeps, i, l, laneVariants[l].Name, v[l], want)
 			}
 			if *lanes[l] != *refs[l] {
-				t.Fatalf("K=%d substeps=%d cycle %d lane %d (%s): network state diverged from StepCycle's",
+				t.Fatalf("K=%d substeps=%d cycle %d lane %d (%s): network state diverged from the reference's",
 					k, substeps, i, l, laneVariants[l].Name)
 			}
 		}
 	}
 }
 
-// TestStepCycleLanesExact pins the lane kernel to StepCycle bit for bit
-// for every lane count up to MaxLanes: random loads at the production
-// substep count (feedforward, regulator and ripple on), goldenTrace's
-// load sequence at the same grid, and a grid on which every substep
-// subdivides for stability (Proc100 at 6 substeps), where each lane must
-// still return exactly its own StepCycle.
+// TestStepCycleLanesExact pins the lane kernel to the single-network
+// reference integrator bit for bit for every lane count up to MaxLanes:
+// random loads at the production substep count (feedforward, regulator
+// and ripple on), goldenTrace's load sequence at the same grid, and a
+// grid on which every substep subdivides for stability (Proc100 at 6
+// substeps), where each lane must still return exactly its own
+// reference cycle.
 func TestStepCycleLanesExact(t *testing.T) {
 	p := Core2Duo()
 	if !(p.RegFeedforwardTau > 0 && p.RegIntegralHz > 0 && p.RippleAmp != 0) {

@@ -195,7 +195,7 @@ func (p Params) effBank() (c2, esr2, esl2 float64) {
 // The zero value is not usable; construct with New or NewAtLoad.
 //
 // The hot-path fields are flattened out of Params into scalar members so
-// the fused kernel (step) touches one contiguous struct and never copies
+// the kernel (stepLanes) touches one contiguous struct and never copies
 // the 24-field Params value per substep. Snapshot/restore copies the whole
 // Network by value, which carries every cached coefficient along.
 type Network struct {
@@ -206,8 +206,6 @@ type Network struct {
 	vC1, vP, vCb, vC3 float64 // bulk, plane, bank, die capacitor voltages
 	vDie              float64 // last computed die node voltage
 	t                 float64 // absolute simulated time, for ripple phase
-	lastILoad         float64
-	steadyLoad        float64
 	regBias           float64 // VRM integral-control correction added to VNom
 	regErr            float64 // filtered sensed error, for the proportional term
 	iEMA              float64 // fast moving average of load current (feedforward)
@@ -360,25 +358,12 @@ func (n *Network) SettleAt(iLoad float64) {
 	n.vC3 = n.vP - iLoad*p.R2
 	n.vDie = n.vC3
 	n.t = 0
-	n.lastILoad = iLoad
-	n.steadyLoad = iLoad
-}
-
-// ripple returns the VRM sawtooth ripple voltage at time t.
-func (n *Network) ripple(t float64) float64 {
-	if n.p.RippleAmp == 0 || n.p.RippleFreq == 0 {
-		return 0
-	}
-	phase := t * n.p.RippleFreq
-	frac := phase - math.Floor(phase)
-	// Symmetric sawtooth in [-amp, +amp].
-	return n.p.RippleAmp * (2*frac - 1)
 }
 
 // Step advances the network by dt seconds with the die drawing iLoad
-// amperes, and returns the resulting die voltage. dt must be small relative
-// to the fastest resonance; StepCycle handles substepping for callers that
-// work in CPU-cycle units.
+// amperes, and returns the resulting die voltage. A dt above the stability
+// bound (MaxStableStep) is split into equal steps; StepCycle handles
+// substepping for callers that work in CPU-cycle units.
 //
 // Integration is semi-implicit Euler with every resistive term handled
 // implicitly. The package plane node is purely capacitive, so the only
@@ -389,162 +374,37 @@ func (n *Network) ripple(t float64) float64 {
 // treatment would force dt below L/ESR — and the implicit diagonal makes
 // it unconditionally stable.
 func (n *Network) Step(dt, iLoad float64) float64 {
+	dt, k := n.grid(dt)
+	lane, v := [1]*Network{n}, [1]float64{}
+	stepLanes(lane[:], dt, iLoad, k, v[:])
+	return v[0]
+}
+
+// grid returns the step the kernel integrates a requested dt on: dt
+// itself, or dt split into k equal steps when it exceeds the stability
+// bound. It refreshes the cached coefficients when that step changes.
+func (n *Network) grid(dt float64) (sub float64, k int) {
+	k = 1
 	if dt > n.dtMax {
 		// Subdivide transparently: callers choose dt for their own
 		// sampling needs, the integrator keeps itself stable.
-		k := int(math.Ceil(dt / n.dtMax))
-		sub := dt / float64(k)
-		if sub != n.coefDt {
-			n.refreshCoefs(sub)
-		}
-		return n.stepN(sub, iLoad, k)
+		k = int(math.Ceil(dt / n.dtMax))
+		dt /= float64(k)
 	}
 	if dt != n.coefDt {
 		n.refreshCoefs(dt)
 	}
-	return n.stepN(dt, iLoad, 1)
-}
-
-// stepN is the fused kernel: k semi-implicit substeps at a dt whose
-// coefficients are already cached (callers must refreshCoefs on a dt
-// change). The entire network state is hoisted into locals once, iterated
-// on in registers/stack slots for all k substeps, and written back once —
-// no Params copy, no closures, no interface calls, and no per-substep
-// stores through the receiver (which would otherwise force the compiler
-// to re-load every field each substep). Each substep performs the exact
-// arithmetic of the pre-fusion integrator in the exact order, so the
-// trajectory is bit-identical (pinned by TestFusedKernelGolden).
-func (n *Network) stepN(dt, iLoad float64, k int) float64 {
-	// State, hoisted for the whole fused run.
-	iL0, iL1, iL2, iLb := n.iL0, n.iL1, n.iL2, n.iLb
-	vC1, vP, vCb, vC3 := n.vC1, n.vP, n.vCb, n.vC3
-	iEMA, regBias, regErr := n.iEMA, n.regBias, n.regErr
-	t := n.t
-	v := n.vDie
-
-	// Loop-invariant coefficients and parameters.
-	cb0, cc0, ca1, cb1 := n.cb0, n.cc0, n.ca1, n.cb1
-	cb2, cbb, det := n.cb2, n.cbb, n.det
-	pL0, pL1, pL2 := n.pL0, n.pL1, n.pL2
-	pC1, pCPl, pC3 := n.pC1, n.pCPl, n.pC3
-	c2, esl2 := n.c2, n.esl2
-	pESR3, pVNom, rTotal := n.pESR3, n.pVNom, n.rTotal
-	ffA, kI, regP, regLimit := n.ffA, n.kI, n.regP, n.regLimit
-	rippleAmp, rippleFreq := n.rippleAmp, n.rippleFreq
-	hasFF, hasReg, hasRipple := n.hasFF, n.hasReg, n.hasRipple
-
-	for ; k > 0; k-- {
-		// Feedforward load-line compensation tracks delivered current
-		// and pre-raises the setpoint by the matching series IR drop.
-		ff := 0.0
-		if hasFF {
-			iEMA += ffA * (iLoad - iEMA)
-			ff = iEMA * rTotal
-		}
-		vReg := pVNom + ff + regBias + regP*regErr
-
-		d0 := iL0 + dt*(vReg-vC1)/pL0
-		d1 := iL1 + dt*(vC1-vP)/pL1
-		d2 := iL2 + dt*(vP-vC3+pESR3*iLoad)/pL2
-		db := iLb + dt*(vP-vCb)/esl2
-
-		// 2×2 ESR1-coupled block for (iL0, iL1), closed form.
-		iL0, iL1 = (d0*cb1-cc0*d1)/det, (cb0*d1-ca1*d0)/det
-		// Diagonal-implicit updates for the die path and bank branch.
-		iL2 = d2 / cb2
-		iLb = db / cbb
-
-		iC1 := iL0 - iL1
-		iP := iL1 - iL2 - iLb
-		iC3 := iL2 - iLoad
-
-		vC1 += dt * iC1 / pC1
-		vP += dt * iP / pCPl
-		vCb += dt * iLb / c2
-		vC3 += dt * iC3 / pC3
-
-		t += dt
-		v = vC3 + pESR3*iC3
-		// VRM PI control: steer the sensed die voltage back to VNom
-		// within the loop bandwidth, cleaning up what feedforward
-		// misses. The proportional term is computed on a slow-filtered
-		// error so it damps the bulk-stage slosh without touching the
-		// fast droop response the experiments measure.
-		if hasReg {
-			err := pVNom - v
-			regBias += kI * err
-			if regBias > regLimit {
-				regBias = regLimit
-			} else if regBias < -regLimit {
-				regBias = -regLimit
-			}
-			// Error low-passed at the feedforward time constant.
-			if hasFF {
-				regErr += ffA * (err - regErr)
-			} else {
-				regErr = err
-			}
-		}
-		// The VRM sawtooth is injected at the sense point: the ladder's
-		// bulk stage would low-pass a source-side ripple far below what
-		// the paper observes riding on the die voltage (Fig 11), because
-		// physically the ripple is a current-mode artifact of the
-		// switching regulator. It is a background overlay and does not
-		// feed back into the network state.
-		if hasRipple {
-			phase := t * rippleFreq
-			frac := phase - math.Floor(phase)
-			v += rippleAmp * (2*frac - 1)
-		}
-	}
-
-	// Write the evolved state back.
-	n.iL0, n.iL1, n.iL2, n.iLb = iL0, iL1, iL2, iLb
-	n.vC1, n.vP, n.vCb, n.vC3 = vC1, vP, vCb, vC3
-	n.iEMA, n.regBias, n.regErr = iEMA, regBias, regErr
-	n.t = t
-	n.vDie = v
-	n.lastILoad = iLoad
-	return v
+	return dt, k
 }
 
 // StepCycle advances the network by one CPU clock cycle of length cycleTime
 // seconds, integrating with `substeps` internal steps while the die draws
-// iLoad amperes. It returns the die voltage at the end of the cycle.
-//
-// This is the per-cycle entry point of the chip simulator; the coefficient
-// check runs once per cycle (not per substep), and the default substep
-// count gets a fully unrolled call sequence.
+// iLoad amperes. It returns the die voltage at the end of the cycle. It is
+// StepCycleLanes with one lane, and counts substeps steps.
 func (n *Network) StepCycle(cycleTime, iLoad float64, substeps int) float64 {
-	if substeps < 1 {
-		substeps = 1
-	}
-	dt := cycleTime / float64(substeps)
-	var v float64
-	if dt > n.dtMax {
-		// The requested substep exceeds the stability bound, so each
-		// substep subdivides further — exactly as Step would — but the
-		// whole cycle still runs as one fused kernel call over the
-		// finer grid (the load is constant across the cycle, so k
-		// stability splits of each of the `substeps` substeps are one
-		// uniform run of k·substeps kernel steps).
-		k := int(math.Ceil(dt / n.dtMax))
-		sub := dt / float64(k)
-		if sub != n.coefDt {
-			n.refreshCoefs(sub)
-		}
-		v = n.stepN(sub, iLoad, k*substeps)
-	} else {
-		if dt != n.coefDt {
-			n.refreshCoefs(dt)
-		}
-		// One fused kernel call for the whole cycle: state stays in
-		// registers across every substep instead of round-tripping
-		// through the struct once per substep.
-		v = n.stepN(dt, iLoad, substeps)
-	}
-	n.steps += uint64(substeps)
-	return v
+	lane, v := [1]*Network{n}, [1]float64{}
+	StepCycleLanes(lane[:], cycleTime, iLoad, substeps, v[:])
+	return v[0]
 }
 
 // PublishSteps adds the substeps n counted since its last publish to the
@@ -609,21 +469,6 @@ func (n *Network) Impedance(f float64) complex128 {
 // ImpedanceMag returns |Z(f)| in ohms.
 func (n *Network) ImpedanceMag(f float64) float64 {
 	return cmplx.Abs(n.Impedance(f))
-}
-
-// ImpedancePoint is one (frequency, |Z|) sample of an impedance profile.
-type ImpedancePoint struct {
-	Freq float64 // Hz
-	Mag  float64 // ohms
-}
-
-// ImpedanceProfile samples |Z(f)| at the given frequencies.
-func (n *Network) ImpedanceProfile(freqs []float64) []ImpedancePoint {
-	out := make([]ImpedancePoint, len(freqs))
-	for i, f := range freqs {
-		out[i] = ImpedancePoint{Freq: f, Mag: n.ImpedanceMag(f)}
-	}
-	return out
 }
 
 // ResonancePeak scans |Z(f)| over [loHz, hiHz] with points log-spaced

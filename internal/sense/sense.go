@@ -171,9 +171,6 @@ func (s *Scope) FractionBeyond(margin float64) float64 {
 // of nominal (the Fig 7 / Fig 9 curves).
 func (s *Scope) CDF() []stats.CDFPoint { return s.hist.CDF() }
 
-// MeanDeviationPercent returns the mean deviation from nominal in percent.
-func (s *Scope) MeanDeviationPercent() float64 { return s.hist.Mean() }
-
 // Merge folds another scope's samples into this one. Both must share the
 // same nominal voltage and margin set. Crossing counts add (the runs are
 // treated as disjoint executions).
