@@ -52,7 +52,6 @@ func run(argv []string) int {
 		expTimeout   = fs.Duration("exp-timeout", 0, "per-experiment, per-attempt deadline (0 = none)")
 		retries      = fs.Int("retries", 3, "attempt budget per experiment (first run + retries)")
 		stallTimeout = fs.Duration("stall-timeout", 0, "per-attempt stall watchdog (0 = off)")
-		syncEvery    = fs.Int("sync-every", 1, "fsync job journals every N records (a server must survive machine crashes)")
 
 		// The cross-tenant result cache + SSE streaming (DESIGN §12).
 		cache        = fs.Bool("cache", true, "serve identical specs from the cross-tenant result cache (<store>/cache) and dedup identical in-flight jobs")
@@ -137,7 +136,6 @@ func run(argv []string) int {
 		Retries:               *retries,
 		StallTimeout:          *stallTimeout,
 		FS:                    plane,
-		SyncEvery:             *syncEvery,
 		DisableCache:          !*cache,
 		CacheMax:              *cacheMax,
 		SSEHeartbeat:          *sseHeartbeat,

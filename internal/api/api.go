@@ -280,7 +280,7 @@ type job struct {
 	preemptions int
 	cancel      func()
 	result      *Result
-	cached      bool   // result served from the cache / a leader's run
+	cached      bool   // result served from the cache
 	cacheSource string // job whose execution produced the renders
 
 	// watchers are the SSE subscribers of /jobs/{id}/events: each gets a
@@ -296,13 +296,6 @@ type job struct {
 	enqueued bool
 	fenced   bool
 	hold     *lease.Handle
-
-	// follower marks a job attached to an identical in-flight job on this
-	// server (non-fleet dedup); it holds an admission depth slot but no
-	// work-channel slot. Guarded by Server.mu, not job.mu — attach,
-	// promotion, and release all happen inside the server's dedup
-	// registries.
-	follower bool
 }
 
 // newJob builds the in-memory job for a durable admission record — the

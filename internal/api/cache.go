@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"voltsmooth/internal/telemetry"
@@ -177,41 +178,17 @@ func (s *Server) finishFromCache(jb *job, e *CacheEntry) {
 	jb.result = res
 	jb.mu.Unlock()
 
-	apiCacheHits.Inc()
-	jb.trace.Emit(telemetry.Event{Kind: "api.job.cache_hit", ID: jb.id,
-		Detail: "served from cached execution of " + e.SourceJob})
+	if e.CreatedUnixNS > jb.created.UnixNano() {
+		// The entry's execution was still in flight when this job arrived.
+		apiCacheFollowed.Inc()
+		jb.trace.Emit(telemetry.Event{Kind: "api.job.cache_followed", ID: jb.id,
+			Detail: "served from in-flight execution of " + e.SourceJob})
+	} else {
+		apiCacheHits.Inc()
+		jb.trace.Emit(telemetry.Event{Kind: "api.job.cache_hit", ID: jb.id,
+			Detail: "served from cached execution of " + e.SourceJob})
+	}
 	s.commitResult(jb, res)
-}
-
-// serveFollower completes a follower from the leader's just-finished
-// result — the in-flight analogue of finishFromCache, sharing the same
-// render maps so both tenants' results are byte-identical.
-func (s *Server) serveFollower(f *job, src *Result) {
-	f.mu.Lock()
-	if f.state.terminal() {
-		f.mu.Unlock()
-		return
-	}
-	f.finished = s.now()
-	f.cached = true
-	f.cacheSource = src.ID
-	res := &Result{
-		ID:          f.id,
-		State:       StateDone,
-		Renders:     src.Renders,
-		Attempts:    src.Attempts,
-		Units:       src.Units,
-		Cached:      true,
-		CacheSource: src.ID,
-	}
-	res.FinishedUnixNS = f.finished.UnixNano()
-	f.result = res
-	f.mu.Unlock()
-
-	apiCacheFollowed.Inc()
-	f.trace.Emit(telemetry.Event{Kind: "api.job.cache_followed", ID: f.id,
-		Detail: "served from in-flight execution of " + src.ID})
-	s.commitResult(f, res)
 }
 
 // dedupLeader returns the job that should execute fingerprint fp: the
@@ -244,4 +221,39 @@ func (s *Server) dedupLeaderLocked(fp string) *job {
 		}
 	}
 	return nil
+}
+
+// park holds a job that stepped back behind an identical in-flight job
+// until the next terminal transition of its fingerprint (unpark). A
+// parked job holds no queue slot, and the fleet scanner skips it. The
+// leader is re-checked under Server.mu, the lock unpark takes, so a
+// leader that went terminal since runJob's check cannot strand the job:
+// it is requeued at once.
+func (s *Server) park(jb *job) {
+	fp := jb.fingerprint
+	s.mu.Lock()
+	if l := s.dedupLeaderLocked(fp); l != nil && l != jb {
+		if !slices.Contains(s.parked[fp], jb) {
+			s.parked[fp] = append(s.parked[fp], jb)
+		}
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	s.requeue(jb)
+}
+
+// unpark requeues every job parked on fingerprint fp, after a job that
+// carries fp went terminal. Each one's next pick serves it from the
+// finished job's cache entry, or, when that job failed or was canceled,
+// lets the lowest-ID one execute. A parked job that went terminal itself
+// is dropped by requeue.
+func (s *Server) unpark(fp string) {
+	s.mu.Lock()
+	parked := s.parked[fp]
+	delete(s.parked, fp)
+	s.mu.Unlock()
+	for _, jb := range parked {
+		s.requeue(jb)
+	}
 }

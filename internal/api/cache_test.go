@@ -2,12 +2,15 @@ package api_test
 
 import (
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,6 +219,82 @@ func TestInflightFollowerAttaches(t *testing.T) {
 	}
 	if snap.Counters["api.jobs_completed"] != 2 {
 		t.Errorf("api.jobs_completed = %d, want 2", snap.Counters["api.jobs_completed"])
+	}
+}
+
+// TestInflightLeaderCancelHandsOff pins the failed-leader handoff of
+// in-flight dedup: a job that stepped back behind an identical in-flight
+// job must not inherit that job's cancellation. Job A is held before it
+// executes, identical job B steps back behind it, and A is then canceled:
+// B executes on its own — done, not cached — and the campaign runs once.
+func TestInflightLeaderCancelHandsOff(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
+	defer uninstall()
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var holding atomic.Bool
+	var once sync.Once
+	rel := func() { once.Do(func() { close(release) }) }
+	defer rel()
+
+	_, hs := newStoreServer(t, func(c *api.Config) {
+		c.JobWorkers = 2 // A holds one worker; B runs on the other
+		c.BeforeJob = func(string) {
+			if holding.CompareAndSwap(false, true) { // only the first job waits
+				close(entered)
+				<-release
+			}
+		}
+	})
+
+	var ackA, ackB map[string]string
+	submit(t, hs.URL, "tenant-a", tinySpec(), &ackA)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no worker picked job A up")
+	}
+	submit(t, hs.URL, "tenant-b", tinySpec(), &ackB)
+
+	// B has stepped back once its trace names A as the job it follows.
+	following := "following identical in-flight job " + ackA["id"]
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(hs.URL + "/jobs/" + ackB["id"] + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if strings.Contains(string(trace), following) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job B never stepped back behind A; its trace:\n%s", trace)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	req, _ := http.NewRequest("DELETE", hs.URL+"/jobs/"+ackA["id"], nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	rel()
+
+	stA := waitTerminal(t, hs.URL, ackA["id"])
+	stB := waitTerminal(t, hs.URL, ackB["id"])
+	if stA.State != api.StateCanceled {
+		t.Errorf("leader finished %s, want canceled", stA.State)
+	}
+	if stB.State != api.StateDone || stB.Cached {
+		t.Fatalf("B finished %s (cached=%v, %s), want an executed done", stB.State, stB.Cached, stB.Error)
+	}
+	if got, want := reg.Snapshot().Counters["exp.completed"], uint64(len(stB.Spec.Experiments)); got != want {
+		t.Errorf("exp.completed = %d, want %d (one execution, B's)", got, want)
 	}
 }
 

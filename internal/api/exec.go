@@ -19,8 +19,9 @@ import (
 // exclusively from job-scoped observers — the job's own runner.OnEvent
 // closure and its own journal's OnReplay hook — never from the
 // process-wide telemetry instruments, so concurrent jobs cannot bleed into
-// each other's counters.
-func (s *Server) runJob(jb *job) {
+// each other's counters. It reports whether the job stepped back behind an
+// identical in-flight job; the worker loop then parks it.
+func (s *Server) runJob(jb *job) (follows bool) {
 	if s.cfg.BeforeJob != nil {
 		s.cfg.BeforeJob(jb.id)
 	}
@@ -107,36 +108,14 @@ func (s *Server) runJob(jb *job) {
 			s.finishFromCache(jb, e)
 			return
 		}
-		// Then the in-flight population: if another live job carries this
-		// fingerprint and outranks this one (lowest ID wins — every worker
-		// computes the same leader from its store mirror), this job follows
-		// instead of executing. Non-fleet: attach locally; the leader's
-		// completion pushes the result to every follower. Fleet: just step
-		// back to queued — the leader's finish publishes the cache entry,
-		// and the scanner re-nominates this job into the cache hit above.
-		if s.leases == nil {
-			s.mu.Lock()
-			if l := s.dedupLeaderLocked(jb.fingerprint); l != nil && l != jb {
-				jb.follower = true
-				s.followers[jb.fingerprint] = append(s.followers[jb.fingerprint], jb)
-				// The follower keeps holding an admission depth slot (its
-				// channel slot was consumed at dequeue), so queue-full
-				// backpressure still bounds total unfinished work.
-				s.depth++
-				depth := s.depth
-				s.mu.Unlock()
-				apiQueueDepth.Set(int64(depth))
-				jb.setState(StateQueued, "following identical in-flight job "+l.id)
-				return
-			}
-			// This job executes: register as the dedup leader so identical
-			// later submissions attach to it. settle() deregisters on any
-			// terminal transition.
-			s.inflight[jb.fingerprint] = jb
-			s.mu.Unlock()
-		} else if l := s.dedupLeader(jb.fingerprint); l != nil && l != jb {
+		// Then the in-flight population: while a lower-ID live job carries
+		// this fingerprint (every worker computes the same leader from its
+		// store mirror), this job steps back instead of executing. Its next
+		// pick, after that job's terminal transition, reads the finished
+		// job's cache entry, or finds itself the leader if there is none.
+		if l := s.dedupLeader(jb.fingerprint); l != nil && l != jb {
 			jb.setState(StateQueued, "following identical in-flight job "+l.id)
-			return
+			return true
 		}
 		apiCacheMisses.Inc()
 	}
@@ -328,6 +307,7 @@ func (s *Server) runJob(jb *job) {
 	default:
 		s.finishJob(jb, StateDone, "", renders, attempts)
 	}
+	return false
 }
 
 // openSession opens the job's config-hash-pinned journal (creating or
@@ -353,7 +333,7 @@ func (s *Server) openSession(jb *job) (*experiments.Session, *journal.Journal, e
 	jnl, err := journal.Open(s.store.JournalPath(jb.id), sess.ConfigFingerprint(), journal.Options{
 		Resume:    true,
 		FS:        s.cfg.FS,
-		SyncEvery: s.cfg.SyncEvery,
+		SyncEvery: 1, // every record: a server must survive machine crashes
 		Warn:      sess.Warn,
 	})
 	if err != nil {
@@ -420,8 +400,8 @@ func (j *job) isCanceled() bool {
 func (s *Server) finishJob(jb *job, state JobState, errMsg string, renders map[string]string, attempts map[string]int) {
 	jb.mu.Lock()
 	if jb.state.terminal() {
-		// Already finished (e.g. served from a leader's result while this
-		// path raced to cancel): the first terminal transition stands.
+		// Already finished (e.g. a DELETE landed while this run was
+		// starting): the first terminal transition stands.
 		jb.mu.Unlock()
 		return
 	}
@@ -447,8 +427,8 @@ func (s *Server) finishJob(jb *job, state JobState, errMsg string, renders map[s
 
 // commitResult persists a terminal result (atomically — its presence is
 // the terminal marker recovery trusts), publishes completed executions to
-// the cross-tenant result cache, transitions the job, and settles the
-// dedup registries (followers, in-flight leadership). In fleet mode the
+// the cross-tenant result cache, transitions the job, and requeues the
+// jobs parked on its fingerprint. In fleet mode the
 // result AND the cache entry are written inside the lease Guard: both
 // commit only while the claim flock is held and the on-disk epoch still
 // matches, so a stale fenced worker can neither overwrite the successor's
@@ -518,7 +498,7 @@ func (s *Server) commitResult(jb *job, res *Result) {
 	}
 	s.observeDuration(res)
 	s.logf("job %s: %s (%d units, %d replayed)", jb.id, res.State, jb.prog.units.Load(), jb.prog.replayed.Load())
-	s.settle(jb, res)
+	s.unpark(jb.fingerprint)
 }
 
 // observeDuration folds an executed (non-cached) job's wall-clock into
@@ -535,75 +515,4 @@ func (s *Server) observeDuration(res *Result) {
 		s.avgJobDur = (s.avgJobDur + d) / 2
 	}
 	s.mu.Unlock()
-}
-
-// settle reconciles the in-flight dedup registries after jb went
-// terminal. If jb led its fingerprint: a completed leader's result is
-// pushed to every attached follower (byte-identical renders, no
-// execution); a failed or canceled leader's outcome is NOT shareable, so
-// the first follower is promoted to execute and the rest keep following.
-// A follower that terminated on its own (DELETE) just detaches. Follower
-// depth slots are released here, in one place.
-func (s *Server) settle(jb *job, res *Result) {
-	fp := jb.fingerprint
-	if fp == "" {
-		return
-	}
-	var served []*job
-	var promote *job
-	s.mu.Lock()
-	if jb.follower {
-		jb.follower = false
-		s.depth--
-	}
-	if fs := s.followers[fp]; len(fs) > 0 {
-		// Detach jb wherever it sits in the follower list.
-		kept := fs[:0]
-		for _, f := range fs {
-			if f != jb {
-				kept = append(kept, f)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.followers, fp)
-		} else {
-			s.followers[fp] = kept
-		}
-	}
-	if s.inflight[fp] == jb {
-		delete(s.inflight, fp)
-	}
-	if fs := s.followers[fp]; len(fs) > 0 && s.inflight[fp] == nil {
-		if res.State == StateDone {
-			// The leader completed: serve everyone.
-			served = fs
-			delete(s.followers, fp)
-		} else {
-			// No shareable result and nobody left executing: promote the
-			// first follower. It keeps its depth slot and rides the work
-			// channel's headroom; the rest stay attached to it.
-			promote = fs[0]
-			promote.follower = false
-			s.inflight[fp] = promote
-			if len(fs) > 1 {
-				s.followers[fp] = fs[1:]
-			} else {
-				delete(s.followers, fp)
-			}
-		}
-	}
-	depth := s.depth
-	s.mu.Unlock()
-	apiQueueDepth.Set(int64(depth))
-
-	for _, f := range served {
-		s.serveFollower(f, res)
-	}
-	if promote != nil {
-		promote.trace.Emit(telemetry.Event{Kind: "api.job.promoted", ID: promote.id,
-			Detail: "leader " + jb.id + " finished " + string(res.State) + " without a shareable result"})
-		// The promoted follower keeps the depth slot it already holds, so
-		// this enqueue does not bump depth.
-		s.enqueue(promote)
-	}
 }

@@ -65,8 +65,7 @@ func pickBest(queue []*job, now time.Time, ageAfter time.Duration) int {
 
 // enqueue appends jb to the priority queue and wakes a worker. Depth
 // accounting belongs to the caller: admission reserved its slot before
-// calling, the scanner and suspend-requeue bump depth themselves, and a
-// promoted follower keeps the slot it already holds.
+// calling, and the scanner and requeue bump depth themselves.
 func (s *Server) enqueue(jb *job) {
 	s.mu.Lock()
 	s.queue = append(s.queue, jb)
@@ -185,18 +184,18 @@ func victimStarted(jb *job) time.Time {
 	return jb.started
 }
 
-// requeueSuspended puts a just-suspended job back on the queue. It runs
-// in the WORKER loop, after runJob's defers completed — the journal flock
-// and (in fleet mode) the lease are already released, so by the time the
-// job is pickable again, any worker or peer can claim it cleanly. The
-// original enqueuedAt is preserved (the job ages from its admission wait,
-// not from zero), and the depth slot it gave up at dequeue is re-taken
-// WITHOUT a capacity check — this is re-admission of already-admitted
-// work, and shedding it would lose an acked job. The enqueued guard keeps
-// a racing fleet scanner (which may have nominated the job the moment the
-// lease released) from double-enqueueing it; a DELETE that landed in the
+// requeue puts a suspended or parked job back on the queue. It runs after
+// runJob's defers completed — the journal flock and (in fleet mode) the
+// lease are already released, so by the time the job is pickable again,
+// any worker or peer can claim it cleanly. The original enqueuedAt is
+// preserved (the job ages from its admission wait, not from zero), and
+// the depth slot it gave up at dequeue is re-taken WITHOUT a capacity
+// check — this is re-admission of already-admitted work, and shedding it
+// would lose an acked job. The enqueued guard keeps a racing fleet
+// scanner (which may have nominated the job the moment the lease
+// released) from double-enqueueing it; a DELETE that landed in the
 // window leaves the job terminal and it is not requeued.
-func (s *Server) requeueSuspended(jb *job) {
+func (s *Server) requeue(jb *job) {
 	s.mu.Lock()
 	jb.mu.Lock()
 	ok := !jb.enqueued && !jb.state.terminal() && jb.state != StateRunning

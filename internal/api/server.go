@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,9 +52,6 @@ type Config struct {
 	// can land mid-append or inside a claim. Store and cache records are
 	// written on the real filesystem either way.
 	FS durable.FS
-	// SyncEvery is the job journals' fsync cadence; <= 0 means 1 (every
-	// record — a server must survive whole-machine crashes).
-	SyncEvery int
 
 	// Preempt enables priority preemption (DESIGN §13): when every worker
 	// slot is busy and a strictly higher-priority job arrives, the
@@ -139,13 +137,9 @@ type Server struct {
 	// avgJobDur is an EWMA of executed jobs' wall-clock, feeding the
 	// queue-full Retry-After derivation.
 	avgJobDur time.Duration
-	// inflight maps fingerprint → the job executing it on this server
-	// (non-fleet dedup leadership); followers maps fingerprint → jobs
-	// attached to that execution, completed from its result when it
-	// lands. Fleet mode leaves both empty — cross-worker dedup rides the
-	// scanner and the durable cache instead.
-	inflight  map[string]*job
-	followers map[string][]*job
+	// parked maps fingerprint → the jobs that stepped back behind an
+	// identical in-flight job (park, unpark in cache.go).
+	parked map[string][]*job
 	// queue is the priority queue (queue.go): a slice under mu, picked by
 	// min (effectiveRank, enqueuedAt, id). running maps job ID → the job
 	// each local worker slot is executing — the preemption scheduler's
@@ -188,9 +182,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Retries <= 0 {
 		cfg.Retries = runner.DefaultMaxAttempts
 	}
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 1
-	}
 	if cfg.SSEHeartbeat <= 0 {
 		cfg.SSEHeartbeat = 15 * time.Second
 	}
@@ -227,16 +218,15 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg:       cfg,
-		store:     cfg.Store,
-		quotas:    newQuotas(cfg.QuotaRate, cfg.QuotaBurst, now),
-		logf:      logf,
-		now:       now,
-		jobs:      map[string]*job{},
-		inflight:  map[string]*job{},
-		followers: map[string][]*job{},
-		running:   map[string]*job{},
-		stopPick:  make(chan struct{}),
+		cfg:      cfg,
+		store:    cfg.Store,
+		quotas:   newQuotas(cfg.QuotaRate, cfg.QuotaBurst, now),
+		logf:     logf,
+		now:      now,
+		jobs:     map[string]*job{},
+		parked:   map[string][]*job{},
+		running:  map[string]*job{},
+		stopPick: make(chan struct{}),
 	}
 	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
 	if cfg.Fleet {
@@ -276,7 +266,7 @@ func New(cfg Config) (*Server, error) {
 	// The wake channel is sized so every token a realistic queue can
 	// carry fits the fast path: QueueCap live slots plus one per
 	// recovered job preloaded before serving starts, plus headroom for
-	// follower promotions, suspend-requeues, and the fleet scanner's
+	// requeues of suspended and parked jobs, and the fleet scanner's
 	// enqueues. Overflow falls back to a delivering goroutine
 	// (signalWork) rather than losing the token.
 	s.wake = make(chan struct{}, cfg.QueueCap+len(recovered)+64)
@@ -369,26 +359,13 @@ func (s *Server) scanOnce() {
 			continue
 		}
 
-		// Dedup holdback (DESIGN §12): while an identical campaign is in
-		// flight under a different job, this one waits — whoever finishes
-		// first publishes the cache entry, and the next pass nominates
-		// this job straight into a cache hit. Without the holdback every
-		// scan would claim the job (epoch churn) just to step back again
-		// in runJob's leader check.
-		if s.cacheEnabled() {
-			if l := s.dedupLeader(jb.fingerprint); l != nil && l != jb {
-				if _, err := s.store.LoadCached(jb.fingerprint); err != nil {
-					continue
-				}
-			}
-		}
-
 		s.mu.Lock()
 		// The scanner's enqueues ride the same bounded headroom the old
 		// work channel gave them: past it, local workers are saturated and
 		// the next scan retries — the queue never grows without bound on
-		// peer work.
-		if s.depth >= s.cfg.QueueCap+64 {
+		// peer work. A parked job waits for its fingerprint's terminal
+		// transition, not for a scan.
+		if s.depth >= s.cfg.QueueCap+64 || slices.Contains(s.parked[jb.fingerprint], jb) {
 			s.mu.Unlock()
 			continue
 		}
@@ -425,6 +402,7 @@ func (s *Server) adoptResult(jb *job, res *Result) {
 	jb.mu.Unlock()
 	jb.notify()
 	s.logf("job %s: adopted peer result (%s, %d units)", jb.id, res.State, res.Units)
+	s.unpark(jb.fingerprint)
 }
 
 // worker picks jobs off the priority queue until drain closes stopPick.
@@ -447,15 +425,20 @@ func (s *Server) worker() {
 			if jb == nil {
 				continue
 			}
-			s.runJob(jb)
+			// runJob's defers (journal flock, fleet lease) have unwound by
+			// the time a job it left suspended or stepped back is requeued
+			// or parked.
+			if s.runJob(jb) {
+				s.park(jb)
+				continue
+			}
 			jb.mu.Lock()
 			suspended := jb.state == StateSuspended
 			jb.mu.Unlock()
 			if suspended {
-				// Preempted mid-run: runJob left it suspended with its
-				// checkpoint persisted and every defer (journal flock,
-				// fleet lease) already unwound. Back on the queue it goes.
-				s.requeueSuspended(jb)
+				// Preempted mid-run with its checkpoint persisted: back on
+				// the queue it goes.
+				s.requeue(jb)
 			}
 		}
 	}

@@ -27,13 +27,11 @@ var (
 	// apiJobsRecovered counts unfinished jobs re-enqueued by boot-time
 	// recovery.
 	apiJobsRecovered = telemetry.DeclareCounter("api.jobs_recovered")
-	// apiCacheHits counts jobs served from the durable cross-tenant result
-	// cache; apiCacheMisses counts executions that checked it and ran;
-	// apiCacheFollowed counts jobs completed by attaching to an identical
-	// in-flight job; apiCacheEvicted counts entries removed by the
-	// CacheMax bound. (Fleet workers following a peer land in
-	// apiCacheHits — they adopt the peer's published entry once it
-	// exists.)
+	// apiCacheHits counts jobs served from a durable cross-tenant cache
+	// entry that existed when they arrived; apiCacheFollowed counts jobs
+	// served from an entry whose execution was still in flight then;
+	// apiCacheMisses counts executions that checked the cache and ran;
+	// apiCacheEvicted counts entries removed by the CacheMax bound.
 	apiCacheHits     = telemetry.DeclareCounter("api.cache_hits")
 	apiCacheMisses   = telemetry.DeclareCounter("api.cache_misses")
 	apiCacheFollowed = telemetry.DeclareCounter("api.cache_followed")

@@ -49,7 +49,7 @@ func Ext1(ctx context.Context, s *Session) *Ext1Result {
 	}
 	r := &Ext1Result{Results: make([]sched.OnlineResult, len(policies))}
 	s.sweep(ctx, len(policies), func(i int) {
-		res, err := sched.RunOnlineCtx(ctx, cfg, jobs(), policies[i])
+		res, err := sched.RunOnline(ctx, cfg, jobs(), policies[i], nil)
 		if err != nil {
 			panic(&parallel.AbortError{Err: err})
 		}

@@ -95,8 +95,8 @@ type RecoveryResult struct {
 	CkptRows  []RecoveryRow
 	FaultRows []FaultRow
 
-	// Online is the resilient online-scheduler run under counter
-	// corruption (sched.RunOnlineResilient with the same fault plan).
+	// Online is the online-scheduler run under counter corruption
+	// (sched.RunOnline with the same fault plan).
 	Online sched.OnlineResult
 }
 
@@ -279,7 +279,7 @@ func (s *Session) recoveryOnline(ctx context.Context, chip uarch.Config, margin 
 	for _, p := range s.SpecProfiles()[:4] {
 		jobs = append(jobs, sched.NewJob(p, uint64(10*s.Scale.IntervalCycles)))
 	}
-	online, err := sched.RunOnlineResilientCtx(ctx, ocfg, jobs, sched.StallClusterPolicy{}, failsafe.NewInjector(plan))
+	online, err := sched.RunOnline(ctx, ocfg, jobs, sched.StallClusterPolicy{}, failsafe.NewInjector(plan))
 	if err != nil {
 		panic(&parallel.AbortError{Err: err})
 	}

@@ -1,8 +1,10 @@
 package pdn
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,13 +20,16 @@ var updateGolden = flag.Bool("update", false, "rewrite golden kernel traces from
 // every execution-driven experiment sweeps.
 var goldenVariants = []ProcVariant{Proc100, Proc25, Proc3}
 
-// goldenTrace drives one network through the exact call mix the simulator
-// uses in production — StepCycle at the default substep count, raw Step at
-// the substep dt, single-substep cycles whose dt exceeds the stability
-// bound (exercising transparent subdivision), and oversized Step calls —
-// and records every returned die voltage as raw float64 bits. Any change
-// to the integrator's arithmetic, evaluation order, or state layout shows
-// up as a bit flip against the committed trace.
+// goldenTrace drives one network through the call mix the simulator uses —
+// StepCycle at 6 substeps, raw Step at the substep dt, single-substep
+// cycles whose dt exceeds the stability bound (exercising transparent
+// subdivision), and oversized Step calls — and records every returned die
+// voltage as raw float64 bits. It then runs the production 7-substep grid
+// for 10,000 cycles, folding the whole network state of every cycle into
+// a running FNV-64a digest recorded every 1,000 cycles: a rounding change
+// can leave every sampled voltage intact and still move the state. Any
+// change to the integrator's arithmetic, evaluation order, or state
+// layout shows up as a bit flip against the committed trace.
 func goldenTrace(v ProcVariant) []uint64 {
 	p := Core2Duo().WithCapFraction(v.CapFraction)
 	n := NewAtLoad(p, 8)
@@ -37,7 +42,7 @@ func goldenTrace(v ProcVariant) []uint64 {
 	var bits []uint64
 	rec := func(val float64) { bits = append(bits, math.Float64bits(val)) }
 
-	// The production kernel: one chip cycle, default substep count.
+	// One chip cycle at a time, on a 6-substep grid.
 	for i := 0; i < 240; i++ {
 		rec(n.StepCycle(cycle, load(i), 6))
 	}
@@ -52,13 +57,29 @@ func goldenTrace(v ProcVariant) []uint64 {
 	for i := 0; i < 24; i++ {
 		rec(n.Step(3*cycle, load(i)))
 	}
-	// Back to the default path after the dt changes above, so coefficient
-	// re-caching after a dt switch is covered too.
+	// Back to the 6-substep grid after the dt changes above, so
+	// coefficient re-caching after a dt switch is covered too.
 	for i := 0; i < 60; i++ {
 		rec(n.StepCycle(cycle, load(i), 6))
 	}
 	rec(n.V())
 	rec(n.Time())
+
+	// The production grid (uarch.DefaultConfig's 7 substeps), digesting
+	// the whole state of every cycle.
+	h := fnv.New64a()
+	var word [8]byte
+	for i := 0; i < 10_000; i++ {
+		n.StepCycle(cycle, load(i), 7)
+		for _, x := range [...]float64{n.iL0, n.iL1, n.iL2, n.iLb, n.vC1, n.vP, n.vCb, n.vC3,
+			n.vDie, n.t, n.regBias, n.regErr, n.iEMA} {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(x))
+			h.Write(word[:])
+		}
+		if (i+1)%1000 == 0 {
+			bits = append(bits, h.Sum64())
+		}
+	}
 	return bits
 }
 

@@ -201,40 +201,20 @@ type CounterFault interface {
 // quanta; between quanta the scheduler reads each core's counter deltas,
 // updates its stall-ratio estimates, and re-picks. Unobserved jobs carry
 // a neutral prior so every job gets scheduled early on.
-func RunOnline(cfg OnlineConfig, jobs []*Job, policy OnlinePolicy) OnlineResult {
-	res, _ := runOnline(context.Background(), cfg, jobs, policy, nil)
-	return res
-}
-
-// RunOnlineCtx is RunOnline with cooperative cancellation: the scheduler
-// polls ctx at quantum boundaries (its natural phase boundary — a quantum
-// is one indivisible chip simulation) and, when cancelled, returns the
-// partial result marked Truncated together with the context's error.
-func RunOnlineCtx(ctx context.Context, cfg OnlineConfig, jobs []*Job, policy OnlinePolicy) (OnlineResult, error) {
-	return runOnline(ctx, cfg, jobs, policy, nil)
-}
-
-// RunOnlineResilient is RunOnline with a degraded performance-monitoring
-// path: every counter observation passes through the fault layer, and any
-// observation that is lost or implausible is discarded instead of
-// poisoning the estimates. The policy keeps scheduling on each job's
-// previous estimate — the neutral prior, for a job never cleanly
-// observed — and job progress is charged from the IPC estimate so the
-// schedule still drains. Quanta that lost at least one observation are
-// counted in OnlineResult.DegradedQuanta. A nil fault makes it identical
-// to RunOnline.
-func RunOnlineResilient(cfg OnlineConfig, jobs []*Job, policy OnlinePolicy, fault CounterFault) OnlineResult {
-	res, _ := runOnline(context.Background(), cfg, jobs, policy, fault)
-	return res
-}
-
-// RunOnlineResilientCtx is RunOnlineResilient with the quantum-boundary
-// cancellation of RunOnlineCtx.
-func RunOnlineResilientCtx(ctx context.Context, cfg OnlineConfig, jobs []*Job, policy OnlinePolicy, fault CounterFault) (OnlineResult, error) {
-	return runOnline(ctx, cfg, jobs, policy, fault)
-}
-
-func runOnline(ctx context.Context, cfg OnlineConfig, jobs []*Job, policy OnlinePolicy, fault CounterFault) (OnlineResult, error) {
+//
+// A non-nil fault degrades the performance-monitoring path: every counter
+// observation passes through it, and any observation that is lost or
+// implausible is discarded instead of poisoning the estimates. The policy
+// keeps scheduling on each job's previous estimate — the neutral prior,
+// for a job never cleanly observed — and job progress is charged from the
+// IPC estimate so the schedule still drains. Quanta that lost at least one
+// observation are counted in OnlineResult.DegradedQuanta.
+//
+// The scheduler polls ctx at quantum boundaries (its natural phase
+// boundary — a quantum is one indivisible chip simulation) and, when
+// cancelled, returns the partial result marked Truncated together with
+// the context's error.
+func RunOnline(ctx context.Context, cfg OnlineConfig, jobs []*Job, policy OnlinePolicy, fault CounterFault) (OnlineResult, error) {
 	if len(jobs) == 0 {
 		panic("sched: RunOnline with no jobs")
 	}

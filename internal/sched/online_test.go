@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"voltsmooth/internal/core"
@@ -75,7 +76,7 @@ func TestRunOnlineCompletesAllJobs(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 	cfg.QuantumCycles = 10_000
 	jobs := onlineJobs(t, []string{"mcf", "namd", "hmmer"}, 50_000)
-	res := RunOnline(cfg, jobs, StallClusterPolicy{})
+	res, _ := RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
 	if res.CompletedJobs != 3 {
 		t.Fatalf("completed %d of 3 jobs", res.CompletedJobs)
 	}
@@ -99,7 +100,8 @@ func TestRunOnlineDeterministic(t *testing.T) {
 	run := func() OnlineResult {
 		cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 		cfg.QuantumCycles = 8_000
-		return RunOnline(cfg, onlineJobs(t, []string{"mcf", "gcc", "namd"}, 40_000), StallClusterPolicy{})
+		res, _ := RunOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "gcc", "namd"}, 40_000), StallClusterPolicy{}, nil)
+		return res
 	}
 	a, b := run(), run()
 	if a.Emergencies != b.Emergencies || a.TotalCycles != b.TotalCycles {
@@ -111,7 +113,7 @@ func TestRunOnlineMaxQuantaBound(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 	cfg.QuantumCycles = 5_000
 	cfg.MaxQuanta = 3
-	res := RunOnline(cfg, onlineJobs(t, []string{"mcf", "lbm"}, 1<<40), StallClusterPolicy{})
+	res, _ := RunOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "lbm"}, 1<<40), StallClusterPolicy{}, nil)
 	if res.Quanta != 3 {
 		t.Errorf("ran %d quanta, bound was 3", res.Quanta)
 	}
@@ -160,7 +162,8 @@ func TestRandomPolicyScheduleDeterministic(t *testing.T) {
 	run := func() OnlineResult {
 		cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 		cfg.QuantumCycles = 8_000
-		return RunOnline(cfg, onlineJobs(t, []string{"mcf", "gcc", "namd"}, 40_000), NewRandomOnlinePolicy(7))
+		res, _ := RunOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "gcc", "namd"}, 40_000), NewRandomOnlinePolicy(7), nil)
+		return res
 	}
 	a, b := run(), run()
 	if a.Emergencies != b.Emergencies || a.TotalCycles != b.TotalCycles || a.Quanta != b.Quanta {
@@ -172,10 +175,10 @@ func TestRunOnlineEmptyScheduleReportsZeroRate(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 	cfg.QuantumCycles = 2_000
 	jobs := onlineJobs(t, []string{"mcf", "namd"}, 1)
-	RunOnline(cfg, jobs, StallClusterPolicy{})
+	RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
 	// Re-running a drained job set executes zero quanta; the rate must
 	// come back as 0, not 0/0 = NaN.
-	res := RunOnline(cfg, jobs, StallClusterPolicy{})
+	res, _ := RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
 	if res.TotalCycles != 0 || res.Quanta != 0 {
 		t.Fatalf("drained set still ran: %+v", res)
 	}
@@ -203,7 +206,7 @@ func TestRunOnlineResilientSurvivesTotalSensorLoss(t *testing.T) {
 	cfg.QuantumCycles = 8_000
 	cfg.MaxQuanta = 400
 	jobs := onlineJobs(t, []string{"mcf", "namd"}, 30_000)
-	res := RunOnlineResilient(cfg, jobs, StallClusterPolicy{}, dropAllFaults{})
+	res, _ := RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, dropAllFaults{})
 	if res.CompletedJobs != 2 {
 		t.Fatalf("blind schedule completed %d of 2 jobs: %+v", res.CompletedJobs, res)
 	}
@@ -219,22 +222,33 @@ func TestRunOnlineResilientSurvivesTotalSensorLoss(t *testing.T) {
 	}
 }
 
+// passFaults hands every counter observation through untouched.
+type passFaults struct{}
+
+func (passFaults) Corrupt(quantum, coreID int, d counters.Counters) (counters.Counters, bool) {
+	return d, true
+}
+
+// TestRunOnlineResilientNilFaultMatchesRunOnline: a fault layer that
+// corrupts nothing schedules exactly like none, so plausibleDelta discards
+// no real observation.
 func TestRunOnlineResilientNilFaultMatchesRunOnline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online run is slow")
 	}
-	run := func(resilient bool) OnlineResult {
+	run := func(fault CounterFault) OnlineResult {
 		cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 		cfg.QuantumCycles = 8_000
 		jobs := onlineJobs(t, []string{"mcf", "gcc"}, 30_000)
-		if resilient {
-			return RunOnlineResilient(cfg, jobs, StallClusterPolicy{}, nil)
-		}
-		return RunOnline(cfg, jobs, StallClusterPolicy{})
+		res, _ := RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, fault)
+		return res
 	}
-	a, b := run(false), run(true)
+	a, b := run(nil), run(passFaults{})
 	if a != b {
-		t.Errorf("nil-fault resilient run diverged: %+v vs %+v", a, b)
+		t.Errorf("pass-through fault run diverged: %+v vs %+v", a, b)
+	}
+	if b.DegradedQuanta != 0 {
+		t.Errorf("%d quanta discarded a real observation as implausible", b.DegradedQuanta)
 	}
 }
 
@@ -245,7 +259,7 @@ func TestRunOnlineObservesCounters(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 	cfg.QuantumCycles = 10_000
 	jobs := onlineJobs(t, []string{"mcf", "namd"}, 60_000)
-	RunOnline(cfg, jobs, StallClusterPolicy{})
+	RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
 	// After running, the scheduler's estimates must reflect reality:
 	// mcf far stallier than namd.
 	if !jobs[0].observed || !jobs[1].observed {
@@ -260,12 +274,12 @@ func TestRunOnlineObservesCounters(t *testing.T) {
 func TestRunOnlinePanicsOnBadInput(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), 0.023)
 	for _, f := range []func(){
-		func() { RunOnline(cfg, nil, StallClusterPolicy{}) },
+		func() { RunOnline(context.Background(), cfg, nil, StallClusterPolicy{}, nil) },
 		func() { NewJob(workload.Profile{}, 0) },
 		func() {
 			bad := cfg
 			bad.QuantumCycles = 0
-			RunOnline(bad, []*Job{NewJob(mustProfile("mcf"), 10)}, StallClusterPolicy{})
+			RunOnline(context.Background(), bad, []*Job{NewJob(mustProfile("mcf"), 10)}, StallClusterPolicy{}, nil)
 		},
 	} {
 		func() {
@@ -293,7 +307,7 @@ func TestRunOnlineRejectsBadPolicy(t *testing.T) {
 	}()
 	cfg := DefaultOnlineConfig(onlineChip(), 0.023)
 	cfg.QuantumCycles = 1000
-	RunOnline(cfg, onlineJobs(t, []string{"mcf", "namd"}, 10_000), badPolicy{})
+	RunOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "namd"}, 10_000), badPolicy{}, nil)
 }
 
 // mustProfile is a panic-on-error lookup for the panic-table test above.
