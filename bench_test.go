@@ -195,24 +195,37 @@ func BenchmarkStepCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkStepCycleLanes measures the lane kernel the corpus populations
-// run on: one chip cycle of PDN integration on K decap variants' networks
-// (Proc100, Proc25, Proc3) sharing one load. One op is one K-network
-// cycle, so lanes=3 compares against three BenchmarkStepCycle ops.
-func BenchmarkStepCycleLanes(b *testing.B) {
+// BenchmarkLanes measures pdn.Lanes, the kernel every lockstep group and
+// corpus population runs on: one chip cycle of PDN integration on N
+// networks cycling through the decap variants. shared=N puts all N on
+// one load, as one chip run drives its variants' networks; lanes=N gives
+// each network its own load, as a lockstep group of single-variant runs
+// does. One op is one N-network cycle, so shared=1 compares against one
+// BenchmarkStepCycle op.
+func BenchmarkLanes(b *testing.B) {
 	cfg := uarch.DefaultConfig()
 	cycleTime := 1 / cfg.ClockHz
 	variants := []pdn.ProcVariant{pdn.Proc100, pdn.Proc25, pdn.Proc3}
-	for k := 1; k <= len(variants); k++ {
-		b.Run(fmt.Sprintf("lanes=%d", k), func(b *testing.B) {
-			nets := make([]*pdn.Network, k)
-			for l := range nets {
-				nets[l] = pdn.NewAtLoad(cfg.PDN.WithCapFraction(variants[l].CapFraction), 20)
+	for _, c := range []struct {
+		name      string
+		n, nLoads int
+	}{{"shared=1", 1, 1}, {"shared=3", 3, 1}, {"lanes=4", 4, 4}, {"lanes=12", 12, 12}} {
+		b.Run(c.name, func(b *testing.B) {
+			nets := make([]*pdn.Network, c.n)
+			load := make([]int, c.n)
+			for i := range nets {
+				nets[i] = pdn.NewAtLoad(cfg.PDN.WithCapFraction(variants[i%len(variants)].CapFraction), 20)
+				load[i] = i % c.nLoads
 			}
-			v := make([]float64, k)
+			lanes := pdn.NewLanes(nets, load, cycleTime, cfg.Substeps)
+			defer lanes.Close()
+			iLoad := make([]float64, c.nLoads)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pdn.StepCycleLanes(nets, cycleTime, 20+float64(i&15), cfg.Substeps, v)
+				for j := range iLoad {
+					iLoad[j] = 20 + float64((i+j)&15)
+				}
+				lanes.Step(iLoad)
 			}
 		})
 	}

@@ -144,52 +144,97 @@ func Run(cfg uarch.Config, streams []workload.Stream, rc RunConfig) Result {
 	return result(chip, names, snaps, rc, scope, series)
 }
 
-// RunLanes runs the workloads once on a chip built from cfg and drives
-// one power-delivery network per entry of nets from that chip's current,
-// so every decap variant of one run costs one pipeline simulation. Lane
-// l's result equals Run with cfg.PDN = nets[l] in every field: the
-// pipeline never reads the die voltage, so each lane sees the current
-// trace its own Run would draw, and pdn.StepCycleLanes steps each lane
-// exactly as StepCycle would.
-//
-// One lane runs this same loop. The lanes need the shared supply and no
-// interval series (split-supply and phase-trace runs keep Run), and at
-// most pdn.MaxLanes of them.
-func RunLanes(cfg uarch.Config, nets []pdn.Params, streams []workload.Stream, rc RunConfig) []Result {
-	if cfg.SplitSupply || rc.IntervalCycles > 0 {
-		panic("core: RunLanes shares one supply per lane and records no interval series")
+// LaneRun is one run of a lockstep group: the workloads on its chip's
+// cores (nil entries and missing ones idle) and the networks its chip's
+// current drives, one per entry of Nets.
+type LaneRun struct {
+	Streams []workload.Stream
+	Nets    []pdn.Params
+}
+
+// RunLanes runs several equal-length runs in lockstep: one chip per run,
+// built from cfg, and every run's networks stepped together through one
+// pdn.Lanes, each on its own chip's current. Result [r][j] equals Run
+// with cfg.PDN = runs[r].Nets[j] on runs[r].Streams in every field,
+// interval series included: the pipeline never reads the die voltage, so
+// each network sees the current trace its own Run would draw, and Lanes
+// steps each network exactly as StepCycle would. A run's chip integrates
+// its first network itself, so a one-network run builds no network
+// beyond Run's. Split-supply runs keep Run.
+func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
+	if cfg.SplitSupply {
+		panic("core: RunLanes drives one shared supply per network")
 	}
-	margins, _ := rc.margins()
-	cfg.PDN = nets[0]
-	chip, names := newChip(cfg, streams)
-	lanes := make([]*pdn.Network, len(nets))
-	scopes := make([]*sense.Scope, len(nets))
-	for l, p := range nets {
+	margins, seriesMargin := rc.margins()
+	chips := make([]*uarch.Chip, len(runs))
+	names := make([][]string, len(runs))
+	var nets []*pdn.Network
+	var load []int
+	for r, run := range runs {
+		c := cfg
+		c.PDN = run.Nets[0]
+		chips[r], names[r] = newChip(c, run.Streams)
 		// NewChip settles its own network at the idle draw it reports.
-		lanes[l] = pdn.NewAtLoad(p, chip.TotalCurrent())
-		scopes[l] = sense.NewScope(p.VNom, margins)
+		nets = append(nets, chips[r].Network())
+		for _, p := range run.Nets[1:] {
+			nets = append(nets, pdn.NewAtLoad(p, chips[r].TotalCurrent()))
+		}
+		for range run.Nets {
+			load = append(load, r)
+		}
 	}
-	// The lanes stand in for the chip's own network, which never steps.
+	lanes := pdn.NewLanes(nets, load, 1/cfg.ClockHz, cfg.Substeps)
 	defer func() {
-		for _, n := range lanes {
+		lanes.Close()
+		for _, n := range nets {
 			n.PublishSteps()
 		}
 	}()
-	v := make([]float64, len(nets))
-	cycleTime := 1 / cfg.ClockHz
-	for i := uint64(0); i < rc.WarmupCycles; i++ {
-		pdn.StepCycleLanes(lanes, cycleTime, chip.CycleLoad(), cfg.Substeps, v)
+	iLoad := make([]float64, len(runs))
+	step := func() []float64 {
+		for r, chip := range chips {
+			iLoad[r] = chip.CycleLoad()
+		}
+		return lanes.Step(iLoad)
 	}
-	snaps := snapshot(chip)
+	for i := uint64(0); i < rc.WarmupCycles; i++ {
+		step()
+	}
+	snaps := make([][]counters.Counters, len(runs))
+	for r, chip := range chips {
+		snaps[r] = snapshot(chip)
+	}
+
+	scopes := make([]*sense.Scope, len(nets))
+	for j, n := range nets {
+		scopes[j] = sense.NewScope(n.Params().VNom, margins)
+	}
+	series := make([][]float64, len(nets))
+	var intervalStart uint64
+	crossingsAtStart := make([]uint64, len(nets))
 	for i := uint64(0); i < rc.Cycles; i++ {
-		pdn.StepCycleLanes(lanes, cycleTime, chip.CycleLoad(), cfg.Substeps, v)
-		for l, scope := range scopes {
-			scope.Sample(v[l])
+		for j, v := range step() {
+			scopes[j].Sample(v)
+		}
+		if rc.IntervalCycles > 0 && (i+1)-intervalStart >= rc.IntervalCycles {
+			for j, scope := range scopes {
+				cur := scope.Crossings(seriesMargin)
+				series[j] = append(series[j], counters.PerKCycles(cur-crossingsAtStart[j], rc.IntervalCycles))
+				crossingsAtStart[j] = cur
+			}
+			intervalStart = i + 1
 		}
 	}
-	out := make([]Result, len(nets))
-	for l := range out {
-		out[l] = result(chip, names, snaps, rc, scopes[l], nil)
+
+	flat := make([]Result, len(nets))
+	out := make([][]Result, len(runs))
+	j := 0
+	for r, run := range runs {
+		out[r] = flat[j : j+len(run.Nets) : j+len(run.Nets)]
+		for l := range out[r] {
+			out[r][l] = result(chips[r], names[r], snaps[r], rc, scopes[j], series[j])
+			j++
+		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+
 	"voltsmooth/internal/core"
 	"voltsmooth/internal/uarch"
 	"voltsmooth/internal/workload"
@@ -12,15 +13,24 @@ func init() {
 	register("fig13", "Cross-core event interference heatmap", runFig13, nil)
 }
 
-// microP2P measures the chip-wide peak-to-peak swing (percent of nominal)
-// with the given streams on the two cores.
-func microP2P(s *Session, cfg uarch.Config, a, b workload.Stream) float64 {
-	res := core.RunPair(cfg, a, b, core.RunConfig{
+// microP2Ps measures the chip-wide peak-to-peak swing (percent of
+// nominal) of n microbenchmark runs, run i with programs(i) on the two
+// cores (nil idles a core).
+func microP2Ps(ctx context.Context, s *Session, n int, programs func(i int) (a, b workload.Stream)) []float64 {
+	rc := core.RunConfig{
 		Cycles:       s.Scale.MicroCycles,
 		WarmupCycles: s.Scale.WarmupCycles,
 		Margins:      []float64{core.PhaseMargin},
+	}
+	res := s.lockstepRuns(ctx, uarch.DefaultConfig(), rc, n, func(i int) []workload.Stream {
+		a, b := programs(i)
+		return []workload.Stream{a, b}
 	})
-	return res.Scope.PeakToPeakPercent()
+	out := make([]float64, n)
+	for i := range res {
+		out[i] = res[i].Scope.PeakToPeakPercent()
+	}
+	return out
 }
 
 // Fig12Result reproduces Fig 12: the effect of each stall event on supply
@@ -36,15 +46,19 @@ func runFig12(ctx context.Context, s *Session) Renderer { return Fig12(ctx, s) }
 
 // Fig12 measures the five single-core microbenchmarks.
 func Fig12(ctx context.Context, s *Session) *Fig12Result {
-	cfg := uarch.DefaultConfig()
-	r := &Fig12Result{
-		IdleP2P: idleScopeP2P(cfg, s.Scale.WarmupCycles, s.Scale.MicroCycles),
-		Events:  workload.EventKinds(),
-	}
-	r.Relative = make([]float64, len(r.Events))
-	s.sweep(ctx, len(r.Events), func(i int) {
-		r.Relative[i] = microP2P(s, cfg, workload.Microbenchmark(r.Events[i]), nil) / r.IdleP2P
+	r := &Fig12Result{Events: workload.EventKinds()}
+	// Run 0 is the idle machine; run i+1 is event i alone on core 0.
+	p2p := microP2Ps(ctx, s, len(r.Events)+1, func(i int) (a, b workload.Stream) {
+		if i == 0 {
+			return nil, nil
+		}
+		return workload.Microbenchmark(r.Events[i-1]), nil
 	})
+	r.IdleP2P = p2p[0]
+	r.Relative = make([]float64, len(r.Events))
+	for i := range r.Relative {
+		r.Relative[i] = p2p[i+1] / r.IdleP2P
+	}
 	return r
 }
 
@@ -89,30 +103,30 @@ func runFig13(ctx context.Context, s *Session) Renderer { return Fig13(ctx, s) }
 
 // Fig13 measures all event pairs.
 func Fig13(ctx context.Context, s *Session) *Fig13Result {
-	cfg := uarch.DefaultConfig()
-	r := &Fig13Result{
-		IdleP2P: idleScopeP2P(cfg, s.Scale.WarmupCycles, s.Scale.MicroCycles),
-		Events:  workload.EventKinds(),
-	}
+	r := &Fig13Result{Events: workload.EventKinds()}
 	n := len(r.Events)
+	// Run 0 is the idle machine, runs 1…n² are the event pairs in
+	// row-major order, and runs n²+1…n²+n are the single-core references.
+	p2p := microP2Ps(ctx, s, 1+n*n+n, func(k int) (a, b workload.Stream) {
+		switch {
+		case k == 0:
+			return nil, nil
+		case k <= n*n:
+			return workload.Microbenchmark(r.Events[(k-1)/n]), workload.Microbenchmark(r.Events[(k-1)%n])
+		default:
+			return workload.Microbenchmark(r.Events[k-1-n*n]), nil
+		}
+	})
+	r.IdleP2P = p2p[0]
 	r.Relative = make([][]float64, n)
 	for i := range r.Relative {
 		r.Relative[i] = make([]float64, n)
-	}
-	// Runs 0…n²−1 are the event pairs in row-major order; runs n²…n²+n−1
-	// are the single-core references.
-	single := make([]float64, n)
-	s.sweep(ctx, n*n+n, func(k int) {
-		if k < n*n {
-			i, j := k/n, k%n
-			p := microP2P(s, cfg, workload.Microbenchmark(r.Events[i]), workload.Microbenchmark(r.Events[j]))
-			r.Relative[i][j] = p / r.IdleP2P
-			return
+		for j := range r.Relative[i] {
+			r.Relative[i][j] = p2p[1+i*n+j] / r.IdleP2P
 		}
-		single[k-n*n] = microP2P(s, cfg, workload.Microbenchmark(r.Events[k-n*n]), nil) / r.IdleP2P
-	})
-	for _, rel := range single {
-		if rel > r.SingleMax {
+	}
+	for _, p := range p2p[1+n*n:] {
+		if rel := p / r.IdleP2P; rel > r.SingleMax {
 			r.SingleMax = rel
 		}
 	}

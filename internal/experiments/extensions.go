@@ -28,7 +28,8 @@ type Ext1Result struct {
 
 func runExt1(ctx context.Context, s *Session) Renderer { return Ext1(ctx, s) }
 
-// Ext1 runs the same job set to completion under each online policy.
+// Ext1 runs the same job set to completion under each online policy, the
+// schedules of each lockstep group in one RunOnline.
 func Ext1(ctx context.Context, s *Session) *Ext1Result {
 	cfg := sched.DefaultOnlineConfig(s.ChipConfig(schedVariant), s.Margin(schedVariant))
 	cfg.QuantumCycles = s.Scale.IntervalCycles
@@ -48,12 +49,16 @@ func Ext1(ctx context.Context, s *Session) *Ext1Result {
 		sched.NewRandomOnlinePolicy(2),
 	}
 	r := &Ext1Result{Results: make([]sched.OnlineResult, len(policies))}
-	s.sweep(ctx, len(policies), func(i int) {
-		res, err := sched.RunOnline(ctx, cfg, jobs(), policies[i], nil)
+	s.lockstep(ctx, len(policies), func(lo, hi int) {
+		schedules := make([]sched.Schedule, hi-lo)
+		for i := range schedules {
+			schedules[i] = sched.Schedule{Jobs: jobs(), Policy: policies[lo+i]}
+		}
+		res, err := sched.RunOnline(ctx, cfg, schedules)
 		if err != nil {
 			panic(&parallel.AbortError{Err: err})
 		}
-		r.Results[i] = res
+		copy(r.Results[lo:hi], res)
 	})
 	return r
 }

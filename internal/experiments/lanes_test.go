@@ -267,3 +267,92 @@ func TestPartialLaneResume(t *testing.T) {
 		t.Errorf("resume integrated %d network-steps, want %d for the missing lanes alone", got, wantSteps)
 	}
 }
+
+// TestLockstepGroupMixedJournal resumes a planned fig9 campaign whose
+// journal holds, in every lockstep group, one run with all three variants
+// journaled, one with only its Proc100 lane journaled and one with
+// nothing journaled. At one worker each part's groups are its runs in
+// threes (⌈n/MaxLanes⌉ groups for n = 3 or 9), so every group mixes the
+// three. The journaled lanes replay, the group's chips drive only the
+// missing lanes, each recorded under its own key, and the renders equal
+// a journal-free session's.
+func TestLockstepGroupMixedJournal(t *testing.T) {
+	ctx := context.Background()
+	sc := microScale()
+	entries := mustLookup(t, "fig9")
+	render := func(s *Session) string {
+		r, err := s.Run(ctx, entries[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Render()
+	}
+	want := render(NewSession(sc))
+
+	dir := t.TempDir()
+	full := NewSession(sc)
+	full.Plan(entries)
+	fj, err := journal.Open(filepath.Join(dir, "full.jsonl"), full.ConfigFingerprint(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fj.Close()
+	full.Journal = fj
+	render(full)
+
+	path := filepath.Join(dir, "partial.jsonl")
+	pj, err := journal.Open(path, full.ConfigFingerprint(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := map[string]bool{}
+	var wantSteps uint64
+	for _, p := range allParts {
+		cp := full.corpusPart(p)
+		if cp.n%3 != 0 {
+			t.Fatalf("part %q has %d runs; the groups would not be threes", cp.kind, cp.n)
+		}
+		for i := 0; i < cp.n; i++ {
+			for l, v := range corpusVariants {
+				key := "corpus/" + v.Name + "/" + cp.kind + cp.name(i)
+				if i%3 == 0 || i%3 == 1 && l == 0 {
+					raw, ok := fj.Lookup(key)
+					if !ok {
+						t.Fatalf("the full journal has no %s", key)
+					}
+					if err := pj.Record(key, raw); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				missing[key] = true
+				wantSteps += (cp.rc.Cycles + cp.rc.WarmupCycles) * uint64(uarch.DefaultConfig().Substeps)
+			}
+		}
+	}
+	if err := pj.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	steps := countSteps(t)
+	s := NewSession(sc)
+	s.Workers = 1
+	j, err := journal.Open(path, s.ConfigFingerprint(), journal.Options{Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	recorded := map[string]bool{}
+	j.OnRecord = func(_ int, key string) { recorded[key] = true }
+	s.Journal = j
+	s.Plan(entries)
+	if got := render(s); got != want {
+		t.Errorf("fig9 resumed from a mixed journal differs from a journal-free run:\n%s\nwant:\n%s", got, want)
+	}
+	if !reflect.DeepEqual(recorded, missing) {
+		t.Errorf("resume recorded %d keys, want exactly the %d missing lanes", len(recorded), len(missing))
+	}
+	if got := steps.Load(); got != wantSteps {
+		t.Errorf("resume integrated %d network-steps, want %d for the missing lanes alone", got, wantSteps)
+	}
+}

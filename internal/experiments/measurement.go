@@ -6,7 +6,6 @@ import (
 
 	"voltsmooth/internal/core"
 	"voltsmooth/internal/pdn"
-	"voltsmooth/internal/sense"
 	"voltsmooth/internal/stats"
 	"voltsmooth/internal/uarch"
 	"voltsmooth/internal/workload"
@@ -214,19 +213,4 @@ func sparkline(xs []float64, width int) string {
 		out[i] = blocks[idx]
 	}
 	return string(out)
-}
-
-// idleScopeP2P measures the idle-machine peak-to-peak (the Fig 12/13
-// normalization baseline).
-func idleScopeP2P(cfg uarch.Config, warmup, cycles uint64) float64 {
-	chip := uarch.NewChip(cfg)
-	defer chip.PublishSteps()
-	for i := uint64(0); i < warmup; i++ {
-		chip.Cycle()
-	}
-	scope := sense.NewScope(cfg.PDN.VNom, nil)
-	for i := uint64(0); i < cycles; i++ {
-		scope.Sample(chip.Cycle())
-	}
-	return scope.PeakToPeakPercent()
 }

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+
 	"voltsmooth/internal/core"
 	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/phase"
 	"voltsmooth/internal/stats"
+	"voltsmooth/internal/workload"
 )
 
 func init() {
@@ -36,16 +38,19 @@ func Fig14(ctx context.Context, s *Session) *Fig14Result {
 		Series:         make([][]float64, len(programs)),
 		Summaries:      make([]phase.Summary, len(programs)),
 	}
-	s.sweep(ctx, len(programs), func(i int) {
-		res := core.RunSingle(cfg, mustProfile(programs[i]).NewStream(), core.RunConfig{
-			Cycles:         s.Scale.PhaseRunCycles,
-			WarmupCycles:   s.Scale.WarmupCycles,
-			IntervalCycles: s.Scale.IntervalCycles,
-			SeriesMargin:   s.Margin(pdn.Proc3),
-		})
-		r.Series[i] = res.DroopSeries
-		r.Summaries[i] = phase.Summarize(res.DroopSeries, phaseDetectConfig(res.DroopSeries))
+	rc := core.RunConfig{
+		Cycles:         s.Scale.PhaseRunCycles,
+		WarmupCycles:   s.Scale.WarmupCycles,
+		IntervalCycles: s.Scale.IntervalCycles,
+		SeriesMargin:   s.Margin(pdn.Proc3),
+	}
+	res := s.lockstepRuns(ctx, cfg, rc, len(programs), func(i int) []workload.Stream {
+		return []workload.Stream{mustProfile(programs[i]).NewStream()}
 	})
+	for i := range res {
+		r.Series[i] = res[i].DroopSeries
+		r.Summaries[i] = phase.Summarize(r.Series[i], phaseDetectConfig(r.Series[i]))
+	}
 	return r
 }
 

@@ -220,10 +220,12 @@ func (s *Session) runs(ctx context.Context, p part, v pdn.ProcVariant, done func
 
 // buildPopulation simulates, or replays from the journal, part p's runs
 // for every lane over the session sweep, and returns them by lane: run i
-// of variant lanes[l] is pop[l][i]. Each index replays the lanes the
-// journal holds and runs one chip for the rest, records each of those
-// under its own key, and reports progress once per lane. done is called
-// for lane self's run as each index completes.
+// of variant lanes[l] is pop[l][i]. The runs are simulated in lockstep
+// groups (Session.lockstep): each run replays the lanes the journal holds,
+// and its chip drives a network for each of the rest, every run of the
+// group stepping together; each simulated lane is recorded under its own
+// key, and progress is reported once per lane. done is called for lane
+// self's run of each index once its group completes.
 func (s *Session) buildPopulation(ctx context.Context, p part, lanes []pdn.ProcVariant, self int,
 	done func(*corpusRun)) [][]corpusRun {
 	cp := s.corpusPart(p)
@@ -238,27 +240,38 @@ func (s *Session) buildPopulation(ctx context.Context, p part, lanes []pdn.ProcV
 	}
 	// The variants' chips differ only in their networks.
 	cfg := s.ChipConfig(lanes[0])
-	s.sweep(ctx, cp.n, func(i int) {
-		name := cp.name(i)
-		// A lane group has at most pdn.MaxLanes lanes, so the per-run
-		// bookkeeping stays on the stack.
-		var keyBuf [pdn.MaxLanes]string
-		var missBuf [pdn.MaxLanes]int
-		var netBuf [pdn.MaxLanes]pdn.Params
-		keys, missing, nets := keyBuf[:len(lanes)], missBuf[:0], netBuf[:0]
-		for l := range lanes {
-			keys[l] = prefixes[l] + name
-			if !s.lookupUnit(keys[l], &pop[l][i]) {
-				missing = append(missing, l)
-				nets = append(nets, laneNets[l])
+	s.lockstep(ctx, cp.n, func(lo, hi int) {
+		// The group's bookkeeping is allocated once, not per run.
+		names := make([]string, hi-lo)
+		keys := make([]string, (hi-lo)*len(lanes))
+		missing := make([]int, 0, len(keys)) // the simulated lanes' indexes in keys, run by run
+		nets := make([]pdn.Params, 0, len(keys))
+		streams := make([]workload.Stream, 0, 2*(hi-lo))
+		runs := make([]core.LaneRun, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			names[i-lo] = cp.name(i)
+			first := len(nets)
+			for l := range lanes {
+				k := (i-lo)*len(lanes) + l
+				keys[k] = prefixes[l] + names[i-lo]
+				if !s.lookupUnit(keys[k], &pop[l][i]) {
+					missing = append(missing, k)
+					nets = append(nets, laneNets[l])
+				}
+			}
+			if len(nets) > first {
+				a, b := cp.programs(i)
+				streams = append(streams, a, b)
+				runs = append(runs, core.LaneRun{Streams: streams[len(streams)-2:], Nets: nets[first:]})
 			}
 		}
-		if len(missing) > 0 {
-			a, b := cp.programs(i)
-			for j, res := range core.RunLanes(cfg, nets, []workload.Stream{a, b}, cp.rc) {
-				l := missing[j]
-				r := &pop[l][i]
-				r.Cycles, r.Scope, r.Counters = res.Cycles, res.Scope, res.Counters
+		m := 0
+		for _, res := range core.RunLanes(cfg, runs, cp.rc) {
+			for _, lr := range res {
+				k := missing[m]
+				m++
+				r := &pop[k%len(lanes)][lo+k/len(lanes)]
+				r.Cycles, r.Scope, r.Counters = lr.Cycles, lr.Scope, lr.Counters
 				if cp.noCounters {
 					r.Counters = nil
 				}
@@ -266,15 +279,17 @@ func (s *Session) buildPopulation(ctx context.Context, p part, lanes []pdn.ProcV
 				// journal-less execution (one warning) instead of
 				// aborting: the run was measured, only its checkpoint
 				// is lost.
-				s.recordUnit(keys[l], r)
+				s.recordUnit(keys[k], r)
 			}
 		}
-		for l := range lanes {
-			r := &pop[l][i]
-			r.data = resilient.FromScope(name, r.Cycles, r.Scope)
-			progress(keys[l])
+		for i := lo; i < hi; i++ {
+			for l := range lanes {
+				r := &pop[l][i]
+				r.data = resilient.FromScope(names[i-lo], r.Cycles, r.Scope)
+				progress(keys[(i-lo)*len(lanes)+l])
+			}
+			done(&pop[self][i])
 		}
-		done(&pop[self][i])
 	})
 	return pop
 }

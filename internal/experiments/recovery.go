@@ -279,11 +279,13 @@ func (s *Session) recoveryOnline(ctx context.Context, chip uarch.Config, margin 
 	for _, p := range s.SpecProfiles()[:4] {
 		jobs = append(jobs, sched.NewJob(p, uint64(10*s.Scale.IntervalCycles)))
 	}
-	online, err := sched.RunOnline(ctx, ocfg, jobs, sched.StallClusterPolicy{}, failsafe.NewInjector(plan))
+	online, err := sched.RunOnline(ctx, ocfg, []sched.Schedule{
+		{Jobs: jobs, Policy: sched.StallClusterPolicy{}, Fault: failsafe.NewInjector(plan)},
+	})
 	if err != nil {
 		panic(&parallel.AbortError{Err: err})
 	}
-	return online
+	return online[0]
 }
 
 // Render implements Renderer.

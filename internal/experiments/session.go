@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -49,12 +50,13 @@ type Session struct {
 	FaultSeed    uint64
 
 	// Journal, when non-nil, checkpoints every completed corpus run and
-	// oracle-table single-core reference as it finishes and replays them
-	// on the next build, so an interrupted campaign resumes from its last
-	// completed unit. The table's pair cells are the corpus's shared
-	// multi-program runs, so they are journaled once, as corpus runs.
-	// Open it against ConfigFingerprint(): the journal layer rejects a
-	// file recorded under any other configuration.
+	// oracle-table single-core reference as its lockstep group finishes
+	// (see lockstep) and replays them on the next build, so an
+	// interrupted campaign resumes from its last completed group. The
+	// table's pair cells are the corpus's shared multi-program runs, so
+	// they are journaled once, as corpus runs. Open it against
+	// ConfigFingerprint(): the journal layer rejects a file recorded
+	// under any other configuration.
 	//
 	// A journal that poisons itself mid-campaign (a failed write or
 	// fsync — journal.ErrJournalFailed) degrades the session to
@@ -187,22 +189,6 @@ func (s *Session) recordUnit(key string, v any) {
 	panic(&parallel.AbortError{Err: fmt.Errorf("experiments: journal %s: %w", key, err)})
 }
 
-// unit is the path every journaled measurement of the session takes
-// outside the corpus populations, whose lanes share one chip run (see
-// buildPopulation). It replays key's record into rec, a pointer, when the
-// journal holds one; otherwise it runs measure, which must fill rec, and
-// checkpoints rec under key. Either way it then reports key as progress.
-func (s *Session) unit(progress func(string), key string, rec any, measure func()) {
-	if !s.lookupUnit(key, rec) {
-		measure()
-		// A poisoned journal degrades the session to journal-less
-		// execution (one warning) instead of aborting: the unit was
-		// measured, only its checkpoint is lost.
-		s.recordUnit(key, rec)
-	}
-	progress(key)
-}
-
 // degradeJournal latches the session into journal-less execution, warning
 // once and tracing the transition.
 func (s *Session) degradeJournal(cause error) {
@@ -228,6 +214,42 @@ func (s *Session) sweep(ctx context.Context, n int, fn func(i int)) {
 	if err := parallel.SweepCtx(ctx, s.Workers, n, fn); err != nil {
 		panic(&parallel.AbortError{Err: err})
 	}
+}
+
+// lockstep runs fn(lo, hi) for consecutive ranges of [0, n) that cover
+// it, over the session's workers: the sweep of n independent,
+// equal-length open-loop runs, split into lockstep groups that each step
+// their runs' chips together (core.RunLanes). There are
+// max(⌈n/pdn.MaxLanes⌉, min(n, workers, GOMAXPROCS)) groups, whose sizes
+// differ by at most one: no group holds more runs than one packed kernel
+// call has lanes, and no core that a worker could keep busy idles while
+// another steps a larger group. Like sweep, each call writes only its
+// own runs' slots, so the result is bit-identical at any width.
+func (s *Session) lockstep(ctx context.Context, n int, fn func(lo, hi int)) {
+	workers := s.Workers
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	groups := max((n+pdn.MaxLanes-1)/pdn.MaxLanes, min(n, workers, runtime.GOMAXPROCS(0)))
+	s.sweep(ctx, groups, func(g int) { fn(g*n/groups, (g+1)*n/groups) })
+}
+
+// lockstepRuns runs n independent, equal-length runs of rc on cfg's chip
+// and network, run i on programs(i), in lockstep groups, and returns their
+// results in run order.
+func (s *Session) lockstepRuns(ctx context.Context, cfg uarch.Config, rc core.RunConfig, n int,
+	programs func(i int) []workload.Stream) []core.Result {
+	out := make([]core.Result, n)
+	s.lockstep(ctx, n, func(lo, hi int) {
+		runs := make([]core.LaneRun, hi-lo)
+		for i := range runs {
+			runs[i] = core.LaneRun{Streams: programs(lo + i), Nets: []pdn.Params{cfg.PDN}}
+		}
+		for i, res := range core.RunLanes(cfg, runs, rc) {
+			out[lo+i] = res[0]
+		}
+	})
+	return out
 }
 
 // ChipConfig returns the chip configuration for a decap variant.
@@ -338,22 +360,37 @@ func (s *Session) PairTable(ctx context.Context, v pdn.ProcVariant) *sched.PairT
 }
 
 // buildPairTable measures the table's single-core references, which run
-// for PairCycles, and takes every pair cell from v's multi-program
-// population: the oracle's pre-run phase and the corpus's multi-program
-// part are one set of runs.
+// for PairCycles in lockstep groups, and takes every pair cell from v's
+// multi-program population: the oracle's pre-run phase and the corpus's
+// multi-program part are one set of runs. A reference the journal holds
+// is replayed; each measured one is recorded under its own key.
 func (s *Session) buildPairTable(ctx context.Context, v pdn.ProcVariant) *sched.PairTable {
 	cfg, spec, margin := s.ChipConfig(v), s.SpecProfiles(), s.Margin(v)
 	rc := core.RunConfig{Cycles: s.Scale.PairCycles, WarmupCycles: s.Scale.WarmupCycles}
 	progress := ProgressFrom(ctx)
 	names := make([]string, len(spec))
+	keys := make([]string, len(spec))
 	singles := make([]sched.SingleCell, len(spec))
-	s.sweep(ctx, len(spec), func(i int) {
-		names[i] = spec[i].Name
-		s.unit(progress, "table/"+v.Name+"/single/"+spec[i].Name, &singles[i], func() {
-			res := core.RunSingle(cfg, spec[i].NewStream(), rc)
-			singles[i] = sched.SingleCell{Droops: res.DroopsPerKCycle(margin), IPC: res.IPC(0)}
-		})
-		sched.SchedCells.Inc()
+	s.lockstep(ctx, len(spec), func(lo, hi int) {
+		var runs []core.LaneRun
+		var measured []int
+		for i := lo; i < hi; i++ {
+			names[i] = spec[i].Name
+			keys[i] = "table/" + v.Name + "/single/" + spec[i].Name
+			if !s.lookupUnit(keys[i], &singles[i]) {
+				runs = append(runs, core.LaneRun{Streams: []workload.Stream{spec[i].NewStream()}, Nets: []pdn.Params{cfg.PDN}})
+				measured = append(measured, i)
+			}
+		}
+		for j, res := range core.RunLanes(cfg, runs, rc) {
+			i := measured[j]
+			singles[i] = sched.SingleCell{Droops: res[0].DroopsPerKCycle(margin), IPC: res[0].IPC(0)}
+			s.recordUnit(keys[i], &singles[i])
+		}
+		for i := lo; i < hi; i++ {
+			progress(keys[i])
+			sched.SchedCells.Inc()
+		}
 	})
 	runs := s.runs(ctx, partPair, v, func(*corpusRun) { sched.SchedCells.Inc() })
 	pairs := make([]sched.PairRun, len(runs))

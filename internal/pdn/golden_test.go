@@ -136,8 +136,8 @@ func TestFusedKernelGolden(t *testing.T) {
 }
 
 // TestStepZeroAllocs pins the zero-allocation contract of the hot kernels:
-// neither a raw substep, a full default-substep cycle nor a lane-batched
-// cycle may allocate.
+// neither a raw substep, a full default-substep cycle nor a Lanes cycle
+// (packed, scalar and subdividing) may allocate.
 func TestStepZeroAllocs(t *testing.T) {
 	n := NewAtLoad(Core2Duo(), 20)
 	const cycle = 1 / 1.86e9
@@ -151,13 +151,14 @@ func TestStepZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("Network.StepCycle allocates %.1f allocs/op, want 0", avg)
 	}
-	lanes := []*Network{n, NewAtLoad(Core2Duo().WithCapFraction(Proc3.CapFraction), 20)}
-	v := make([]float64, len(lanes))
-	for _, substeps := range []int{7, 6} { // the lane kernel, then the subdividing fallback
+	loads := []float64{24, 30}
+	for _, substeps := range []int{7, 6} { // the shared grid, then the subdividing one
+		nets, _ := lanePair(7, true)
+		ls := NewLanes(nets, []int{0, 1, 0, 1, 0, 1, 0}, cycle, substeps)
 		if avg := testing.AllocsPerRun(1000, func() {
-			StepCycleLanes(lanes, cycle, 24, substeps, v)
+			ls.Step(loads)
 		}); avg != 0 {
-			t.Fatalf("StepCycleLanes at %d substeps allocates %.1f allocs/op, want 0", substeps, avg)
+			t.Fatalf("Lanes.Step at %d substeps allocates %.1f allocs/op, want 0", substeps, avg)
 		}
 	}
 }

@@ -244,8 +244,8 @@ type Network struct {
 	ffA                float64 // clamped dt/RegFeedforwardTau EMA factor
 	kI                 float64 // dt · 2π · RegIntegralHz integral gain
 
-	// steps counts the substeps StepCycle and StepCycleLanes integrated
-	// since the last PublishSteps. It is a plain field of this network,
+	// steps counts the substeps StepCycle and Lanes integrated since the
+	// last PublishSteps. It is a plain field of this network,
 	// so the per-cycle path writes nothing another goroutine shares.
 	steps uint64
 }
@@ -262,7 +262,7 @@ func (n *Network) refreshCoefs(dt float64) {
 	n.cb1 = 1 + dt*(p.R1+p.ESR1)/p.L1
 	n.cb2 = 1 + dt*(p.R2+p.ESR3)/p.L2
 	n.cbb = 1 + dt*n.esr2/n.esl2
-	n.det = n.cb0*n.cb1 - n.cc0*n.ca1
+	n.det = float64(n.cb0*n.cb1) - float64(n.cc0*n.ca1)
 	if n.hasFF {
 		a := dt / p.RegFeedforwardTau
 		if a > 1 {
@@ -344,7 +344,7 @@ func (n *Network) SettleAt(iLoad float64) {
 	n.iEMA = iLoad
 	comp := 0.0
 	if p.RegFeedforwardTau > 0 || p.RegIntegralHz > 0 {
-		comp = iLoad * (p.R0 + p.R1 + p.R2)
+		comp = float64(iLoad * (p.R0 + p.R1 + p.R2))
 	}
 	if p.RegFeedforwardTau == 0 && p.RegIntegralHz > 0 {
 		n.regBias = comp // the integrator owns the whole correction
@@ -352,10 +352,10 @@ func (n *Network) SettleAt(iLoad float64) {
 	// At DC the caps carry no current, so node voltage == cap voltage;
 	// the bank branch carries no DC current.
 	n.iLb = 0
-	n.vC1 = p.VNom + comp - iLoad*p.R0
-	n.vP = n.vC1 - iLoad*p.R1
+	n.vC1 = p.VNom + comp - float64(iLoad*p.R0)
+	n.vP = n.vC1 - float64(iLoad*p.R1)
 	n.vCb = n.vP
-	n.vC3 = n.vP - iLoad*p.R2
+	n.vC3 = n.vP - float64(iLoad*p.R2)
 	n.vDie = n.vC3
 	n.t = 0
 }
@@ -399,11 +399,18 @@ func (n *Network) grid(dt float64) (sub float64, k int) {
 
 // StepCycle advances the network by one CPU clock cycle of length cycleTime
 // seconds, integrating with `substeps` internal steps while the die draws
-// iLoad amperes. It returns the die voltage at the end of the cycle. It is
-// StepCycleLanes with one lane, and counts substeps steps.
+// iLoad amperes. It returns the die voltage at the end of the cycle, and
+// counts substeps steps. The load is constant across the cycle, so when a
+// substep exceeds the stability bound, its k splits are one uniform run of
+// k·substeps steps, exactly as Step would take them one substep at a time.
 func (n *Network) StepCycle(cycleTime, iLoad float64, substeps int) float64 {
+	if substeps < 1 {
+		substeps = 1
+	}
+	n.steps += uint64(substeps)
+	dt, k := n.grid(cycleTime / float64(substeps))
 	lane, v := [1]*Network{n}, [1]float64{}
-	StepCycleLanes(lane[:], cycleTime, iLoad, substeps, v[:])
+	stepLanes(lane[:], dt, iLoad, k*substeps, v[:])
 	return v[0]
 }
 

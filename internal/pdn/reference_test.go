@@ -3,7 +3,7 @@ package pdn
 import "math"
 
 // refStepCycle is the single-network integrator the lane kernel replaced,
-// kept as an independent reference for TestStepCycleLanesExact: the whole
+// kept as an independent reference for TestLanesExact: the whole
 // cycle, including any stability subdivision, is one refStepN call on a
 // uniform grid, and it counts substeps steps.
 func (n *Network) refStepCycle(cycleTime, iLoad float64, substeps int) float64 {
@@ -54,17 +54,17 @@ func (n *Network) refStepN(dt, iLoad float64, k int) float64 {
 	for ; k > 0; k-- {
 		ff := 0.0
 		if hasFF {
-			iEMA += ffA * (iLoad - iEMA)
-			ff = iEMA * rTotal
+			iEMA += float64(ffA * (iLoad - iEMA))
+			ff = float64(iEMA * rTotal)
 		}
-		vReg := pVNom + ff + regBias + regP*regErr
+		vReg := pVNom + ff + regBias + float64(regP*regErr)
 
 		d0 := iL0 + dt*(vReg-vC1)/pL0
 		d1 := iL1 + dt*(vC1-vP)/pL1
-		d2 := iL2 + dt*(vP-vC3+pESR3*iLoad)/pL2
+		d2 := iL2 + dt*(vP-vC3+float64(pESR3*iLoad))/pL2
 		db := iLb + dt*(vP-vCb)/esl2
 
-		iL0, iL1 = (d0*cb1-cc0*d1)/det, (cb0*d1-ca1*d0)/det
+		iL0, iL1 = (float64(d0*cb1)-float64(cc0*d1))/det, (float64(cb0*d1)-float64(ca1*d0))/det
 		iL2 = d2 / cb2
 		iLb = db / cbb
 
@@ -78,25 +78,25 @@ func (n *Network) refStepN(dt, iLoad float64, k int) float64 {
 		vC3 += dt * iC3 / pC3
 
 		t += dt
-		v = vC3 + pESR3*iC3
+		v = vC3 + float64(pESR3*iC3)
 		if hasReg {
 			err := pVNom - v
-			regBias += kI * err
+			regBias += float64(kI * err)
 			if regBias > regLimit {
 				regBias = regLimit
 			} else if regBias < -regLimit {
 				regBias = -regLimit
 			}
 			if hasFF {
-				regErr += ffA * (err - regErr)
+				regErr += float64(ffA * (err - regErr))
 			} else {
 				regErr = err
 			}
 		}
 		if hasRipple {
-			phase := t * rippleFreq
+			phase := float64(t * rippleFreq)
 			frac := phase - math.Floor(phase)
-			v += rippleAmp * (2*frac - 1)
+			v += float64(rippleAmp * (float64(2*frac) - 1))
 		}
 	}
 

@@ -26,7 +26,7 @@ func StepSource(base, delta, at float64) CurrentSource {
 // impedance profile point by point.
 func SineSource(base, amp, freq float64) CurrentSource {
 	w := 2 * math.Pi * freq
-	return func(t float64) float64 { return base + amp*math.Sin(w*t) }
+	return func(t float64) float64 { return base + float64(amp*math.Sin(w*t)) }
 }
 
 // SquareSource alternates between lo and hi amperes at frequency freq with
@@ -81,7 +81,7 @@ func ResetSource(idle, inrush, at, holdFor, rampFor, plateauFor float64) Current
 		case t < at+holdFor+2*rampFor+plateauFor:
 			// Inrush decays back to idle.
 			frac := (t - at - holdFor - rampFor - plateauFor) / rampFor
-			return inrush + (idle-inrush)*frac
+			return inrush + float64((idle-inrush)*frac)
 		default:
 			return idle
 		}
@@ -146,7 +146,7 @@ func MeasureImpedance(p Params, f, base, amp float64, dt float64, settleCycles, 
 		n.Step(dt, src(n.t))
 	}
 	vMin, vMax := math.Inf(1), math.Inf(-1)
-	end := n.t + float64(measureCycles)*period
+	end := n.t + float64(float64(measureCycles)*period)
 	for n.t < end {
 		v := n.Step(dt, src(n.t))
 		if v < vMin {

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"voltsmooth/internal/counters"
+	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/sense"
 	"voltsmooth/internal/telemetry"
 	"voltsmooth/internal/uarch"
@@ -196,11 +197,38 @@ type CounterFault interface {
 	Corrupt(quantum, coreID int, d counters.Counters) (out counters.Counters, ok bool)
 }
 
-// RunOnline executes the job set to completion under the policy and
-// reports total time and chip-wide emergencies. Jobs run two at a time in
-// quanta; between quanta the scheduler reads each core's counter deltas,
-// updates its stall-ratio estimates, and re-picks. Unobserved jobs carry
-// a neutral prior so every job gets scheduled early on.
+// Schedule is one job set to run to completion under one policy, with an
+// optional fault on its counter observations (see RunOnline). Schedules
+// run together must not share jobs or a stateful policy instance.
+type Schedule struct {
+	Jobs   []*Job
+	Policy OnlinePolicy
+	Fault  CounterFault
+}
+
+// schedule is one Schedule's run state inside RunOnline.
+type schedule struct {
+	Schedule
+	chip         *uarch.Chip
+	scope        *sense.Scope
+	res          OnlineResult
+	prevA, prevB int // -2: no quantum scheduled yet (-1 means idle core)
+	a, b         int
+	snapA, snapB counters.Counters
+}
+
+// RunOnline executes each schedule's job set to completion under its
+// policy and reports, per schedule, total time and chip-wide emergencies.
+// Jobs run two at a time in quanta; between quanta the scheduler reads
+// each core's counter deltas, updates its stall-ratio estimates, and
+// re-picks. Unobserved jobs carry a neutral prior so every job gets
+// scheduled early on.
+//
+// Each schedule runs on its own chip, and the schedules step in lockstep,
+// quantum by quantum: every running schedule's network steps through one
+// pdn.Lanes on its own chip's current, so result i equals RunOnline on
+// schedules[i] alone, whatever runs beside it. A schedule that completes
+// or reaches MaxQuanta drops out, and the rest go on.
 //
 // A non-nil fault degrades the performance-monitoring path: every counter
 // observation passes through it, and any observation that is lost or
@@ -212,126 +240,209 @@ type CounterFault interface {
 //
 // The scheduler polls ctx at quantum boundaries (its natural phase
 // boundary — a quantum is one indivisible chip simulation) and, when
-// cancelled, returns the partial result marked Truncated together with
-// the context's error.
-func RunOnline(ctx context.Context, cfg OnlineConfig, jobs []*Job, policy OnlinePolicy, fault CounterFault) (OnlineResult, error) {
-	if len(jobs) == 0 {
-		panic("sched: RunOnline with no jobs")
+// cancelled, returns the partial results, each unfinished one marked
+// Truncated, together with the context's error.
+func RunOnline(ctx context.Context, cfg OnlineConfig, schedules []Schedule) ([]OnlineResult, error) {
+	if len(schedules) == 0 {
+		panic("sched: RunOnline with no schedules")
 	}
 	if cfg.QuantumCycles == 0 {
 		panic("sched: zero quantum")
 	}
-	chip := uarch.NewChip(cfg.Chip)
-	defer chip.PublishSteps()
-	scope := sense.NewScope(cfg.Chip.PDN.VNom, []float64{cfg.Margin})
-	res := OnlineResult{Policy: policy.Name()}
-
-	for i, j := range jobs {
-		if j.stream == nil {
-			j.stream = j.Profile.NewStream()
+	all := make([]*schedule, len(schedules))
+	for i, sc := range schedules {
+		if len(sc.Jobs) == 0 {
+			panic("sched: RunOnline with no jobs")
 		}
-		j.stallEMA = 0.5 // neutral prior until observed
-		j.ipcEMA = 1
-		_ = i
-	}
-
-	runnable := func() []JobView {
-		var out []JobView
-		for i, j := range jobs {
-			if !j.done {
-				out = append(out, JobView{ID: i, StallRatio: j.stallEMA, IPC: j.ipcEMA, Observed: j.observed})
+		for _, j := range sc.Jobs {
+			if j.stream == nil {
+				j.stream = j.Profile.NewStream()
 			}
+			j.stallEMA = 0.5 // neutral prior until observed
+			j.ipcEMA = 1
+		}
+		chip := uarch.NewChip(cfg.Chip)
+		defer chip.PublishSteps()
+		all[i] = &schedule{
+			Schedule: sc,
+			chip:     chip,
+			scope:    sense.NewScope(cfg.Chip.PDN.VNom, []float64{cfg.Margin}),
+			res:      OnlineResult{Policy: sc.Policy.Name()},
+			prevA:    -2,
+			prevB:    -2,
+		}
+	}
+	results := func() []OnlineResult {
+		out := make([]OnlineResult, len(all))
+		for i, o := range all {
+			out[i] = o.res
 		}
 		return out
 	}
 
-	prevA, prevB := -2, -2 // sentinel: no quantum scheduled yet (-1 means idle core)
+	// The lanes step the running schedules' networks. They are rebuilt
+	// when a schedule drops out, and closed before the chips publish
+	// their steps.
+	var lanes *pdn.Lanes
+	defer func() {
+		if lanes != nil {
+			lanes.Close()
+		}
+	}()
+	live := append([]*schedule(nil), all...)
+	views := make([][]JobView, len(all))
+	iLoad := make([]float64, len(all))
+	stepping := 0 // the schedules lanes steps
 	for {
-		view := runnable()
-		if len(view) == 0 {
+		// A schedule whose jobs are all done is complete, even when ctx
+		// is cancelled.
+		next := live[:0]
+		for _, o := range live {
+			if view := o.runnable(); len(view) > 0 {
+				views[len(next)] = view
+				next = append(next, o)
+			} else {
+				finish(&o.res, o.scope, cfg)
+			}
+		}
+		live = next
+		if len(live) == 0 {
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			res.Truncated = true
-			finish(&res, scope, cfg)
-			return res, err
+			for _, o := range live {
+				o.res.Truncated = true
+				finish(&o.res, o.scope, cfg)
+			}
+			return results(), err
 		}
-		if cfg.MaxQuanta > 0 && res.Quanta >= cfg.MaxQuanta {
-			res.Truncated = true
+		next = live[:0]
+		for r, o := range live {
+			if cfg.MaxQuanta > 0 && o.res.Quanta >= cfg.MaxQuanta {
+				o.res.Truncated = true
+				finish(&o.res, o.scope, cfg)
+				continue
+			}
+			o.pick(views[r])
+			next = append(next, o)
+		}
+		live = next
+		if len(live) == 0 {
 			break
 		}
-		a, b := policy.Pick(view)
-		validatePick(view, a, b)
-		schedQuanta.Inc()
-		if prevA != -2 && (a != prevA || b != prevB) {
-			schedSwaps.Inc()
-			if telemetry.Tracing() {
-				telemetry.Emit(telemetry.Event{
-					Kind:   "sched.swap",
-					ID:     policy.Name(),
-					Detail: fmt.Sprintf("%d+%d->%d+%d", prevA, prevB, a, b),
-					Value:  float64(res.Quanta),
-				})
+		if len(live) != stepping {
+			if lanes != nil {
+				lanes.Close()
 			}
-		}
-		prevA, prevB = a, b
-
-		assign := func(coreID, jobID int) counters.Counters {
-			if jobID < 0 {
-				chip.SetStream(coreID, nil)
-				return *chip.Counters(coreID)
+			nets := make([]*pdn.Network, len(live))
+			load := make([]int, len(live))
+			for r, o := range live {
+				nets[r], load[r] = o.chip.Network(), r
 			}
-			chip.SetStream(coreID, jobs[jobID].stream)
-			return *chip.Counters(coreID)
+			lanes, stepping = pdn.NewLanes(nets, load, 1/cfg.Chip.ClockHz, cfg.Chip.Substeps), len(live)
 		}
-		snapA := assign(0, a)
-		snapB := assign(1, b)
 
 		for i := uint64(0); i < cfg.QuantumCycles; i++ {
-			scope.Sample(chip.Cycle())
+			for r, o := range live {
+				iLoad[r] = o.chip.CycleLoad()
+			}
+			for r, v := range lanes.Step(iLoad[:len(live)]) {
+				live[r].scope.Sample(v)
+			}
 		}
-		res.TotalCycles += cfg.QuantumCycles
-		res.Quanta++
-
-		degraded := false
-		update := func(jobID int, snap counters.Counters, coreID int) {
-			if jobID < 0 {
-				return
-			}
-			d := chip.Counters(coreID).Delta(snap)
-			j := jobs[jobID]
-			if fault != nil {
-				var ok bool
-				d, ok = fault.Corrupt(res.Quanta-1, coreID, d)
-				if !ok || !plausibleDelta(d, cfg) {
-					// Lost or corrupt observation: keep the previous
-					// estimate (the neutral prior for a job never
-					// cleanly observed) and charge progress from the
-					// IPC estimate so the schedule still drains.
-					degraded = true
-					retire(j, estimatedWork(j, cfg), &res)
-					return
-				}
-			}
-			if !j.observed {
-				j.stallEMA = d.StallRatio()
-				j.ipcEMA = d.IPC()
-				j.observed = true
-			} else {
-				j.stallEMA += cfg.EMAAlpha * (d.StallRatio() - j.stallEMA)
-				j.ipcEMA += cfg.EMAAlpha * (d.IPC() - j.ipcEMA)
-			}
-			retire(j, d.Instructions, &res)
-		}
-		update(a, snapA, 0)
-		update(b, snapB, 1)
-		if degraded {
-			res.DegradedQuanta++
+		for _, o := range live {
+			o.observe(cfg)
 		}
 	}
+	return results(), nil
+}
 
-	finish(&res, scope, cfg)
-	return res, nil
+// runnable returns the views of the schedule's unfinished jobs.
+func (o *schedule) runnable() []JobView {
+	var out []JobView
+	for i, j := range o.Jobs {
+		if !j.done {
+			out = append(out, JobView{ID: i, StallRatio: j.stallEMA, IPC: j.ipcEMA, Observed: j.observed})
+		}
+	}
+	return out
+}
+
+// pick asks the policy for the next quantum's pair, counts the quantum
+// and any swap, and puts the pair on the chip's cores.
+func (o *schedule) pick(view []JobView) {
+	a, b := o.Policy.Pick(view)
+	validatePick(view, a, b)
+	schedQuanta.Inc()
+	if o.prevA != -2 && (a != o.prevA || b != o.prevB) {
+		schedSwaps.Inc()
+		if telemetry.Tracing() {
+			telemetry.Emit(telemetry.Event{
+				Kind:   "sched.swap",
+				ID:     o.Policy.Name(),
+				Detail: fmt.Sprintf("%d+%d->%d+%d", o.prevA, o.prevB, a, b),
+				Value:  float64(o.res.Quanta),
+			})
+		}
+	}
+	o.prevA, o.prevB = a, b
+	o.a, o.b = a, b
+	o.snapA = o.assign(0, a)
+	o.snapB = o.assign(1, b)
+}
+
+// assign puts job jobID (idle when negative) on a core and returns the
+// core's counters before the quantum.
+func (o *schedule) assign(coreID, jobID int) counters.Counters {
+	if jobID < 0 {
+		o.chip.SetStream(coreID, nil)
+	} else {
+		o.chip.SetStream(coreID, o.Jobs[jobID].stream)
+	}
+	return *o.chip.Counters(coreID)
+}
+
+// observe closes a quantum: it reads each core's counter delta through
+// the fault, updates the jobs' estimates and charges their progress.
+func (o *schedule) observe(cfg OnlineConfig) {
+	o.res.TotalCycles += cfg.QuantumCycles
+	o.res.Quanta++
+
+	degraded := false
+	update := func(jobID int, snap counters.Counters, coreID int) {
+		if jobID < 0 {
+			return
+		}
+		d := o.chip.Counters(coreID).Delta(snap)
+		j := o.Jobs[jobID]
+		if o.Fault != nil {
+			var ok bool
+			d, ok = o.Fault.Corrupt(o.res.Quanta-1, coreID, d)
+			if !ok || !plausibleDelta(d, cfg) {
+				// Lost or corrupt observation: keep the previous
+				// estimate (the neutral prior for a job never
+				// cleanly observed) and charge progress from the
+				// IPC estimate so the schedule still drains.
+				degraded = true
+				retire(j, estimatedWork(j, cfg), &o.res)
+				return
+			}
+		}
+		if !j.observed {
+			j.stallEMA = d.StallRatio()
+			j.ipcEMA = d.IPC()
+			j.observed = true
+		} else {
+			j.stallEMA += cfg.EMAAlpha * (d.StallRatio() - j.stallEMA)
+			j.ipcEMA += cfg.EMAAlpha * (d.IPC() - j.ipcEMA)
+		}
+		retire(j, d.Instructions, &o.res)
+	}
+	update(o.a, o.snapA, 0)
+	update(o.b, o.snapB, 1)
+	if degraded {
+		o.res.DegradedQuanta++
+	}
 }
 
 // finish folds the scope's emergency counts into the result.

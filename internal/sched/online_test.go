@@ -2,11 +2,13 @@ package sched
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"voltsmooth/internal/core"
 	"voltsmooth/internal/counters"
 	"voltsmooth/internal/pdn"
+	"voltsmooth/internal/telemetry"
 	"voltsmooth/internal/uarch"
 	"voltsmooth/internal/workload"
 )
@@ -76,7 +78,7 @@ func TestRunOnlineCompletesAllJobs(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 	cfg.QuantumCycles = 10_000
 	jobs := onlineJobs(t, []string{"mcf", "namd", "hmmer"}, 50_000)
-	res, _ := RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
+	res, _ := runOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
 	if res.CompletedJobs != 3 {
 		t.Fatalf("completed %d of 3 jobs", res.CompletedJobs)
 	}
@@ -100,7 +102,7 @@ func TestRunOnlineDeterministic(t *testing.T) {
 	run := func() OnlineResult {
 		cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 		cfg.QuantumCycles = 8_000
-		res, _ := RunOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "gcc", "namd"}, 40_000), StallClusterPolicy{}, nil)
+		res, _ := runOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "gcc", "namd"}, 40_000), StallClusterPolicy{}, nil)
 		return res
 	}
 	a, b := run(), run()
@@ -113,7 +115,7 @@ func TestRunOnlineMaxQuantaBound(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 	cfg.QuantumCycles = 5_000
 	cfg.MaxQuanta = 3
-	res, _ := RunOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "lbm"}, 1<<40), StallClusterPolicy{}, nil)
+	res, _ := runOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "lbm"}, 1<<40), StallClusterPolicy{}, nil)
 	if res.Quanta != 3 {
 		t.Errorf("ran %d quanta, bound was 3", res.Quanta)
 	}
@@ -162,7 +164,7 @@ func TestRandomPolicyScheduleDeterministic(t *testing.T) {
 	run := func() OnlineResult {
 		cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 		cfg.QuantumCycles = 8_000
-		res, _ := RunOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "gcc", "namd"}, 40_000), NewRandomOnlinePolicy(7), nil)
+		res, _ := runOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "gcc", "namd"}, 40_000), NewRandomOnlinePolicy(7), nil)
 		return res
 	}
 	a, b := run(), run()
@@ -175,10 +177,10 @@ func TestRunOnlineEmptyScheduleReportsZeroRate(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 	cfg.QuantumCycles = 2_000
 	jobs := onlineJobs(t, []string{"mcf", "namd"}, 1)
-	RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
+	runOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
 	// Re-running a drained job set executes zero quanta; the rate must
 	// come back as 0, not 0/0 = NaN.
-	res, _ := RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
+	res, _ := runOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
 	if res.TotalCycles != 0 || res.Quanta != 0 {
 		t.Fatalf("drained set still ran: %+v", res)
 	}
@@ -206,7 +208,7 @@ func TestRunOnlineResilientSurvivesTotalSensorLoss(t *testing.T) {
 	cfg.QuantumCycles = 8_000
 	cfg.MaxQuanta = 400
 	jobs := onlineJobs(t, []string{"mcf", "namd"}, 30_000)
-	res, _ := RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, dropAllFaults{})
+	res, _ := runOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, dropAllFaults{})
 	if res.CompletedJobs != 2 {
 		t.Fatalf("blind schedule completed %d of 2 jobs: %+v", res.CompletedJobs, res)
 	}
@@ -240,7 +242,7 @@ func TestRunOnlineResilientNilFaultMatchesRunOnline(t *testing.T) {
 		cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 		cfg.QuantumCycles = 8_000
 		jobs := onlineJobs(t, []string{"mcf", "gcc"}, 30_000)
-		res, _ := RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, fault)
+		res, _ := runOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, fault)
 		return res
 	}
 	a, b := run(nil), run(passFaults{})
@@ -259,7 +261,7 @@ func TestRunOnlineObservesCounters(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
 	cfg.QuantumCycles = 10_000
 	jobs := onlineJobs(t, []string{"mcf", "namd"}, 60_000)
-	RunOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
+	runOnline(context.Background(), cfg, jobs, StallClusterPolicy{}, nil)
 	// After running, the scheduler's estimates must reflect reality:
 	// mcf far stallier than namd.
 	if !jobs[0].observed || !jobs[1].observed {
@@ -274,12 +276,12 @@ func TestRunOnlineObservesCounters(t *testing.T) {
 func TestRunOnlinePanicsOnBadInput(t *testing.T) {
 	cfg := DefaultOnlineConfig(onlineChip(), 0.023)
 	for _, f := range []func(){
-		func() { RunOnline(context.Background(), cfg, nil, StallClusterPolicy{}, nil) },
+		func() { runOnline(context.Background(), cfg, nil, StallClusterPolicy{}, nil) },
 		func() { NewJob(workload.Profile{}, 0) },
 		func() {
 			bad := cfg
 			bad.QuantumCycles = 0
-			RunOnline(context.Background(), bad, []*Job{NewJob(mustProfile("mcf"), 10)}, StallClusterPolicy{}, nil)
+			runOnline(context.Background(), bad, []*Job{NewJob(mustProfile("mcf"), 10)}, StallClusterPolicy{}, nil)
 		},
 	} {
 		func() {
@@ -307,7 +309,7 @@ func TestRunOnlineRejectsBadPolicy(t *testing.T) {
 	}()
 	cfg := DefaultOnlineConfig(onlineChip(), 0.023)
 	cfg.QuantumCycles = 1000
-	RunOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "namd"}, 10_000), badPolicy{}, nil)
+	runOnline(context.Background(), cfg, onlineJobs(t, []string{"mcf", "namd"}, 10_000), badPolicy{}, nil)
 }
 
 // mustProfile is a panic-on-error lookup for the panic-table test above.
@@ -317,4 +319,76 @@ func mustProfile(name string) workload.Profile {
 		panic(err)
 	}
 	return p
+}
+
+// runOnline runs one schedule alone.
+func runOnline(ctx context.Context, cfg OnlineConfig, jobs []*Job, policy OnlinePolicy, fault CounterFault) (OnlineResult, error) {
+	res, err := RunOnline(ctx, cfg, []Schedule{{Jobs: jobs, Policy: policy, Fault: fault}})
+	return res[0], err
+}
+
+// dropSomeFaults loses every third observation, by quantum and core.
+type dropSomeFaults struct{}
+
+func (dropSomeFaults) Corrupt(quantum, coreID int, d counters.Counters) (counters.Counters, bool) {
+	return d, (quantum+coreID)%3 != 0
+}
+
+// TestRunOnlineLockstepEqualsSeparate pins the lockstep contract of
+// RunOnline: K schedules run together give reflect.DeepEqual results to
+// K separate calls, and the same sched.quanta, sched.swaps and
+// sched.emergencies deltas. The schedules finish at different quanta, one
+// is truncated at MaxQuanta while the others run on, and one observes its
+// counters through a CounterFault.
+func TestRunOnlineLockstepEqualsSeparate(t *testing.T) {
+	cfg := DefaultOnlineConfig(onlineChip(), core.PhaseMarginFor(0.03))
+	cfg.QuantumCycles = 4_000
+	cfg.MaxQuanta = 30
+	schedules := func() []Schedule {
+		return []Schedule{
+			{Jobs: onlineJobs(t, []string{"mcf", "namd", "hmmer"}, 20_000), Policy: StallClusterPolicy{}},
+			{Jobs: onlineJobs(t, []string{"gcc", "lbm"}, 6_000), Policy: StallSpreadPolicy{}},
+			{Jobs: onlineJobs(t, []string{"mcf", "gcc", "namd"}, 35_000), Policy: NewRandomOnlinePolicy(3), Fault: dropSomeFaults{}},
+			{Jobs: onlineJobs(t, []string{"libquantum", "namd"}, 1<<40), Policy: StallClusterPolicy{}},
+		}
+	}
+	type counts struct{ quanta, swaps, emergencies uint64 }
+	measure := func(run func()) counts {
+		reg := telemetry.NewRegistry()
+		defer telemetry.Install(reg, nil)()
+		run()
+		return counts{reg.Counter("sched.quanta").Load(), reg.Counter("sched.swaps").Load(),
+			reg.Counter("sched.emergencies").Load()}
+	}
+
+	var want []OnlineResult
+	wantCounts := measure(func() {
+		for _, sc := range schedules() {
+			res, err := RunOnline(context.Background(), cfg, []Schedule{sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, res...)
+		}
+	})
+	var got []OnlineResult
+	gotCounts := measure(func() {
+		var err error
+		if got, err = RunOnline(context.Background(), cfg, schedules()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("lockstep schedules differ from separate runs:\n got %+v\nwant %+v", got, want)
+	}
+	if gotCounts != wantCounts {
+		t.Errorf("lockstep counted %+v, separate runs %+v", gotCounts, wantCounts)
+	}
+	quanta := map[int]bool{}
+	for _, r := range want {
+		quanta[r.Quanta] = true
+	}
+	if len(quanta) != len(want) || !want[3].Truncated || want[0].Truncated || want[2].DegradedQuanta == 0 {
+		t.Errorf("schedules do not cover distinct lengths, one truncation and a degraded run: %+v", want)
+	}
 }

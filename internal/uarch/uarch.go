@@ -413,8 +413,8 @@ func (c *Chip) CycleLoad() float64 {
 	for i := range c.cores {
 		co := &c.cores[i]
 		target := c.stepCore(co)
-		co.aSmooth += cm.RampAlpha * (target - co.aSmooth)
-		amps := cm.GatedAmps + co.aSmooth*cm.ActiveAmps
+		co.aSmooth += float64(cm.RampAlpha * (target - co.aSmooth))
+		amps := cm.GatedAmps + float64(co.aSmooth*cm.ActiveAmps)
 		if co.idling && co.stallLeft == 0 && co.flushLeft == 0 {
 			// The idle loop keeps a trickle above the gated floor.
 			floor := cm.IdleAmps
@@ -431,7 +431,7 @@ func (c *Chip) CycleLoad() float64 {
 	}
 	if trapping > 1 {
 		// Shared microcode/uncore contention; attribute evenly.
-		extra := float64(trapping-1) * cm.TrapContentionAmps
+		extra := float64(float64(trapping-1) * cm.TrapContentionAmps)
 		total += extra
 		for i := range perCore {
 			perCore[i] += extra / c.numCoresF
@@ -457,8 +457,8 @@ func (c *Chip) StallCycle() float64 {
 	total := 0.0
 	for i := range c.cores {
 		co := &c.cores[i]
-		co.aSmooth += cm.RampAlpha * (0 - co.aSmooth)
-		perCore[i] = cm.GatedAmps + co.aSmooth*cm.ActiveAmps + uncoreShare
+		co.aSmooth += float64(cm.RampAlpha * (0 - co.aSmooth))
+		perCore[i] = cm.GatedAmps + float64(co.aSmooth*cm.ActiveAmps) + uncoreShare
 		total += perCore[i]
 	}
 	return c.driveNets(c.draw(total))
@@ -535,7 +535,7 @@ func (c *Chip) otherL2Rate(self *core) float64 {
 func (c *Chip) stepCore(co *core) float64 {
 	co.ctr.Cycles++
 	const l2RateAlpha = 0.002
-	co.l2Rate += l2RateAlpha * (0 - co.l2Rate) // decays unless refreshed below
+	co.l2Rate += float64(l2RateAlpha * (0 - co.l2Rate)) // decays unless refreshed below
 
 	if co.stallLeft > 0 {
 		co.stallLeft--
@@ -647,7 +647,7 @@ func (c *Chip) stepCore(co *core) float64 {
 		if scale == 0 {
 			scale = 1
 		}
-		boost := c.cfg.Current.BurstBoost * scale
+		boost := float64(c.cfg.Current.BurstBoost * scale)
 		target += boost
 		return math.Min(target, 1.0+boost)
 	}
