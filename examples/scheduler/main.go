@@ -1,46 +1,31 @@
 // Scheduler demonstrates the paper's contribution end to end on the Proc3
-// future-node chip: build the oracle co-schedule table for a slice of the
-// suite, compare the Droop, IPC, hybrid, and random policies (Fig 18), and
-// show how many schedules meet the resilient design's expected improvement
-// at each recovery cost (Tab I / Fig 19).
+// future-node chip: build the oracle co-schedule table for the quick
+// scale's slice of the suite, compare the Droop, IPC, hybrid, and random
+// policies (Fig 18), and show how many schedules meet the resilient
+// design's expected improvement at each recovery cost (Tab I / Fig 19).
 //
 //	go run ./examples/scheduler
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"voltsmooth/internal/core"
+	"voltsmooth/internal/experiments"
 	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/sched"
-	"voltsmooth/internal/uarch"
-	"voltsmooth/internal/workload"
 )
 
 func main() {
-	// The Sec IV platform: Proc3, the 3%-package-capacitance stand-in for
-	// a future technology node.
-	cfg := uarch.DefaultConfig()
-	cfg.PDN = cfg.PDN.WithCapFraction(pdn.Proc3.CapFraction)
-
-	// A behaviourally diverse slice of SPEC-like programs.
-	var pool []workload.Profile
-	for _, name := range []string{"mcf", "lbm", "sphinx", "omnetpp", "gcc", "namd", "povray", "hmmer"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		pool = append(pool, p)
-	}
-
-	fmt.Printf("building the oracle pair table (%dx%d co-schedules)...\n", len(pool), len(pool))
-	table := sched.BuildPairTable(sched.BuildConfig{
-		Chip:   cfg,
-		Cycles: 120_000,
-		Warmup: 20_000,
-		Margin: core.PhaseMarginFor(pdn.Proc3.CapFraction),
-	}, pool)
+	// The Sec IV platform is Proc3, the 3%-package-capacitance stand-in
+	// for a future technology node. The session measures the table the
+	// way the experiments do: every single-core reference and ordered
+	// pair of its behaviourally diverse SPEC-like subset.
+	sess := experiments.NewSession(experiments.Quick())
+	fmt.Printf("building the oracle pair table (quick scale, %d programs)...\n", len(sess.SpecProfiles()))
+	table := sess.PairTable(context.Background(), pdn.Proc3)
 
 	fmt.Println("\nper-benchmark droop spread across co-runners (Fig 17):")
 	for _, row := range table.CoScheduleSpread() {

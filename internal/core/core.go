@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"voltsmooth/internal/counters"
 	"voltsmooth/internal/pdn"
@@ -116,55 +117,39 @@ func (r *Result) DroopsPerKCycle(margin float64) float64 {
 
 // Run executes the given workloads (one per core; nil entries idle) for
 // rc.Cycles measured cycles on a chip built from cfg, and returns the
-// measured result. Runs are deterministic.
+// measured result. Runs are deterministic. Run is RunLanes of one run on
+// cfg.PDN.
 func Run(cfg uarch.Config, streams []workload.Stream, rc RunConfig) Result {
-	margins, seriesMargin := rc.margins()
-	chip, names := newChip(cfg, streams)
-	defer chip.PublishSteps()
-	for i := uint64(0); i < rc.WarmupCycles; i++ {
-		chip.Cycle()
-	}
-	// Counter snapshot after warmup so results cover the window only.
-	snaps := snapshot(chip)
-
-	scope := sense.NewScope(cfg.PDN.VNom, margins)
-	var series []float64
-	var intervalStart uint64
-	var crossingsAtStart uint64
-
-	for i := uint64(0); i < rc.Cycles; i++ {
-		scope.Sample(chip.Cycle())
-		if rc.IntervalCycles > 0 && (i+1)-intervalStart >= rc.IntervalCycles {
-			cur := scope.Crossings(seriesMargin)
-			series = append(series, counters.PerKCycles(cur-crossingsAtStart, rc.IntervalCycles))
-			crossingsAtStart = cur
-			intervalStart = i + 1
-		}
-	}
-	return result(chip, names, snaps, rc, scope, series)
+	return RunLanes(cfg, []LaneRun{{Streams: streams, Nets: []pdn.Params{cfg.PDN}}}, rc)[0][0]
 }
 
 // LaneRun is one run of a lockstep group: the workloads on its chip's
-// cores (nil entries and missing ones idle) and the networks its chip's
-// current drives, one per entry of Nets.
+// cores (nil entries and missing ones idle), the networks its chip's
+// current drives, one per entry of Nets, and the split supplies it
+// drives, one per entry of Split. A split supply divides its network
+// into one rail per core (splitRail), each rail drawing only its own
+// core's current, and senses its lowest rail, since an emergency on any
+// rail forces a global recovery: the per-core supplies of the POWER6
+// comparison the paper cites, which lose the averaging of the cores'
+// uncorrelated draws that one shared network gives.
 type LaneRun struct {
 	Streams []workload.Stream
 	Nets    []pdn.Params
+	Split   []pdn.Params
 }
 
 // RunLanes runs several equal-length runs in lockstep: one chip per run,
-// built from cfg, and every run's networks stepped together through one
-// pdn.Lanes, each on its own chip's current. Result [r][j] equals Run
-// with cfg.PDN = runs[r].Nets[j] on runs[r].Streams in every field,
-// interval series included: the pipeline never reads the die voltage, so
-// each network sees the current trace its own Run would draw, and Lanes
-// steps each network exactly as StepCycle would. A run's chip integrates
-// its first network itself, so a one-network run builds no network
-// beyond Run's. Split-supply runs keep Run.
+// built from cfg, and every run's networks and split rails stepped
+// together through one pdn.Lanes, each on its own chip's current or, for
+// a rail, its own core's. Result [r][j] equals Run with cfg.PDN =
+// runs[r].Nets[j] on runs[r].Streams in every field, interval series
+// included, and result [r][len(runs[r].Nets)+s] is split supply
+// runs[r].Split[s] measured the same way: the pipeline never reads the
+// die voltage, so each network sees the current trace its own chip would
+// draw, and Lanes steps each network exactly as StepCycle would. A run's
+// chip integrates its first network itself, so a one-network run builds
+// no network beyond its chip's.
 func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
-	if cfg.SplitSupply {
-		panic("core: RunLanes drives one shared supply per network")
-	}
 	margins, seriesMargin := rc.margins()
 	chips := make([]*uarch.Chip, len(runs))
 	names := make([][]string, len(runs))
@@ -172,15 +157,41 @@ func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
 	var load []int
 	for r, run := range runs {
 		c := cfg
-		c.PDN = run.Nets[0]
-		chips[r], names[r] = newChip(c, run.Streams)
-		// NewChip settles its own network at the idle draw it reports.
-		nets = append(nets, chips[r].Network())
-		for _, p := range run.Nets[1:] {
-			nets = append(nets, pdn.NewAtLoad(p, chips[r].TotalCurrent()))
+		if len(run.Nets) > 0 {
+			c.PDN = run.Nets[0]
 		}
-		for range run.Nets {
+		chips[r], names[r] = newChip(c, run.Streams)
+		for l, p := range run.Nets {
+			// NewChip settles its own network at the idle draw it reports.
+			n := chips[r].Network()
+			if l > 0 {
+				n = pdn.NewAtLoad(p, chips[r].TotalCurrent())
+			}
+			nets = append(nets, n)
 			load = append(load, r)
+		}
+	}
+	// The split rails follow every run's Nets, so network j < nShared is
+	// sensed by scope j. Split supply s is the rails
+	// nets[rails[s]:rails[s]+numCores], one per core, and the k-th run
+	// with a split supply, splitRuns[k], loads its cores' draws at
+	// iLoad[len(runs)+k*numCores:], after every chip's total.
+	nShared, numCores := len(nets), cfg.NumCores
+	var rails, splitRuns []int
+	for r, run := range runs {
+		if len(run.Split) == 0 {
+			continue
+		}
+		first := len(runs) + len(splitRuns)*numCores
+		splitRuns = append(splitRuns, r)
+		perRail := chips[r].TotalCurrent() / float64(numCores)
+		for _, p := range run.Split {
+			rails = append(rails, len(nets))
+			rail := splitRail(p, numCores)
+			for i := 0; i < numCores; i++ {
+				nets = append(nets, pdn.NewAtLoad(rail, perRail))
+				load = append(load, first+i)
+			}
 		}
 	}
 	lanes := pdn.NewLanes(nets, load, 1/cfg.ClockHz, cfg.Substeps)
@@ -190,10 +201,16 @@ func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
 			n.PublishSteps()
 		}
 	}()
-	iLoad := make([]float64, len(runs))
+	iLoad := make([]float64, len(runs)+len(splitRuns)*numCores)
 	step := func() []float64 {
 		for r, chip := range chips {
 			iLoad[r] = chip.CycleLoad()
+		}
+		for k, r := range splitRuns {
+			cores := iLoad[len(runs)+k*numCores:][:numCores]
+			for i := range cores {
+				cores[i] = chips[r].CoreCurrent(i)
+			}
 		}
 		return lanes.Step(iLoad)
 	}
@@ -205,16 +222,30 @@ func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
 		snaps[r] = snapshot(chip)
 	}
 
-	scopes := make([]*sense.Scope, len(nets))
-	for j, n := range nets {
+	scopes := make([]*sense.Scope, nShared+len(rails))
+	for j, n := range nets[:nShared] {
 		scopes[j] = sense.NewScope(n.Params().VNom, margins)
 	}
-	series := make([][]float64, len(nets))
+	split := scopes[nShared:]
+	for s, lo := range rails {
+		split[s] = sense.NewScope(nets[lo].Params().VNom, margins)
+	}
+	series := make([][]float64, len(scopes))
 	var intervalStart uint64
-	crossingsAtStart := make([]uint64, len(nets))
+	crossingsAtStart := make([]uint64, len(scopes))
 	for i := uint64(0); i < rc.Cycles; i++ {
-		for j, v := range step() {
-			scopes[j].Sample(v)
+		v := step()
+		for j, scope := range scopes[:nShared] {
+			scope.Sample(v[j])
+		}
+		for s, scope := range split {
+			vMin := math.Inf(1)
+			for _, vr := range v[rails[s] : rails[s]+numCores] {
+				if vr < vMin {
+					vMin = vr
+				}
+			}
+			scope.Sample(vMin)
 		}
 		if rc.IntervalCycles > 0 && (i+1)-intervalStart >= rc.IntervalCycles {
 			for j, scope := range scopes {
@@ -226,17 +257,45 @@ func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
 		}
 	}
 
-	flat := make([]Result, len(nets))
+	// flat has room for every result, so out[r] stays a view of it.
+	flat := make([]Result, 0, len(scopes))
 	out := make([][]Result, len(runs))
-	j := 0
+	j, s := 0, nShared
 	for r, run := range runs {
-		out[r] = flat[j : j+len(run.Nets) : j+len(run.Nets)]
-		for l := range out[r] {
-			out[r][l] = result(chips[r], names[r], snaps[r], rc, scopes[j], series[j])
+		lo := len(flat)
+		for range run.Nets {
+			flat = append(flat, result(chips[r], names[r], snaps[r], rc, scopes[j], series[j]))
 			j++
 		}
+		for range run.Split {
+			flat = append(flat, result(chips[r], names[r], snaps[r], rc, scopes[s], series[s]))
+			s++
+		}
+		out[r] = flat[lo:len(flat):len(flat)]
 	}
 	return out
+}
+
+// splitRail divides the network p across n rails: each rail keeps 1/n of
+// every capacitance and n times every resistance and inductance
+// (parallel composition in reverse).
+func splitRail(p pdn.Params, n int) pdn.Params {
+	f := float64(n)
+	p.C1 /= f
+	p.C2 /= f
+	p.C3 /= f
+	p.CPlane /= f
+	p.R0 *= f
+	p.R1 *= f
+	p.R2 *= f
+	p.ESR1 *= f
+	p.ESR2 *= f
+	p.ESR3 *= f
+	p.ESL2 *= f
+	p.L0 *= f
+	p.L1 *= f
+	p.L2 *= f
+	return p
 }
 
 // margins resolves the run's margin set and series margin defaults.

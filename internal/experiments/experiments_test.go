@@ -350,6 +350,32 @@ func TestFig17DestructiveOpportunity(t *testing.T) {
 	}
 }
 
+// TestPairTableSelfPairDroops checks the oracle table's physics: the
+// memory-bound mcf co-scheduled with itself out-droops the compute-bound
+// namd co-scheduled with itself, and every pair retires instructions.
+func TestPairTableSelfPairDroops(t *testing.T) {
+	tab := session(t).PairTable(context.Background(), schedVariant)
+	mcf, err := tab.Index("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	namd, err := tab.Index("namd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Droops[mcf][mcf] <= tab.Droops[namd][namd] {
+		t.Errorf("mcf SPECrate droops %.1f not above namd %.1f",
+			tab.Droops[mcf][mcf], tab.Droops[namd][namd])
+	}
+	for i := 0; i < tab.Size(); i++ {
+		for j := 0; j < tab.Size(); j++ {
+			if tab.IPC[i][j] <= 0 {
+				t.Errorf("pair (%s,%s) has no throughput", tab.Names[i], tab.Names[j])
+			}
+		}
+	}
+}
+
 func TestFig18PolicyQuadrants(t *testing.T) {
 	r := Fig18(context.Background(), session(t))
 	cd, _ := r.RandomCentroid()

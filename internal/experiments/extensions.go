@@ -11,6 +11,7 @@ import (
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/sched"
 	"voltsmooth/internal/uarch"
+	"voltsmooth/internal/workload"
 )
 
 func init() {
@@ -121,7 +122,9 @@ type Ext2Row struct {
 
 func runExt2(ctx context.Context, s *Session) Renderer { return Ext2(ctx, s) }
 
-// Ext2 measures representative pairs on both designs.
+// Ext2 measures representative pairs on both designs. The pipeline never
+// reads the die voltage, so each pair runs once, in lockstep groups: one
+// chip drives both the shared network and the per-core rails.
 func Ext2(ctx context.Context, s *Session) *Ext2Result {
 	margin := s.Margin(pdn.Proc100)
 	pairs := [][2]string{{"mcf", "mcf"}, {"sphinx", "namd"}, {"namd", "namd"}}
@@ -129,24 +132,28 @@ func Ext2(ctx context.Context, s *Session) *Ext2Result {
 	for i, pair := range pairs {
 		r.Pairs[i].A, r.Pairs[i].B = pair[0], pair[1]
 	}
-	// Run 2i measures pair i on the shared supply, run 2i+1 on split
-	// supplies; each fills its own half of the row.
-	s.sweep(ctx, 2*len(pairs), func(k int) {
-		row := &r.Pairs[k/2]
-		split := k%2 == 1
-		cfg := uarch.DefaultConfig()
-		cfg.SplitSupply = split
-		res := core.RunPair(cfg, mustProfile(row.A).NewStream(), mustProfile(row.B).NewStream(), core.RunConfig{
-			Cycles:       s.Scale.RunCycles,
-			WarmupCycles: s.Scale.WarmupCycles,
-			Margins:      []float64{margin},
-		})
-		if split {
-			row.SplitP2P = res.Scope.PeakToPeakPercent()
-			row.SplitDroopsPerKc = res.DroopsPerKCycle(margin)
-		} else {
-			row.SharedP2P = res.Scope.PeakToPeakPercent()
-			row.SharedDroopsPerKc = res.DroopsPerKCycle(margin)
+	cfg := uarch.DefaultConfig()
+	rc := core.RunConfig{
+		Cycles:       s.Scale.RunCycles,
+		WarmupCycles: s.Scale.WarmupCycles,
+		Margins:      []float64{margin},
+	}
+	s.lockstep(ctx, len(pairs), func(lo, hi int) {
+		runs := make([]core.LaneRun, hi-lo)
+		for i := range runs {
+			row := &r.Pairs[lo+i]
+			runs[i] = core.LaneRun{
+				Streams: []workload.Stream{mustProfile(row.A).NewStream(), mustProfile(row.B).NewStream()},
+				Nets:    []pdn.Params{cfg.PDN},
+				Split:   []pdn.Params{cfg.PDN},
+			}
+		}
+		for i, res := range core.RunLanes(cfg, runs, rc) {
+			row, shared, split := &r.Pairs[lo+i], res[0], res[1]
+			row.SharedP2P = shared.Scope.PeakToPeakPercent()
+			row.SharedDroopsPerKc = shared.DroopsPerKCycle(margin)
+			row.SplitP2P = split.Scope.PeakToPeakPercent()
+			row.SplitDroopsPerKc = split.DroopsPerKCycle(margin)
 		}
 	})
 	return r

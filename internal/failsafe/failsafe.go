@@ -211,24 +211,19 @@ func (r *Result) Improvement(m resilient.Model) float64 {
 	return 100 * (m.Gain(r.Margin)*float64(r.UsefulCycles)/float64(r.TotalCycles) - 1)
 }
 
-// Run executes usefulCycles of committed work on the configured chip with
-// the recovery engine armed. streams assigns workloads to cores (nil
-// entries and missing tails idle); every stream must be checkpointable
-// under SchemeCheckpoint.
-func Run(cfg Config, streams []workload.Stream, usefulCycles uint64) (*Result, error) {
-	return RunCtx(context.Background(), cfg, streams, usefulCycles)
-}
-
 // cancelPollCycles is how often the engine's committed loop polls its
 // context: every 4096 wall cycles — frequent enough that cancellation
 // lands within microseconds of simulated work, rare enough to cost
 // nothing against the per-cycle chip simulation.
 const cancelPollCycles = 4096
 
-// RunCtx is Run with cooperative cancellation: the committed loop polls
-// ctx every few thousand cycles and abandons the run with the context's
-// error. Cancellation loses only the partial run — the engine's ledger is
-// never returned partially filled.
+// RunCtx executes usefulCycles of committed work on the configured chip
+// with the recovery engine armed. streams assigns workloads to cores (nil
+// entries and missing tails idle); every stream must be checkpointable
+// under SchemeCheckpoint. The committed loop polls ctx every few thousand
+// cycles and abandons the run with the context's error. Cancellation
+// loses only the partial run — the engine's ledger is never returned
+// partially filled.
 func RunCtx(ctx context.Context, cfg Config, streams []workload.Stream, usefulCycles uint64) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package failsafe
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestRazorAccountingAndInvariant(t *testing.T) {
 	const useful = 60_000
 	cfg := testConfig(Scheme{Kind: SchemeRazor, FlushCycles: 12})
 	names := []string{"mcf", "mcf"}
-	res, err := Run(cfg, streamsFor(t, names...), useful)
+	res, err := RunCtx(context.Background(), cfg, streamsFor(t, names...), useful)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestCheckpointAccountingAndInvariant(t *testing.T) {
 	const useful = 60_000
 	cfg := testConfig(Scheme{Kind: SchemeCheckpoint, CheckpointInterval: 500, RestoreCycles: 40})
 	names := []string{"mcf", "lbm"}
-	res, err := Run(cfg, streamsFor(t, names...), useful)
+	res, err := RunCtx(context.Background(), cfg, streamsFor(t, names...), useful)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRunDeterministic(t *testing.T) {
 			Seed: 7, SpikeEveryCycles: 2_000, SpikeAmps: 30, SpikeCycles: 4,
 			DropoutEveryCycles: 3_000, DropoutCycles: 50, QuantizeVolts: 0.002,
 		}
-		res, err := Run(cfg, streamsFor(t, "mcf", "namd"), 30_000)
+		res, err := RunCtx(context.Background(), cfg, streamsFor(t, "mcf", "namd"), 30_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestFaultRunCompletesAndCountsFaults(t *testing.T) {
 		Seed: 3, SpikeEveryCycles: 1_500, SpikeAmps: 40, SpikeCycles: 5,
 		DropoutEveryCycles: 2_000, DropoutCycles: 80, QuantizeVolts: 0.001,
 	}
-	res, err := Run(cfg, streamsFor(t, "mcf", "mcf"), 40_000)
+	res, err := RunCtx(context.Background(), cfg, streamsFor(t, "mcf", "mcf"), 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +185,11 @@ func TestSpikesRaiseEmergencies(t *testing.T) {
 	clean := testConfig(Scheme{Kind: SchemeRazor, FlushCycles: 12})
 	spiked := clean
 	spiked.Faults = &Plan{Seed: 11, SpikeEveryCycles: 800, SpikeAmps: 80, SpikeCycles: 6}
-	a, err := Run(clean, streamsFor(t, "namd", "namd"), useful)
+	a, err := RunCtx(context.Background(), clean, streamsFor(t, "namd", "namd"), useful)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spiked, streamsFor(t, "namd", "namd"), useful)
+	b, err := RunCtx(context.Background(), spiked, streamsFor(t, "namd", "namd"), useful)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestTypedErrors(t *testing.T) {
 			streams := streamsFor(t, "mcf")
 			useful := uint64(1000)
 			tc.mutate(&cfg, &streams, &useful)
-			_, err := Run(cfg, streams, useful)
+			_, err := RunCtx(context.Background(), cfg, streams, useful)
 			if !errors.Is(err, tc.wantErr) {
 				t.Errorf("got error %v, want %v", err, tc.wantErr)
 			}

@@ -1,6 +1,7 @@
 package failsafe
 
 import (
+	"context"
 	"testing"
 
 	"voltsmooth/internal/counters"
@@ -66,7 +67,7 @@ func runInvariantCase(t *testing.T, kind, flush uint8, interval uint16, restore,
 		return []workload.Stream{a.NewStream(), b.NewStream()}
 	}
 
-	res, err := Run(cfg, mk(), useful)
+	res, err := RunCtx(context.Background(), cfg, mk(), useful)
 	if err != nil {
 		t.Fatalf("engine refused a valid config: %v", err)
 	}

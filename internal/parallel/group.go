@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// Group is a cache with per-key singleflight semantics: the first Do call
-// for a key runs build, every concurrent Do for the same key blocks until
-// that build finishes, and later calls return the cached value without
-// running build again. The zero value is ready to use.
+// Group is a cache with per-key singleflight semantics: the first DoCtx
+// call for a key runs build, every concurrent DoCtx for the same key
+// blocks until that build finishes, and later calls return the cached
+// value without running build again. The zero value is ready to use.
 //
 // A panicking build is cached as the panic and re-raised (as *PanicError)
 // for the builder, every concurrent waiter, and every later caller: the
@@ -31,20 +31,14 @@ type flight[V any] struct {
 	aborted bool
 }
 
-// Do returns the value for key, computing it with build at most once per
-// Group lifetime even under concurrent callers.
-func (g *Group[K, V]) Do(key K, build func() V) V {
-	v, _ := g.DoCtx(context.Background(), key, build)
-	return v
-}
-
-// DoCtx is Do with cooperative cancellation on the waiting path: a caller
-// blocked on another goroutine's in-flight build stops waiting when ctx is
-// done and returns the context error with a zero value. The build itself
-// runs under the *builder's* control — cancelling a waiter never cancels
-// the build — so a build closure that should stop early must watch its own
-// context (the session builds do, via SweepCtx) and unwind by panicking
-// with *AbortError.
+// DoCtx returns the value for key, computing it with build at most once
+// per Group lifetime even under concurrent callers. Cancellation applies
+// to the waiting path: a caller blocked on another goroutine's in-flight
+// build stops waiting when ctx is done and returns the context error with
+// a zero value. The build itself runs under the *builder's* control —
+// cancelling a waiter never cancels the build — so a build closure that
+// should stop early must watch its own context (the session builds do,
+// via SweepCtx) and unwind by panicking with *AbortError.
 func (g *Group[K, V]) DoCtx(ctx context.Context, key K, build func() V) (V, error) {
 	for {
 		g.mu.Lock()

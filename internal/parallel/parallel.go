@@ -182,12 +182,3 @@ func SweepCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 		return nil
 	})
 }
-
-// Sweep is SweepCtx without cancellation, kept for callers whose sweeps
-// are short enough that cancellation has nothing to interrupt. Panics
-// still propagate to the caller.
-func Sweep(workers, n int, fn func(i int)) {
-	// fn has no error path, so SweepCtx can only return a ctx error — and
-	// the background context has none.
-	_ = SweepCtx(context.Background(), workers, n, fn)
-}

@@ -47,7 +47,7 @@ func TestForDeterministicPlacement(t *testing.T) {
 	const n = 100
 	build := func(workers int) []int {
 		out := make([]int, n)
-		Sweep(workers, n, func(i int) { out[i] = i * i })
+		SweepCtx(context.Background(), workers, n, func(i int) { out[i] = i * i })
 		return out
 	}
 	serial := build(1)
@@ -98,7 +98,7 @@ func TestForPanicPropagates(t *testing.T) {
 					t.Error("panic lost its stack")
 				}
 			}()
-			Sweep(workers, 20, func(i int) {
+			SweepCtx(context.Background(), workers, 20, func(i int) {
 				if i == 7 {
 					panic("kaboom")
 				}
@@ -177,7 +177,7 @@ func TestGroupSingleflightAndCache(t *testing.T) {
 	for k := 0; k < callers; k++ {
 		go func(k int) {
 			defer wg.Done()
-			results[k] = g.Do("key", func() *int {
+			results[k], _ = g.DoCtx(context.Background(), "key", func() *int {
 				n := int(builds.Add(1))
 				return &n
 			})
@@ -193,7 +193,7 @@ func TestGroupSingleflightAndCache(t *testing.T) {
 		}
 	}
 	// A later call hits the cache.
-	if got := g.Do("key", func() *int { builds.Add(1); return nil }); got != results[0] {
+	if got, _ := g.DoCtx(context.Background(), "key", func() *int { builds.Add(1); return nil }); got != results[0] {
 		t.Error("cached value not returned")
 	}
 	if builds.Load() != 1 {
@@ -203,8 +203,8 @@ func TestGroupSingleflightAndCache(t *testing.T) {
 
 func TestGroupDistinctKeys(t *testing.T) {
 	var g Group[int, int]
-	a := g.Do(1, func() int { return 10 })
-	b := g.Do(2, func() int { return 20 })
+	a, _ := g.DoCtx(context.Background(), 1, func() int { return 10 })
+	b, _ := g.DoCtx(context.Background(), 2, func() int { return 20 })
 	if a != 10 || b != 20 {
 		t.Fatalf("got %d, %d", a, b)
 	}
@@ -214,7 +214,7 @@ func TestGroupPanicReachesWaitersAndLaterCallers(t *testing.T) {
 	var g Group[string, int]
 	expectPanic := func() (r any) {
 		defer func() { r = recover() }()
-		g.Do("bad", func() int { panic("broken build") })
+		g.DoCtx(context.Background(), "bad", func() int { panic("broken build") })
 		return nil
 	}
 	for call := 0; call < 2; call++ { // builder, then cached replay
@@ -269,7 +269,7 @@ func TestGroupDoesNotCacheAborts(t *testing.T) {
 	var builds atomic.Int32
 	abort := func() (r any) {
 		defer func() { r = recover() }()
-		g.Do("key", func() int {
+		g.DoCtx(context.Background(), "key", func() int {
 			builds.Add(1)
 			panic(&AbortError{Err: context.Canceled})
 		})
@@ -296,7 +296,7 @@ func TestGroupDoCtxWaiterStopsOnCancel(t *testing.T) {
 	inBuild := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		g.Do("slow", func() int {
+		g.DoCtx(context.Background(), "slow", func() int {
 			close(inBuild)
 			<-release
 			return 1
@@ -311,7 +311,7 @@ func TestGroupDoCtxWaiterStopsOnCancel(t *testing.T) {
 	}
 	close(release)
 	// The build itself was never cancelled: its value is cached.
-	if v := g.Do("slow", func() int { return 3 }); v != 1 {
+	if v, _ := g.DoCtx(context.Background(), "slow", func() int { return 3 }); v != 1 {
 		t.Errorf("builder's value lost: got %d", v)
 	}
 }
@@ -322,7 +322,7 @@ func TestGroupWaiterRetriesAfterBuilderAbort(t *testing.T) {
 	release := make(chan struct{})
 	go func() {
 		defer func() { recover() }()
-		g.Do("key", func() int {
+		g.DoCtx(context.Background(), "key", func() int {
 			close(inBuild)
 			<-release
 			panic(&AbortError{Err: context.Canceled})

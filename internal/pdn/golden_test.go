@@ -35,32 +35,28 @@ func goldenTrace(v ProcVariant) []uint64 {
 	n := NewAtLoad(p, 8)
 	const cycle = 1 / 1.86e9
 
-	load := func(i int) float64 {
-		return 8 + 14*math.Sin(float64(i)*0.37) + float64(i%7)
-	}
-
 	var bits []uint64
 	rec := func(val float64) { bits = append(bits, math.Float64bits(val)) }
 
 	// One chip cycle at a time, on a 6-substep grid.
 	for i := 0; i < 240; i++ {
-		rec(n.StepCycle(cycle, load(i), 6))
+		rec(n.StepCycle(cycle, traceLoad(i), 6))
 	}
 	// Raw substep-granularity Step calls (the impedance/transient path).
 	for i := 0; i < 120; i++ {
-		rec(n.Step(cycle/6, load(i)))
+		rec(n.Step(cycle/6, traceLoad(i)))
 	}
 	// dt above the stability bound: Step must subdivide transparently.
 	for i := 0; i < 48; i++ {
-		rec(n.StepCycle(cycle, load(i), 1))
+		rec(n.StepCycle(cycle, traceLoad(i), 1))
 	}
 	for i := 0; i < 24; i++ {
-		rec(n.Step(3*cycle, load(i)))
+		rec(n.Step(3*cycle, traceLoad(i)))
 	}
 	// Back to the 6-substep grid after the dt changes above, so
 	// coefficient re-caching after a dt switch is covered too.
 	for i := 0; i < 60; i++ {
-		rec(n.StepCycle(cycle, load(i), 6))
+		rec(n.StepCycle(cycle, traceLoad(i), 6))
 	}
 	rec(n.V())
 	rec(n.Time())
@@ -70,7 +66,7 @@ func goldenTrace(v ProcVariant) []uint64 {
 	h := fnv.New64a()
 	var word [8]byte
 	for i := 0; i < 10_000; i++ {
-		n.StepCycle(cycle, load(i), 7)
+		n.StepCycle(cycle, traceLoad(i), 7)
 		for _, x := range [...]float64{n.iL0, n.iL1, n.iL2, n.iLb, n.vC1, n.vP, n.vCb, n.vC3,
 			n.vDie, n.t, n.regBias, n.regErr, n.iEMA} {
 			binary.LittleEndian.PutUint64(word[:], math.Float64bits(x))
@@ -82,6 +78,104 @@ func goldenTrace(v ProcVariant) []uint64 {
 	}
 	return bits
 }
+
+// traceLoad is goldenTrace's current in amperes at step i. It carries a
+// fusion barrier on every product that feeds a sum and takes its sine
+// from traceSin, not math.Sin, whose polynomial a compiler that fuses
+// multiply-adds (arm64 and others) would fuse, so the loads, like the
+// kernel, have the same bits on every architecture.
+func traceLoad(i int) float64 {
+	s := traceSin(float64(float64(i) * 0.37))
+	return 8 + float64(14*s) + float64(i%7)
+}
+
+// traceSin is a copy of the Go standard library's pure-Go sine (math/sin.go,
+// Copyright 2011 The Go Authors, BSD-style license; from the Cephes
+// library's sin.c), with a float64 conversion on every product that feeds
+// a sum. On amd64, which never fuses, it equals math.Sin bit for bit
+// (TestTraceSinMatchesMathSin). It omits the standard library's
+// Payne-Hanek reduction for arguments of 2**29 and beyond, which the
+// trace never reaches.
+func traceSin(x float64) float64 {
+	const (
+		PI4A = 7.85398125648498535156e-1  // 0x3fe921fb40000000, Pi/4 split into three parts
+		PI4B = 3.77489470793079817668e-8  // 0x3e64442d00000000,
+		PI4C = 2.69515142907905952645e-15 // 0x3ce8469898cc5170,
+	)
+	switch {
+	case x == 0 || math.IsNaN(x):
+		return x // return ±0 || NaN()
+	case math.IsInf(x, 0):
+		return math.NaN()
+	case math.Abs(x) >= 1<<29:
+		panic(fmt.Sprintf("traceSin(%g): argument needs the Payne-Hanek reduction", x))
+	}
+
+	// make argument positive but save the sign
+	sign := false
+	if x < 0 {
+		x = -x
+		sign = true
+	}
+
+	j := uint64(x * (4 / math.Pi)) // integer part of x/(Pi/4), as integer for tests on the phase angle
+	y := float64(j)                // integer part of x/(Pi/4), as float
+
+	// map zeros to origin
+	if j&1 == 1 {
+		j++
+		y++
+	}
+	j &= 7 // octant modulo 2Pi radians (360 degrees)
+	// Extended precision modular arithmetic
+	z := ((x - float64(y*PI4A)) - float64(y*PI4B)) - float64(y*PI4C)
+
+	// reflect in x axis
+	if j > 3 {
+		sign = !sign
+		j -= 4
+	}
+	zz := z * z
+	if j == 1 || j == 2 {
+		q := float64(traceCosCoefs[0]*zz) + traceCosCoefs[1]
+		q = float64(q*zz) + traceCosCoefs[2]
+		q = float64(q*zz) + traceCosCoefs[3]
+		q = float64(q*zz) + traceCosCoefs[4]
+		q = float64(q*zz) + traceCosCoefs[5]
+		y = 1.0 - float64(0.5*zz) + float64(zz*zz*q)
+	} else {
+		q := float64(traceSinCoefs[0]*zz) + traceSinCoefs[1]
+		q = float64(q*zz) + traceSinCoefs[2]
+		q = float64(q*zz) + traceSinCoefs[3]
+		q = float64(q*zz) + traceSinCoefs[4]
+		q = float64(q*zz) + traceSinCoefs[5]
+		y = z + float64(z*zz*q)
+	}
+	if sign {
+		y = -y
+	}
+	return y
+}
+
+// traceSinCoefs and traceCosCoefs are math/sin.go's sin and cos coefficients.
+var (
+	traceSinCoefs = [...]float64{
+		1.58962301576546568060e-10, // 0x3de5d8fd1fd19ccd
+		-2.50507477628578072866e-8, // 0xbe5ae5e5a9291f5d
+		2.75573136213857245213e-6,  // 0x3ec71de3567d48a1
+		-1.98412698295895385996e-4, // 0xbf2a01a019bfdf03
+		8.33333333332211858878e-3,  // 0x3f8111111110f7d0
+		-1.66666666666666307295e-1, // 0xbfc5555555555548
+	}
+	traceCosCoefs = [...]float64{
+		-1.13585365213876817300e-11, // 0xbda8fa49a0861a9b
+		2.08757008419747316778e-9,   // 0x3e21ee9d7b4e3f05
+		-2.75573141792967388112e-7,  // 0xbe927e4f7eac4bc6
+		2.48015872888517045348e-5,   // 0x3efa01a019c844f5
+		-1.38888888888730564116e-3,  // 0xbf56c16c16c14f91
+		4.16666666666665929218e-2,   // 0x3fa555555555554b
+	}
+)
 
 func goldenPath(v ProcVariant) string {
 	return filepath.Join("testdata", "kernel_golden_"+v.Name+".txt")

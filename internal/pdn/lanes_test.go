@@ -110,10 +110,7 @@ func checkLanes(t *testing.T, name string, n, loads int, mixed bool, cycles, sub
 }
 
 // goldenLoad is goldenTrace's load sequence, shifted per load.
-func goldenLoad(c, j int) float64 {
-	i := c + 3*j
-	return 8 + 14*math.Sin(float64(i)*0.37) + float64(i%7)
-}
+func goldenLoad(c, j int) float64 { return traceLoad(c + 3*j) }
 
 // withScalarKernel runs fn with the packed kernel forced off.
 func withScalarKernel(fn func()) {

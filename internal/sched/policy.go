@@ -206,17 +206,12 @@ func RandomBatches(t *PairTable, cfg BatchConfig, count int, seed int64) []Batch
 	return out
 }
 
-// RandomEvals builds and evaluates the random control group, fanning the
-// per-batch greedy constructions (each an O(size·n²) table scan) out over
-// `workers` goroutines. The result equals evaluating
-// RandomBatches(t, cfg, count, seed) batch by batch, at any width.
-func RandomEvals(t *PairTable, cfg BatchConfig, count int, seed int64, workers int) []BatchEval {
-	out, _ := RandomEvalsCtx(context.Background(), t, cfg, count, seed, workers)
-	return out
-}
-
-// RandomEvalsCtx is RandomEvals with cooperative cancellation at batch
-// boundaries; a cancelled sweep returns the context's error and no evals.
+// RandomEvalsCtx builds and evaluates the random control group, fanning
+// the per-batch greedy constructions (each an O(size·n²) table scan) out
+// over `workers` goroutines. The result equals evaluating
+// RandomBatches(t, cfg, count, seed) batch by batch, at any width. The
+// sweep stops at a batch boundary when ctx is cancelled and returns the
+// context's error and no evals.
 func RandomEvalsCtx(ctx context.Context, t *PairTable, cfg BatchConfig, count int, seed int64, workers int) ([]BatchEval, error) {
 	seeds := randomSeeds(count, seed)
 	out := make([]BatchEval, count)

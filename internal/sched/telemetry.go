@@ -18,8 +18,8 @@ var (
 	// completed online schedules.
 	SchedEmergencies = telemetry.DeclareCounter("sched.emergencies")
 	// SchedCells counts completed oracle pair-table cells, single-core
-	// references and pairs: BuildPairTableCtx counts the cells it
-	// measures, and a caller that measures cells itself for NewPairTable
-	// counts them here.
+	// references and pairs. NewPairTable measures nothing, so the caller
+	// that measures or reads the cells it hands NewPairTable counts them
+	// here.
 	SchedCells = telemetry.DeclareCounter("sched.cells")
 )

@@ -24,29 +24,23 @@ type WindowResult struct {
 	SoloDroops []float64
 }
 
-// SlidingWindow reproduces the Sec IV-B convolution experiment: "One
+// SlidingWindowCtx reproduces the Sec IV-B convolution experiment: "One
 // program, Prog X, is tied to Core 0. It runs uninterrupted until program
 // completion. During its execution, we spawn a second program Prog Y onto
 // Core 1 … we prematurely terminate its execution after 60 seconds [and]
 // immediately re-launch a new instance." Because Prog Y always restarts
 // from its beginning while Prog X advances through its phases, each window
-// convolves Y's opening phase with a different phase of X. The solo and
-// co-scheduled passes run serially.
-func SlidingWindow(cfg uarch.Config, x, y workload.Profile, windowCycles uint64, windows int, margin float64) WindowResult {
-	res, _ := SlidingWindowCtx(context.Background(), cfg, x, y, windowCycles, windows, margin, 1)
-	return res
-}
-
-// SlidingWindowCtx is SlidingWindow with cooperative cancellation: the
-// experiment polls ctx at window boundaries — its natural phase boundary,
-// since each window is one indivisible convolution step — and returns the
-// context's error with a zero result when cancelled. The solo and
-// co-scheduled passes are independent simulations and run on up to
+// convolves Y's opening phase with a different phase of X.
+//
+// The experiment polls ctx at window boundaries — its natural phase
+// boundary, since each window is one indivisible convolution step — and
+// returns the context's error with a zero result when cancelled. The solo
+// and co-scheduled passes are independent simulations and run on up to
 // `workers` goroutines (<= 0 means parallel.DefaultWorkers()); the result
 // is bit-identical at any width.
 func SlidingWindowCtx(ctx context.Context, cfg uarch.Config, x, y workload.Profile, windowCycles uint64, windows int, margin float64, workers int) (WindowResult, error) {
 	if windowCycles == 0 || windows <= 0 {
-		panic("sched: SlidingWindow needs positive window size and count")
+		panic("sched: SlidingWindowCtx needs positive window size and count")
 	}
 	if margin == 0 {
 		margin = core.PhaseMargin

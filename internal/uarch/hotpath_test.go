@@ -84,8 +84,9 @@ func TestChipCycleZeroAllocs(t *testing.T) {
 
 // TestCycleReusedScratchMatchesFresh guards the scratch-buffer reuse in
 // Cycle/StallCycle: two chips stepped identically — one exercised through
-// extra construction-time state — must produce identical voltages, i.e.
-// the reused perCore buffer carries no state between cycles.
+// extra construction-time state — must produce identical voltages and
+// per-core draws, i.e. the reused perCore buffer carries no state between
+// cycles.
 func TestCycleReusedScratchMatchesFresh(t *testing.T) {
 	a := hotChip(t)
 	b := hotChip(t)
@@ -99,6 +100,11 @@ func TestCycleReusedScratchMatchesFresh(t *testing.T) {
 		va, vb := a.Cycle(), b.Cycle()
 		if va != vb {
 			t.Fatalf("cycle %d: voltages diverged %v vs %v", i, va, vb)
+		}
+		for c := 0; c < a.Config().NumCores; c++ {
+			if ia, ib := a.CoreCurrent(c), b.CoreCurrent(c); ia != ib {
+				t.Fatalf("cycle %d: core %d draws diverged %v vs %v", i, c, ia, ib)
+			}
 		}
 	}
 }

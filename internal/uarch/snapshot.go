@@ -14,7 +14,7 @@ import (
 var ErrNotCheckpointable = errors.New("uarch: stream does not implement workload.Checkpointable")
 
 // ErrStateMismatch reports a snapshot restored into a chip of a different
-// shape (core or rail count).
+// shape (core count).
 var ErrStateMismatch = errors.New("uarch: snapshot does not match chip shape")
 
 // State is an opaque chip snapshot taken by Snapshot. It captures two
@@ -23,7 +23,7 @@ var ErrStateMismatch = errors.New("uarch: snapshot does not match chip shape")
 //   - architectural state: per-core pipeline fields, counters, stream
 //     positions, and the shared contention PRNG — everything that
 //     determines which instructions execute next;
-//   - electrical state: the rail networks, cycle clock, and last
+//   - electrical state: the network, cycle clock, and last
 //     current/voltage — everything the physics integrates.
 //
 // Restore reinstates both halves; RestoreArch only the first, which is
@@ -32,7 +32,7 @@ var ErrStateMismatch = errors.New("uarch: snapshot does not match chip shape")
 type State struct {
 	cores   []core
 	streams []any // per-core workload.Checkpointable snapshots
-	nets    []pdn.Network
+	net     pdn.Network
 	cycles  uint64
 	rng     uint64
 	current float64
@@ -49,7 +49,7 @@ func (c *Chip) Snapshot() (*State, error) {
 	st := &State{
 		cores:   append([]core(nil), c.cores...),
 		streams: make([]any, len(c.cores)),
-		nets:    make([]pdn.Network, len(c.nets)),
+		net:     *c.net,
 		cycles:  c.cycles,
 		rng:     c.rng,
 		current: c.current,
@@ -64,15 +64,12 @@ func (c *Chip) Snapshot() (*State, error) {
 		}
 		st.streams[i] = cp.Checkpoint()
 	}
-	for i, n := range c.nets {
-		st.nets[i] = *n
-	}
 	return st, nil
 }
 
 // RestoreArch restores the architectural half of a snapshot — pipeline
 // state, counters, stream positions, and the contention PRNG — while the
-// electrical state (rails, cycle clock, sensed voltage) keeps evolving
+// electrical state (network, cycle clock, sensed voltage) keeps evolving
 // forward. With the PRNG included, replaying the cycles executed since
 // the snapshot re-derives the identical instruction-level outcome, which
 // is the invariant rollback recovery is built on.
@@ -89,16 +86,14 @@ func (c *Chip) RestoreArch(st *State) error {
 }
 
 // Restore reinstates the complete snapshot, architectural and electrical,
-// returning the chip to the exact moment Snapshot was called. The rails
-// keep the steps they counted since: the work was done even though its
+// returning the chip to the exact moment Snapshot was called. The network
+// keeps the steps it counted since: the work was done even though its
 // trajectory is discarded.
 func (c *Chip) Restore(st *State) error {
 	if err := c.RestoreArch(st); err != nil {
 		return err
 	}
-	for i := range c.nets {
-		c.nets[i].Restore(&st.nets[i])
-	}
+	c.net.Restore(&st.net)
 	c.cycles = st.cycles
 	c.current = st.current
 	c.voltage = st.voltage
@@ -107,9 +102,9 @@ func (c *Chip) Restore(st *State) error {
 }
 
 func (c *Chip) checkState(st *State) error {
-	if len(st.cores) != len(c.cores) || len(st.nets) != len(c.nets) {
-		return fmt.Errorf("%w: snapshot has %d cores / %d rails, chip has %d / %d",
-			ErrStateMismatch, len(st.cores), len(st.nets), len(c.cores), len(c.nets))
+	if len(st.cores) != len(c.cores) {
+		return fmt.Errorf("%w: snapshot has %d cores, chip has %d",
+			ErrStateMismatch, len(st.cores), len(c.cores))
 	}
 	return nil
 }

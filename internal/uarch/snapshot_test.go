@@ -189,15 +189,14 @@ func TestInjectCurrentDroopsVoltage(t *testing.T) {
 	}
 }
 
-// TestRestoreKeepsCountedSteps pins the rails' step counts across a full
-// restore: it rewinds their trajectory, not the work that integrated it.
-// Every cycle stepped before and after the restore reaches pdn.steps at
-// the publish, once per rail, and a second publish adds nothing.
+// TestRestoreKeepsCountedSteps pins the network's step count across a
+// full restore: it rewinds its trajectory, not the work that integrated
+// it. Every cycle stepped before and after the restore reaches pdn.steps
+// at the publish, and a second publish adds nothing.
 func TestRestoreKeepsCountedSteps(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	t.Cleanup(telemetry.Install(reg, nil))
 	cfg := DefaultConfig()
-	cfg.SplitSupply = true
 	chip := NewChip(cfg)
 	for i := 0; i < 100; i++ {
 		chip.Cycle()
@@ -220,7 +219,7 @@ func TestRestoreKeepsCountedSteps(t *testing.T) {
 	}
 	chip.PublishSteps()
 	chip.PublishSteps()
-	if got, want := reg.Counter("pdn.steps").Load(), uint64(175*cfg.NumCores*cfg.Substeps); got != want {
+	if got, want := reg.Counter("pdn.steps").Load(), uint64(175*cfg.Substeps); got != want {
 		t.Errorf("published %d steps, want %d", got, want)
 	}
 }

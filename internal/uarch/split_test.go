@@ -1,22 +1,26 @@
-package uarch
+package uarch_test
 
 import (
-	"math"
 	"testing"
 
+	"voltsmooth/internal/core"
+	"voltsmooth/internal/pdn"
+	"voltsmooth/internal/uarch"
 	"voltsmooth/internal/workload"
 )
 
+// The chip drives one network; per-core supplies are rails that
+// core.RunLanes steps on the chip's per-core draws (CoreCurrent). These
+// are the physics checks of those rails, run through RunLanes.
+
 func TestSplitSupplyIdleStable(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SplitSupply = true
-	chip := NewChip(cfg)
-	vnom := cfg.PDN.VNom
-	for i := 0; i < 20000; i++ {
-		v := chip.Cycle()
-		if math.IsNaN(v) || v < 0.9*vnom || v > 1.1*vnom {
-			t.Fatalf("split-supply idle unstable at cycle %d: %.4f", i, v)
-		}
+	cfg := uarch.DefaultConfig()
+	res := core.RunLanes(cfg, []core.LaneRun{{Split: []pdn.Params{cfg.PDN}}}, core.RunConfig{Cycles: 20000})[0][0]
+	if res.Scope.Samples() != 20000 {
+		t.Fatalf("sensed %d cycles, want 20000", res.Scope.Samples())
+	}
+	if d, o := res.Scope.MinDroopPercent(), res.Scope.MaxOvershootPercent(); !(d < 10 && o < 10) {
+		t.Fatalf("split-supply idle unstable: droop %.2f%%, overshoot %.2f%% of nominal", d, o)
 	}
 }
 
@@ -24,50 +28,24 @@ func TestSplitSupplySwingsLarger(t *testing.T) {
 	// The POWER6 comparison the paper cites: independent per-core rails
 	// see larger swings than a connected supply, because the shared rail
 	// averages the cores' uncorrelated draws.
-	p2p := func(split bool) float64 {
-		cfg := DefaultConfig()
-		cfg.SplitSupply = split
-		chip := NewChip(cfg)
-		a, _ := workload.ByName("mcf")
-		b, _ := workload.ByName("sphinx")
-		chip.SetStream(0, a.NewStream())
-		chip.SetStream(1, b.NewStream())
-		for i := 0; i < 20000; i++ {
-			chip.Cycle()
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < 100000; i++ {
-			v := chip.Cycle()
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-		return hi - lo
-	}
-	shared, split := p2p(false), p2p(true)
-	if split <= shared {
-		t.Errorf("split-supply swing %.4f V not above shared %.4f V", split, shared)
-	}
-}
-
-func TestSplitSupplyRailVoltages(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SplitSupply = true
-	chip := NewChip(cfg)
+	cfg := uarch.DefaultConfig()
 	a, _ := workload.ByName("mcf")
-	chip.SetStream(0, a.NewStream()) // core 1 idles
-	for i := 0; i < 30000; i++ {
-		chip.Cycle()
-	}
-	// The sensed voltage must be the minimum across rails.
-	v0, v1 := chip.RailVoltage(0), chip.RailVoltage(1)
-	if got := chip.Voltage(); got != math.Min(v0, v1) {
-		t.Errorf("Voltage() = %.5f, want min(%.5f, %.5f)", got, v0, v1)
+	b, _ := workload.ByName("sphinx")
+	res := core.RunLanes(cfg, []core.LaneRun{{
+		Streams: []workload.Stream{a.NewStream(), b.NewStream()},
+		Nets:    []pdn.Params{cfg.PDN},
+		Split:   []pdn.Params{cfg.PDN},
+	}}, core.RunConfig{Cycles: 100000, WarmupCycles: 20000})[0]
+	shared, split := res[0].Scope.PeakToPeakPercent(), res[1].Scope.PeakToPeakPercent()
+	if split <= shared {
+		t.Errorf("split-supply swing %.4f%% not above shared %.4f%%", split, shared)
 	}
 }
 
 func TestSharedSupplySingleRail(t *testing.T) {
-	chip := NewChip(DefaultConfig())
+	chip := uarch.NewChip(uarch.DefaultConfig())
 	chip.Cycle()
-	if chip.RailVoltage(0) != chip.Voltage() {
-		t.Error("shared supply rail 0 must be the sensed voltage")
+	if chip.Network().V() != chip.Voltage() {
+		t.Error("the chip's one network must carry the sensed voltage")
 	}
 }

@@ -107,14 +107,6 @@ type Config struct {
 	RespFlush EventResponse // branch misprediction redirect
 	RespExcp  EventResponse // exception microtrap
 
-	// SplitSupply gives every core its own power-delivery rail instead
-	// of the shared supply. Each rail is the shared network divided by
-	// the core count (capacitances split, resistances and inductances
-	// multiply), as in the IBM POWER6 split- vs connected-supply study
-	// the paper cites: split rails lose the averaging between cores'
-	// uncorrelated current draws, so per-rail swings grow.
-	SplitSupply bool
-
 	// L2ContentionFactor models shared-L2 capacity contention: an L2 hit
 	// on one core is upgraded to a full memory miss with probability
 	// factor × (the other cores' recent L2 traffic per cycle). This is
@@ -250,53 +242,31 @@ type core struct {
 	l2Rate     float64 // EMA of this core's L2 accesses per cycle
 }
 
-// Chip wires cores to the power-delivery network (one shared network, or
-// one per core under Config.SplitSupply).
+// Chip wires cores to the power-delivery network they share.
 type Chip struct {
 	cfg       Config
 	cores     []core
-	nets      []*pdn.Network // len 1 when shared, len NumCores when split
+	net       *pdn.Network
 	cycleTime float64
 	cycles    uint64
 	current   float64 // last total chip current
-	voltage   float64 // last sensed voltage (min across rails)
+	voltage   float64 // last sensed voltage
 	rng       uint64  // deterministic PRNG for contention outcomes
 
 	// injectAmps is extra die current queued by InjectCurrent for the
 	// next cycle (the fault-injection seam for PDN stimulus spikes).
 	injectAmps float64
 
-	// perCore is the per-cycle current scratch buffer, allocated once at
-	// construction and reused by every Cycle/StallCycle so the hot path
-	// performs zero allocations (pinned by TestChipCycleZeroAllocs).
+	// perCore holds each core's draw during the last cycle (CoreCurrent),
+	// allocated once at construction and rewritten by every cycle so the
+	// hot path performs zero allocations (pinned by
+	// TestChipCycleZeroAllocs).
 	perCore []float64
 	// numCoresF and uncoreShare are per-cycle loop invariants resolved
 	// at construction: the core count as a float and each core's share
 	// of the uncore draw.
 	numCoresF   float64
 	uncoreShare float64
-}
-
-// splitRail divides the shared power-delivery network across n rails:
-// each rail keeps 1/n of every capacitance and n times every resistance
-// and inductance (parallel composition in reverse).
-func splitRail(p pdn.Params, n int) pdn.Params {
-	f := float64(n)
-	p.C1 /= f
-	p.C2 /= f
-	p.C3 /= f
-	p.CPlane /= f
-	p.R0 *= f
-	p.R1 *= f
-	p.R2 *= f
-	p.ESR1 *= f
-	p.ESR2 *= f
-	p.ESR3 *= f
-	p.ESL2 *= f
-	p.L0 *= f
-	p.L1 *= f
-	p.L2 *= f
-	return p
 }
 
 // rand returns a uniform value in [0,1) from the chip's deterministic
@@ -328,15 +298,7 @@ func NewChip(cfg Config) *Chip {
 		c.cores[i].aSmooth = 0
 		idle += cfg.Current.IdleAmps
 	}
-	if cfg.SplitSupply {
-		rail := splitRail(cfg.PDN, cfg.NumCores)
-		perRail := idle / float64(cfg.NumCores)
-		for i := 0; i < cfg.NumCores; i++ {
-			c.nets = append(c.nets, pdn.NewAtLoad(rail, perRail))
-		}
-	} else {
-		c.nets = []*pdn.Network{pdn.NewAtLoad(cfg.PDN, idle)}
-	}
+	c.net = pdn.NewAtLoad(cfg.PDN, idle)
 	c.current = idle
 	c.voltage = cfg.PDN.VNom
 	return c
@@ -367,43 +329,40 @@ func (c *Chip) Counters(coreID int) *counters.Counters {
 // CycleCount returns the number of chip cycles simulated so far.
 func (c *Chip) CycleCount() uint64 { return c.cycles }
 
-// Voltage returns the sensed die voltage after the most recent cycle —
-// the minimum across rails when the supply is split, since an emergency
-// on any rail forces a global recovery.
+// Voltage returns the sensed die voltage after the most recent cycle.
 func (c *Chip) Voltage() float64 { return c.voltage }
 
 // TotalCurrent returns the chip current drawn during the last cycle.
 func (c *Chip) TotalCurrent() float64 { return c.current }
 
+// CoreCurrent returns the current core coreID drew during the last cycle:
+// its own draw plus its share of the uncore, trap-contention and injected
+// currents. The cores' draws sum to TotalCurrent up to rounding, so a
+// caller can drive a supply per core from them (the split supplies of
+// core.RunLanes).
+func (c *Chip) CoreCurrent(coreID int) float64 { return c.perCore[coreID] }
+
 // Network exposes the underlying power-delivery network (for impedance
-// analysis of the assembled platform); with a split supply it returns
-// core 0's rail.
-func (c *Chip) Network() *pdn.Network { return c.nets[0] }
+// analysis of the assembled platform).
+func (c *Chip) Network() *pdn.Network { return c.net }
 
-// RailVoltage returns the voltage of an individual rail (rail 0 is the
-// only rail on a shared supply).
-func (c *Chip) RailVoltage(rail int) float64 { return c.nets[rail].V() }
-
-// PublishSteps adds the substeps every rail integrated since its last
+// PublishSteps adds the substeps the network integrated since its last
 // publish to the pdn.steps counter (pdn.Network.PublishSteps). A run that
 // builds a chip defers it right after NewChip.
-func (c *Chip) PublishSteps() {
-	for _, n := range c.nets {
-		n.PublishSteps()
-	}
-}
+func (c *Chip) PublishSteps() { c.net.PublishSteps() }
 
 // Cycle advances the chip by one clock cycle: each core executes, the
 // summed current drives the PDN, and the resulting die voltage is
 // returned. This is the hot path of every experiment.
-func (c *Chip) Cycle() float64 { return c.driveNets(c.CycleLoad()) }
+func (c *Chip) Cycle() float64 { return c.driveNet(c.CycleLoad()) }
 
 // CycleLoad is the first half of Cycle: it advances every core's pipeline
 // by one clock cycle, applies any injected current, advances the chip
 // clock and returns the total die current, without stepping the chip's
 // own network. Nothing in the pipeline reads the die voltage, so a caller
-// can drive any number of networks from one CycleLoad per cycle (the
-// shared supply of core.RunLanes); Voltage then stays at its last value.
+// can drive any number of networks from one CycleLoad per cycle, on the
+// total or on each core's draw (core.RunLanes); Voltage then stays at its
+// last value.
 func (c *Chip) CycleLoad() float64 {
 	cm := &c.cfg.Current
 	uncoreShare := c.uncoreShare
@@ -443,7 +402,7 @@ func (c *Chip) CycleLoad() float64 {
 // StallCycle advances the chip by one clock cycle with every pipeline
 // frozen: no instructions issue, no stall/burst countdowns tick, no
 // counters or PRNG state advance — only the smoothed current collapses
-// toward the clock-gated floor and the rails integrate another cycle.
+// toward the clock-gated floor and the network integrates another cycle.
 // This is the recovery stall of a resilient design (a Razor-style flush
 // or a checkpoint restore holds the whole chip while the recovery
 // hardware works), and the current collapse it causes is itself a dI/dt
@@ -461,7 +420,7 @@ func (c *Chip) StallCycle() float64 {
 		perCore[i] = cm.GatedAmps + float64(co.aSmooth*cm.ActiveAmps) + uncoreShare
 		total += perCore[i]
 	}
-	return c.driveNets(c.draw(total))
+	return c.driveNet(c.draw(total))
 }
 
 // InjectCurrent queues extra die current (amperes) to be drawn during the
@@ -490,21 +449,10 @@ func (c *Chip) draw(total float64) float64 {
 	return total
 }
 
-// driveNets drives the rail(s) for one cycle: the shared network with the
-// total current, or each split rail with its core's draw in c.perCore.
-func (c *Chip) driveNets(total float64) float64 {
-	if len(c.nets) == 1 {
-		c.voltage = c.nets[0].StepCycle(c.cycleTime, total, c.cfg.Substeps)
-		return c.voltage
-	}
-	vMin := math.Inf(1)
-	for i, n := range c.nets {
-		if v := n.StepCycle(c.cycleTime, c.perCore[i], c.cfg.Substeps); v < vMin {
-			vMin = v
-		}
-	}
-	c.voltage = vMin
-	return vMin
+// driveNet steps the chip's network for one cycle on the total current.
+func (c *Chip) driveNet(total float64) float64 {
+	c.voltage = c.net.StepCycle(c.cycleTime, total, c.cfg.Substeps)
+	return c.voltage
 }
 
 // contentionPressure maps a co-runner L2 traffic rate (accesses/cycle)
