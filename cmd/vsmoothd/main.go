@@ -63,24 +63,22 @@ func run(argv []string) int {
 		ageAfter      = fs.Duration("age-after", 30*time.Second, "queue aging quantum: a waiting job's effective priority improves one class per this much wait")
 		shedWatermark = fs.Int("shed-watermark", 0, "queue depth past which bulk submissions are shed with 429 (0 = 3/4 of -queue)")
 
-		// Fleet mode: any number of vsmoothd processes sharing one -store
-		// coordinate job ownership through durable per-job leases — a dead
-		// worker's jobs fail over to peers after -lease-ttl.
-		fleet        = fs.Bool("fleet", false, "coordinate job ownership with other vsmoothd processes sharing this -store via per-job leases")
-		workerID     = fs.String("worker-id", "", "this worker's unique fleet identity (default <hostname>-<pid>)")
-		leaseTTL     = fs.Duration("lease-ttl", 3*time.Second, "fleet job-lease TTL: how long a dead worker's jobs stay stuck before failover")
-		scanInterval = fs.Duration("scan-interval", 0, "fleet claim-scanner cadence (0 = lease-ttl/3)")
+		// Every server runs its jobs under durable per-job leases: any number
+		// of vsmoothd processes may share one -store (DESIGN §11).
+		workerID     = fs.String("worker-id", "", "this server's unique identity in job leases on the -store (default <hostname>-<pid>)")
+		leaseTTL     = fs.Duration("lease-ttl", 3*time.Second, "job-lease TTL: how long the jobs of a dead server wait before a peer or its restart resumes them")
+		scanInterval = fs.Duration("scan-interval", 0, "how often the server scans the -store for jobs to claim and results to adopt (0 = lease-ttl/3)")
 
 		// Store maintenance: -fsck scrubs and exits instead of serving.
 		fsck       = fs.Bool("fsck", false, "scrub the store for crash debris (tmp orphans, stale lock sidecars, torn cache entries), report, and exit")
 		fsckRepair = fs.Bool("fsck-repair", false, "with -fsck: also remove what is provably safe to remove")
 
 		// chaosKillAtOp is the deterministic crash point of the kill e2e
-		// tests: the Nth operation drawn by the chaos plane (journal ops,
-		// plus lease ops in fleet mode) SIGKILLs this process — no cleanup,
-		// no flush, exactly the failure mode the journal and lease layers
-		// are built to survive. Production runs leave it 0.
-		chaosKillAtOp = fs.Int64("chaos-kill-at-op", 0, "TESTING: SIGKILL this process at the Nth chaos-plane fs op, counting journal ops and, with -fleet, lease ops (0 = off)")
+		// tests: the Nth operation drawn by the chaos plane (journal and
+		// lease ops) SIGKILLs this process — no cleanup, no flush, exactly
+		// the failure mode the journal and lease layers are built to
+		// survive. Production runs leave it 0.
+		chaosKillAtOp = fs.Int64("chaos-kill-at-op", 0, "TESTING: SIGKILL this process at the Nth chaos-plane fs op, counting journal and lease ops (0 = off)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -113,9 +111,9 @@ func run(argv []string) int {
 
 	var plane durable.FS
 	if *chaosKillAtOp > 0 {
-		// One plane, one op stream, under the journal and (in fleet mode)
-		// the lease layer — so the seeded kill-point can land inside a
-		// claim transaction or renewal just as well as mid-append.
+		// One plane, one op stream, under the journal and the lease layer —
+		// so the seeded kill-point can land inside a claim transaction or
+		// renewal just as well as mid-append.
 		plane = chaos.NewFS(chaos.Plan{KillAtOp: *chaosKillAtOp}, func() {
 			// A real SIGKILL: the kernel reaps the process mid-write, file
 			// locks release, nothing user-space runs after this line.
@@ -139,7 +137,6 @@ func run(argv []string) int {
 		DisableCache:          !*cache,
 		CacheMax:              *cacheMax,
 		SSEHeartbeat:          *sseHeartbeat,
-		Fleet:                 *fleet,
 		WorkerID:              *workerID,
 		LeaseTTL:              *leaseTTL,
 		ScanInterval:          *scanInterval,

@@ -9,11 +9,11 @@
 // established retry/backoff taxonomy, and streams per-job progress and an
 // event trace while they run.
 //
-// Every job owns a config-hash-pinned journal file in the job store, so a
-// crashed or SIGKILLed server recovers on restart by scanning the store:
-// jobs with a persisted result are served as-is, jobs without one are
-// re-enqueued and resume from their journal, replaying finished units
-// bit-identically — the CLI's -resume become server-side crash recovery.
+// Every job owns a config-hash-pinned journal file in the job store and
+// runs under a durable lease, so a crashed or SIGKILLed server recovers on
+// restart by scanning the store: jobs with a persisted result are served
+// as-is, jobs without one resume from their journal once their lease is
+// free, replaying finished units bit-identically — the CLI's -resume.
 //
 // The job lifecycle state machine (DESIGN §10, §13):
 //
@@ -24,7 +24,7 @@
 //	             │          │                         priority job; resumes
 //	             │          │                         from its journal)
 //	             │          └─► queued        (server shutdown / crash;
-//	             └─► canceled                  re-enqueued on next boot)
+//	             └─► canceled                  re-enqueued by the scanner)
 //
 // Progress is scoped strictly per job: counters are fed from the job's
 // own runner events and its own journal's replay observer, never from the
@@ -205,10 +205,12 @@ func (s JobSpec) ConfigFingerprint() string {
 // Progress is a job's live progress snapshot, fed exclusively from
 // job-scoped observers (runner events, the job journal's replay hook).
 type Progress struct {
-	// Units counts completed measurement units (simulation runs, oracle
-	// cells), including units replayed from the journal on resume.
+	// Units counts the completed measurement units (simulation runs,
+	// oracle cells) of the job's run, replayed ones included: a resumed job
+	// ends with its uninterrupted run's count, which never decreases.
 	Units uint64 `json:"units"`
-	// ReplayedUnits counts the subset of Units served from the journal.
+	// ReplayedUnits counts the units served from the journal, over all
+	// of the job's runs.
 	ReplayedUnits uint64 `json:"replayed_units"`
 	// Attempts and Retries count runner attempts across the job's
 	// experiments.
@@ -223,6 +225,13 @@ type Progress struct {
 // progress is the atomic backing store for Progress.
 type progress struct {
 	units, replayed, attempts, retries, expDone atomic.Uint64
+}
+
+// raiseUnits lifts the unit count to n, the current run's count so far: a
+// run resumed after a suspension recounts its predecessor's units.
+func (p *progress) raiseUnits(n uint64) {
+	for cur := p.units.Load(); n > cur && !p.units.CompareAndSwap(cur, n); cur = p.units.Load() {
+	}
 }
 
 func (p *progress) snapshot(total int) Progress {
@@ -270,7 +279,7 @@ type job struct {
 	finished     time.Time
 	errMsg       string
 	resumedUnits int
-	recovered    bool // re-enqueued by boot-time recovery
+	recovered    bool // found unfinished by the boot pass of the scanner
 	canceled     bool // cancel requested (DELETE)
 	// preempted marks a cooperative cancel issued by the preemption
 	// scheduler (not a DELETE, not a drain): the run unwinds at its next
@@ -288,19 +297,19 @@ type job struct {
 	// update or state transition.
 	watchers map[chan struct{}]struct{}
 
-	// Fleet-mode fields. enqueued marks a job sitting on (or claimed off)
-	// the local work channel, so the claim scanner never double-enqueues;
-	// fenced marks a run whose lease was superseded mid-flight (the
-	// heartbeat's onFenced) — its outcome must not be persisted; hold is
-	// the live lease handle while this process runs the job.
+	// enqueued marks a job on the local queue. claimed marks a lease one
+	// local actor holds or is taking (claim), hold its handle; fenced marks
+	// a run whose lease was superseded mid-flight (the heartbeat's
+	// onFenced) — its outcome must not be persisted.
 	enqueued bool
-	fenced   bool
+	claimed  bool
 	hold     *lease.Handle
+	fenced   bool
 }
 
 // newJob builds the in-memory job for a durable admission record — the
-// one constructor behind admission, boot recovery and the fleet
-// scanner's peer mirror, so every path derives the same fingerprint,
+// one constructor behind admission and the scanner's mirror (boot
+// recovery included), so every path derives the same fingerprint,
 // queue seniority and absolute deadline from the record. The job starts
 // queued.
 func (s *Server) newJob(rec JobRecord) *job {
@@ -424,9 +433,9 @@ type Status struct {
 	// CacheSource names the job whose execution produced the renders.
 	Cached      bool   `json:"cached,omitempty"`
 	CacheSource string `json:"cache_source,omitempty"`
-	// Owner and Epoch expose the job's on-disk lease in fleet mode: which
-	// worker holds (or last held) the job, at which fencing epoch. Empty
-	// outside fleet mode or before the first claim.
+	// Owner and Epoch expose the job's on-disk lease: which worker holds
+	// (or last held) the job, at which fencing epoch. Empty before the
+	// first claim, and for a job served from the cache at admission.
 	Owner string `json:"owner,omitempty"`
 	Epoch uint64 `json:"epoch,omitempty"`
 }

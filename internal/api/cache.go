@@ -24,8 +24,8 @@ import (
 // identical spec is served instantly with byte-identical renders.
 //
 // Entries are written tmp+fsync+rename by the same durable atomic replace
-// as result.json, and — in fleet mode — inside the publisher's lease Guard,
-// so a fenced stale worker can never poison the cache. Reads validate
+// as result.json, and inside the publisher's lease Guard, so a fenced
+// stale worker can never poison the cache. Reads validate
 // the entry (parseable, fingerprint echoes the key, renders non-empty);
 // any defect is a miss and the job simply executes, rewriting the entry.
 
@@ -152,7 +152,7 @@ func (s *Server) cacheLookup(fp string) *CacheEntry {
 // finishFromCache completes jb from a cache entry without executing it:
 // the entry's renders become the job's terminal Result, marked Cached
 // with the source job's ID. The result write goes through commitResult,
-// so in fleet mode it is still fenced by the job's lease.
+// so a job a worker claimed is still fenced by its lease.
 func (s *Server) finishFromCache(jb *job, e *CacheEntry) {
 	jb.mu.Lock()
 	if jb.state.terminal() {
@@ -193,10 +193,10 @@ func (s *Server) finishFromCache(jb *job, e *CacheEntry) {
 
 // dedupLeader returns the job that should execute fingerprint fp: the
 // lowest-ID non-terminal, non-canceled job with that fingerprint. Job IDs
-// are minted by one store-level counter, so every fleet worker computes
-// the same leader from its mirror of the store — the rule needs no
-// coordination beyond the scanner that already exists. nil when no
-// live job carries fp.
+// are minted by one store-level counter, so every server on the store
+// computes the same leader from its mirror of the store — the rule needs
+// no coordination beyond the scanner that already exists. nil when no live
+// job carries fp.
 func (s *Server) dedupLeader(fp string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,7 +225,7 @@ func (s *Server) dedupLeaderLocked(fp string) *job {
 
 // park holds a job that stepped back behind an identical in-flight job
 // until the next terminal transition of its fingerprint (unpark). A
-// parked job holds no queue slot, and the fleet scanner skips it. The
+// parked job holds no queue slot, and the scanner skips it. The
 // leader is re-checked under Server.mu, the lock unpark takes, so a
 // leader that went terminal since runJob's check cannot strand the job:
 // it is requeued at once.

@@ -486,8 +486,8 @@ func TestCacheEviction(t *testing.T) {
 }
 
 // TestFleetCachedAdoption pins cross-worker dedup over the shared store:
-// a spec completed by worker A is served cached by worker B — through B's
-// lease fence, with exactly one execution fleet-wide.
+// a spec completed by worker A is served cached by worker B, with exactly
+// one execution fleet-wide.
 func TestFleetCachedAdoption(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	uninstall := telemetry.Install(reg, telemetry.NewTrace(0))
@@ -510,9 +510,7 @@ func TestFleetCachedAdoption(t *testing.T) {
 	}
 	executed := reg.Snapshot().Counters["exp.completed"]
 
-	// Fleet admission never serves the cache inline — the cached
-	// completion goes through the job's lease in runJob — so the ack is a
-	// plain queued 202.
+	// B serves the hit at admission, as every server does.
 	var ack2 map[string]string
 	if resp := submit(t, hsB.URL, "tenant-b", tinySpec(), &ack2); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit to B: %d", resp.StatusCode)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"voltsmooth/internal/experiments"
@@ -27,83 +28,66 @@ func (s *Server) runJob(jb *job) (follows bool) {
 	}
 
 	jb.mu.Lock()
-	if jb.state.terminal() {
-		// Canceled while queued (DELETE wrote the result already) — or a
-		// recovered duplicate. Nothing to run.
+	terminal := jb.state.terminal()
+	jb.mu.Unlock()
+	if terminal {
+		// Canceled while queued (DELETE wrote the result already), or a
+		// peer's result adopted. Nothing to run.
+		return
+	}
+
+	// Ownership first. The claim transaction under the lease flock is the
+	// only admission to execution; losing it (a peer's live lease, a busy
+	// lock, a local DELETE) just sends the job back to the scanner.
+	hold, err := s.claim(jb)
+	if err != nil {
+		if errors.Is(err, lease.ErrHeld) || errors.Is(err, lease.ErrLockBusy) || errors.Is(err, errClaimedHere) {
+			jb.trace.Emit(telemetry.Event{Kind: "api.job.claim_lost", ID: jb.id, Detail: telemetry.FirstLine(err)})
+		} else {
+			s.logf("job %s: claim: %v", jb.id, err)
+		}
+		// A suspended job whose resume lost the claim race (a peer is
+		// already resuming it) steps back to queued — the worker loop
+		// only requeues suspended jobs, and a hot requeue here would spin
+		// against the peer's lease until it finished.
+		jb.mu.Lock()
+		if jb.state == StateSuspended {
+			jb.state = StateQueued
+		}
 		jb.mu.Unlock()
 		return
 	}
-	canceled := jb.canceled
-	jb.mu.Unlock()
-	if canceled {
+	defer func() {
+		// A suspension releases "for requeue": the reason lands in the
+		// lease history, and the released lease is what lets ANY worker on
+		// the store (not just this one) resume the suspended job.
+		reason := ""
+		jb.mu.Lock()
+		if jb.state == StateSuspended {
+			reason = "preempted"
+		}
+		jb.mu.Unlock()
+		s.release(jb, reason)
+	}()
+	s.logf("job %s: claimed (epoch %d)", jb.id, hold.Epoch())
+
+	// The claim may have raced a peer's terminal write that landed just
+	// before our transaction: a result on disk means the job is done, not
+	// ours to re-run.
+	if res, err := s.store.LoadResult(jb.id); err == nil {
+		s.adoptResult(jb, res)
+		return
+	}
+	if jb.isCanceled() {
 		s.finishJob(jb, StateCanceled, "canceled before start", nil, nil)
 		return
-	}
-
-	// Fleet mode: ownership first. The claim transaction under the store
-	// flock is the only admission to execution; losing it (a peer's live
-	// lease, a busy lock) just sends the job back to the scanner.
-	var hold *lease.Handle
-	if s.leases != nil {
-		defer func() {
-			jb.mu.Lock()
-			jb.enqueued = false
-			jb.hold = nil
-			jb.mu.Unlock()
-		}()
-		h, err := s.leases.Claim(s.store.jobDir(jb.id), jb.id)
-		if err != nil {
-			if errors.Is(err, lease.ErrHeld) || errors.Is(err, lease.ErrLockBusy) {
-				jb.trace.Emit(telemetry.Event{Kind: "api.job.claim_lost", ID: jb.id, Detail: telemetry.FirstLine(err)})
-			} else {
-				s.logf("job %s: claim: %v", jb.id, err)
-			}
-			// A suspended job whose resume lost the claim race (a peer is
-			// already resuming it) steps back to queued — the worker loop
-			// only requeues suspended jobs, and a hot requeue here would
-			// spin against the peer's lease until it finished.
-			jb.mu.Lock()
-			if jb.state == StateSuspended {
-				jb.state = StateQueued
-			}
-			jb.mu.Unlock()
-			return
-		}
-		hold = h
-		jb.mu.Lock()
-		jb.hold = hold
-		jb.fenced = false
-		jb.mu.Unlock()
-		defer func() {
-			// A suspension releases "for requeue": the reason lands in the
-			// lease history, and the released lease is what lets ANY fleet
-			// peer (not just this worker) resume the suspended job.
-			reason := ""
-			jb.mu.Lock()
-			if jb.state == StateSuspended {
-				reason = "preempted"
-			}
-			jb.mu.Unlock()
-			if err := hold.ReleaseFor(reason); err != nil && !errors.Is(err, lease.ErrFenced) {
-				s.logf("job %s: release lease: %v (peers take over at TTL expiry)", jb.id, err)
-			}
-		}()
-		s.logf("job %s: claimed (epoch %d)", jb.id, hold.Epoch())
-
-		// The claim may have raced a peer's terminal write that landed just
-		// before our transaction: a result on disk means the job is done,
-		// not ours to re-run.
-		if res, err := s.store.LoadResult(jb.id); err == nil {
-			s.adoptResult(jb, res)
-			return
-		}
 	}
 
 	if s.cacheEnabled() {
 		// Cross-tenant dedup (DESIGN §12). First the durable cache: an
 		// identical campaign already finished somewhere — serve its renders
-		// as this job's terminal result (through the lease fence in fleet
-		// mode; finishFromCache routes the write via commitResult/Guard).
+		// as this job's terminal result (through the lease fence:
+		// finishFromCache routes the write via commitResult/Guard).
 		if e := s.cacheLookup(jb.fingerprint); e != nil {
 			s.finishFromCache(jb, e)
 			return
@@ -161,6 +145,10 @@ func (s *Server) runJob(jb *job) (follows bool) {
 	jb.mu.Lock()
 	jb.cancel = cancel
 	jb.started = s.now()
+	if jb.canceled {
+		// A DELETE accepted since the claim found no run to cancel yet.
+		cancel()
+	}
 	jb.mu.Unlock()
 	jb.setState(StateRunning, "")
 	s.mu.Lock()
@@ -174,40 +162,36 @@ func (s *Server) runJob(jb *job) (follows bool) {
 	apiJobsRunning.Add(1)
 	defer apiJobsRunning.Add(-1)
 
-	if hold != nil {
-		// Heartbeat: renew the lease on job progress until the run ends or
-		// the lease is fenced — the signal that a successor owns the job
-		// and this run must abandon everything, terminal write included.
-		go hold.Keep(ctx, 0, jb.prog.units.Load, func(err error) {
-			s.logf("job %s: %v; abandoning run", jb.id, err)
-			jb.mu.Lock()
-			jb.fenced = true
-			jb.mu.Unlock()
-			cancel()
-		})
-	}
+	// Heartbeat: renew the lease on job progress until the run ends or the
+	// lease is fenced — the signal that a successor owns the job and this
+	// run must abandon everything, terminal write included.
+	go hold.Keep(ctx, 0, jb.prog.units.Load, func(err error) {
+		s.logf("job %s: %v; abandoning run", jb.id, err)
+		jb.mu.Lock()
+		jb.fenced = true
+		jb.mu.Unlock()
+		cancel()
+	})
 
+	// A fenced predecessor may still hold the journal flock (a paused
+	// process keeps its descriptors). Our lease is live and renewing, so
+	// wait the holder out briefly; past the budget, hand the job back
+	// rather than camp on a queue worker.
 	sess, jnl, err := s.openSession(jb)
-	if hold != nil {
-		// A fenced predecessor may still hold the journal flock (a paused
-		// process keeps its descriptors). Our lease is live and renewing,
-		// so wait the holder out briefly; past the budget, hand the job
-		// back rather than camp on a queue worker.
-		deadline := s.now().Add(4 * s.cfg.LeaseTTL)
-		for errors.Is(err, journal.ErrLocked) && ctx.Err() == nil {
-			if s.now().After(deadline) {
-				s.logf("job %s: journal still locked by another process after %s; requeueing", jb.id, 4*s.cfg.LeaseTTL)
-				jb.setState(StateQueued, "journal locked by another process")
-				return
-			}
-			// Wait the holder out without going deaf to cancellation: a
-			// drain, fence, or DELETE must interrupt this wait immediately,
-			// not after another sleep-and-reopen round.
-			select {
-			case <-ctx.Done():
-			case <-time.After(250 * time.Millisecond):
-				sess, jnl, err = s.openSession(jb)
-			}
+	deadline := s.now().Add(4 * s.cfg.LeaseTTL)
+	for errors.Is(err, journal.ErrLocked) && ctx.Err() == nil {
+		if s.now().After(deadline) {
+			s.logf("job %s: journal still locked by another process after %s; requeueing", jb.id, 4*s.cfg.LeaseTTL)
+			jb.setState(StateQueued, "journal locked by another process")
+			return
+		}
+		// Wait the holder out without going deaf to cancellation: a
+		// drain, fence, or DELETE must interrupt this wait immediately,
+		// not after another sleep-and-reopen round.
+		select {
+		case <-ctx.Done():
+		case <-time.After(250 * time.Millisecond):
+			sess, jnl, err = s.openSession(jb)
 		}
 	}
 	if err != nil {
@@ -217,7 +201,7 @@ func (s *Server) runJob(jb *job) (follows bool) {
 			s.finishJob(jb, StateCanceled, "canceled while opening journal", nil, nil)
 			return
 		}
-		if hold != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			// Fenced or drained while waiting on the journal lock: not a
 			// job failure. Leave it queued for whoever owns it next.
 			jb.setState(StateQueued, "interrupted before journal open")
@@ -286,10 +270,10 @@ func (s *Server) runJob(jb *job) (follows bool) {
 		// Preempted by a higher-priority arrival: the run unwound at a run
 		// boundary with its journal checkpoint intact. Suspend — not
 		// terminal, no result.json — and let the worker loop requeue it
-		// (after this frame's defers release the lease in fleet mode, so a
-		// peer may just as well resume it). The journal must be healthy
-		// for the resume to replay; a poisoned one still resumes, it just
-		// re-executes (the same degradation crash recovery accepts).
+		// (after this frame's defers release the lease, so a peer may just
+		// as well resume it). The journal must be healthy for the resume
+		// to replay; a poisoned one still resumes, it just re-executes
+		// (the same degradation crash recovery accepts).
 		jb.mu.Lock()
 		jb.preempted = false
 		jb.cancel = nil
@@ -340,9 +324,9 @@ func (s *Server) openSession(jb *job) (*experiments.Session, *journal.Journal, e
 		return nil, nil, err
 	}
 	// Replays are observed through the journal's own job-scoped hook, so a
-	// sibling job's replay traffic never lands in this job's counters.
+	// sibling job's replay traffic never lands in this job's counters. A
+	// replayed unit is also reported as progress, which counts it in Units.
 	jnl.OnReplay = func(key string) {
-		jb.prog.units.Add(1)
 		jb.prog.replayed.Add(1)
 		jb.notify()
 	}
@@ -358,18 +342,19 @@ func (s *Server) openSession(jb *job) (*experiments.Session, *journal.Journal, e
 	return sess, jnl, nil
 }
 
-// jobObserver adapts the runner's event stream into this job's scoped
-// progress counters and event ring. Replayed units arrive through the
-// journal's OnReplay hook instead (the runner sees them as ordinary
-// progress only in campaigns without a journal).
+// jobObserver adapts the runner's event stream of one run into this job's
+// scoped progress counters and event ring. Every completed unit arrives as
+// progress, replayed ones too (the journal's OnReplay hook only counts the
+// replays).
 func (s *Server) jobObserver(jb *job) func(runner.Event) {
+	var units atomic.Uint64 // this run's units
 	return func(ev runner.Event) {
 		switch ev.Kind {
 		case runner.EventStart:
 			jb.prog.attempts.Add(1)
 			jb.trace.Emit(telemetry.Event{Kind: "run.start", ID: ev.ID, Value: float64(ev.Attempt)})
 		case runner.EventProgress:
-			jb.prog.units.Add(1)
+			jb.prog.raiseUnits(units.Add(1))
 		case runner.EventRetry:
 			jb.prog.retries.Add(1)
 			jb.trace.Emit(telemetry.Event{Kind: "run.retry", ID: ev.ID, Value: float64(ev.Attempt),
@@ -393,6 +378,44 @@ func (j *job) isCanceled() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.canceled
+}
+
+// errClaimedHere refuses a claim while another actor of this process — the
+// worker running the job, or a DELETE canceling it — holds its lease.
+var errClaimedHere = errors.New("lease held by this process")
+
+// claim takes jb's lease for one local actor at a time: the protocol lets
+// a worker re-claim its own lease, so a second local claim would fence the
+// first. The handle is kept as jb.hold, which commitResult writes under.
+func (s *Server) claim(jb *job) (*lease.Handle, error) {
+	jb.mu.Lock()
+	if jb.claimed {
+		jb.mu.Unlock()
+		return nil, errClaimedHere
+	}
+	jb.claimed = true
+	jb.mu.Unlock()
+	h, err := s.leases.Claim(s.store.jobDir(jb.id), jb.id)
+	jb.mu.Lock()
+	jb.claimed = err == nil
+	jb.hold = h
+	jb.fenced = false
+	jb.mu.Unlock()
+	return h, err
+}
+
+// release gives back the lease claim took ("preempted" marks a suspension
+// released for any worker to resume) and frees the job's local claim.
+func (s *Server) release(jb *job, reason string) {
+	jb.mu.Lock()
+	h := jb.hold
+	jb.mu.Unlock()
+	if err := h.ReleaseFor(reason); err != nil && !errors.Is(err, lease.ErrFenced) {
+		s.logf("job %s: release lease: %v (peers take over at TTL expiry)", jb.id, err)
+	}
+	jb.mu.Lock()
+	jb.claimed, jb.hold = false, nil
+	jb.mu.Unlock()
 }
 
 // finishJob builds a terminal result from the job's own run and commits
@@ -428,11 +451,12 @@ func (s *Server) finishJob(jb *job, state JobState, errMsg string, renders map[s
 // commitResult persists a terminal result (atomically — its presence is
 // the terminal marker recovery trusts), publishes completed executions to
 // the cross-tenant result cache, transitions the job, and requeues the
-// jobs parked on its fingerprint. In fleet mode the
-// result AND the cache entry are written inside the lease Guard: both
-// commit only while the claim flock is held and the on-disk epoch still
-// matches, so a stale fenced worker can neither overwrite the successor's
-// result nor poison the cache.
+// jobs parked on its fingerprint. The result AND the cache entry are
+// written inside the lease Guard: both commit only while the claim flock
+// is held and the on-disk epoch still matches, so a stale fenced worker
+// can neither overwrite the successor's result nor poison the cache. The
+// one terminal write without a lease is an admission-time cache hit,
+// whose job no worker has claimed.
 func (s *Server) commitResult(jb *job, res *Result) {
 	jb.mu.Lock()
 	hold := jb.hold

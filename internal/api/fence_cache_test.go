@@ -24,7 +24,6 @@ func TestFencedPublishWritesNeitherResultNorCache(t *testing.T) {
 	}
 	s, err := New(Config{
 		Store:        st,
-		Fleet:        true,
 		WorkerID:     "stale-worker",
 		LeaseTTL:     200 * time.Millisecond,
 		ScanInterval: time.Hour, // keep the scanner out of this test

@@ -25,7 +25,6 @@ func newFleetServer(t *testing.T, dir, workerID string, mutate func(*api.Config)
 		Store:                 st,
 		JobWorkers:            1,
 		DefaultSessionWorkers: 2,
-		Fleet:                 true,
 		WorkerID:              workerID,
 		LeaseTTL:              500 * time.Millisecond,
 		ScanInterval:          100 * time.Millisecond,

@@ -22,7 +22,9 @@ import (
 //	                         Accept: text/event-stream — a live SSE stream of
 //	                         progress snapshots ending in the terminal result
 //	GET    /jobs/{id}/result the terminal result (renders) — 409 until terminal
-//	DELETE /jobs/{id}        cancel (queued: immediate; running: cooperative)
+//	DELETE /jobs/{id}        cancel (queued: immediate, under the job's
+//	                         lease — 409 while a peer holds it; running:
+//	                         cooperative)
 //	GET    /healthz          process liveness (200 while the process serves)
 //	GET    /readyz           admission readiness (503 once draining)
 //	GET    /metrics          process-wide registry snapshot (JSON)
@@ -69,8 +71,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Drain check first: a draining server refuses before spending the
 	// client's quota tokens on a doomed submission. Like every other
 	// backpressure path, the 503 carries Retry-After — derived from the
-	// drain budget actually remaining, since a restart (or a fleet peer)
-	// can be serving well within it.
+	// drain budget actually remaining, since a restart (or a peer on the
+	// store) can be serving well within it.
 	if s.isDraining() {
 		apiJobsUnavailable.Inc()
 		w.Header().Set("Retry-After", s.retryAfterDraining())
@@ -102,14 +104,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Cross-tenant result cache (DESIGN §12): a spec whose fingerprint
 	// already has a completed execution is served instantly — the 202 is
 	// followed by an immediately-terminal job, with no queue slot spent.
-	// (Fleet mode skips the shortcut: the cached completion must still go
-	// through the job's lease fence, so it lands in runJob's claim-time
-	// cache check instead — same user-visible behavior, one code path.)
-	var hit *CacheEntry
-	if s.leases == nil {
-		hit = s.cacheLookup(spec.ConfigFingerprint())
-	}
-
+	hit := s.cacheLookup(spec.ConfigFingerprint())
 	if hit == nil && !s.reserveSlot(w, client, spec) {
 		return
 	}
@@ -118,13 +113,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if hit == nil {
 			s.mu.Lock()
 			s.depth--
+			apiQueueDepth.Set(int64(s.depth))
 			s.mu.Unlock()
 		}
 	}
 
 	// The ID comes from the store's flock-guarded counter, not process
-	// memory: two fleet workers admitting concurrently can never mint the
-	// same sequence.
+	// memory: two servers on one store admitting concurrently can never
+	// mint the same sequence.
 	id, err := s.store.AllocateID()
 	if err != nil {
 		release()
@@ -133,7 +129,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := JobRecord{ID: id, Client: client, Spec: spec, CreatedUnixNS: s.now().UnixNano()}
 	jb := s.newJob(rec)
-	jb.enqueued = hit == nil
+	// Queued from birth: a hit finishes below without a queue slot, and the
+	// flag keeps this process's scanner from nominating it meanwhile.
+	jb.enqueued = true
 	s.mu.Lock()
 	s.jobs[id] = jb
 	s.order = append(s.order, id)
@@ -162,17 +160,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", "/jobs/"+id)
 	if hit != nil {
 		// Completed from the entry on the spot: no queue slot, no worker,
-		// no execution.
+		// no execution, and no lease — the one terminal write outside one.
 		s.finishFromCache(jb, hit)
 		writeJSON(w, http.StatusAccepted, map[string]string{
 			"id": id, "state": string(StateDone), "cached": "true", "cache_source": hit.SourceJob,
 		})
 		return
 	}
-	s.mu.Lock()
-	depth := s.depth
-	s.mu.Unlock()
-	apiQueueDepth.Set(int64(depth))
 	s.enqueue(jb)
 	s.maybePreempt(jb.rank())
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": string(StateQueued)})
@@ -214,13 +208,14 @@ func (s *Server) reserveSlot(w http.ResponseWriter, client string, spec JobSpec)
 		return false
 	}
 	s.depth++
+	apiQueueDepth.Set(int64(s.depth))
 	s.mu.Unlock()
 	return true
 }
 
 // retryAfterDraining derives the draining 503's Retry-After from the
 // drain budget actually remaining — past the deadline this process is
-// gone and a restart (or a fleet peer on the same store) can admit. The
+// gone and a restart (or a peer on the same store) can admit. The
 // pre-derivation default of 10s stands when no deadline is known (Drain
 // hasn't recorded one, or it was called without a deadline).
 func (s *Server) retryAfterDraining() string {
@@ -236,21 +231,16 @@ func (s *Server) retryAfterDraining() string {
 // retryAfterQueueFull estimates when a queue slot frees. On a saturated
 // server a slot opens roughly every avgJobDur/JobWorkers, so that is the
 // advertised wait once at least one job has executed; before any
-// completion the estimate falls back to the fleet scan interval (a peer
-// may pick the store's jobs up within one scan) or 5s single-process.
-// Clamped to [1s, 5m] — backoff guidance, not a promise.
+// completion the estimate falls back to the scan interval (a peer may pick
+// the store's jobs up within one scan). Clamped to [1s, 5m] — backoff
+// guidance, not a promise.
 func (s *Server) retryAfterQueueFull() string {
 	s.mu.Lock()
 	avg := s.avgJobDur
 	s.mu.Unlock()
-	var d time.Duration
-	switch {
-	case avg > 0:
+	d := s.cfg.ScanInterval
+	if avg > 0 {
 		d = avg / time.Duration(s.cfg.JobWorkers)
-	case s.cfg.Fleet:
-		d = s.cfg.ScanInterval
-	default:
-		d = 5 * time.Second
 	}
 	if d > 5*time.Minute {
 		d = 5 * time.Minute
@@ -298,13 +288,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // decorateOwner fills a status's Owner/Epoch from the job's on-disk lease
-// in fleet mode — the disk is the source of truth for ownership, so the
-// status reflects peers' claims, not just this process's.
+// — the disk is the source of truth for ownership, so the status reflects
+// peers' claims, not just this process's. It reads past the chaos plane:
+// a status poll is no lease operation and must not move a kill-point.
 func (s *Server) decorateOwner(st *Status) {
-	if s.leases == nil {
-		return
-	}
-	if l, err := lease.Load(s.cfg.FS, s.store.jobDir(st.ID)); err == nil && l != nil {
+	if l, err := lease.Load(nil, s.store.jobDir(st.ID)); err == nil && l != nil {
 		st.Owner = l.WorkerID
 		st.Epoch = l.Epoch
 	}
@@ -351,10 +339,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleCancel cancels a job. Queued jobs are marked canceled immediately
-// and durably (the worker skips terminal jobs on dequeue); running jobs
-// get a cooperative cancel and unwind at their next run boundary. Terminal
-// jobs are left as-is (200, idempotent).
+// handleCancel cancels a job. Canceling a job nobody runs is a terminal
+// write, so it claims the job's lease first: under a peer's live lease the
+// answer is 409 and nothing changes. A job a local worker holds is
+// canceled cooperatively, at its next run boundary. Terminal jobs are left
+// as-is (200, idempotent).
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.lookup(r.PathValue("id"))
 	if !ok {
@@ -363,51 +352,39 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	jb.mu.Lock()
 	state := jb.state
-	jb.canceled = true
-	cancel := jb.cancel
 	jb.mu.Unlock()
-
+	var err error
+	if !state.terminal() {
+		_, err = s.claim(jb)
+	}
 	switch {
 	case state.terminal():
 		// Idempotent: already finished, report the state it finished in.
-	case (state == StateQueued || state == StateSuspended) && s.leases != nil:
-		// Fleet mode: "queued" (or suspended awaiting resume) locally may
-		// be claimed by a peer. Take the lease first — the cancel's
-		// terminal write must go through the same fence as any other.
-		h, err := s.leases.Claim(s.store.jobDir(jb.id), jb.id)
-		if err != nil {
-			writeError(w, http.StatusConflict, fmt.Sprintf("job is owned by another worker; cancel there or retry: %v", err))
-			return
-		}
-		if res, lerr := s.store.LoadResult(jb.id); lerr == nil {
-			// A peer finished it in the meantime; its result stands.
-			s.adoptResult(jb, res)
-			state = res.State
-		} else {
-			jb.mu.Lock()
-			jb.hold = h
-			jb.mu.Unlock()
-			s.finishJob(jb, StateCanceled, "canceled while queued", nil, nil)
-			jb.mu.Lock()
-			jb.hold = nil
-			jb.mu.Unlock()
-			state = StateCanceled
-		}
-		if err := h.Release(); err != nil && !errors.Is(err, lease.ErrFenced) {
-			s.logf("job %s: release after cancel: %v", jb.id, err)
-		}
-	case state == StateQueued || state == StateSuspended:
-		// Persist the terminal marker now, so the cancel survives a crash
-		// that happens before a worker dequeues the job. A suspended job is
-		// just a queued job with a checkpoint — cancel discards the resume.
-		s.finishJob(jb, StateCanceled, "canceled while queued", nil, nil)
-		state = StateCanceled
-	default:
+	case errors.Is(err, errClaimedHere):
+		jb.mu.Lock()
+		jb.canceled = true
+		cancel := jb.cancel
+		jb.mu.Unlock()
 		if cancel != nil {
 			cancel()
 		}
 		jb.trace.Emit(telemetry.Event{Kind: "api.job.cancel_requested", ID: jb.id})
 		state = StateRunning // cooperative: terminal state lands when it unwinds
+	case err != nil:
+		writeError(w, http.StatusConflict, fmt.Sprintf("job is owned by another worker; cancel there or retry: %v", err))
+		return
+	default:
+		if res, lerr := s.store.LoadResult(jb.id); lerr == nil {
+			// A peer finished it in the meantime; its result stands.
+			s.adoptResult(jb, res)
+			state = res.State
+		} else {
+			// A suspended job is just a queued job with a checkpoint —
+			// cancel discards the resume.
+			s.finishJob(jb, StateCanceled, "canceled while queued", nil, nil)
+			state = StateCanceled
+		}
+		s.release(jb, "")
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"id": jb.id, "state": string(state)})
 }

@@ -115,6 +115,12 @@ func TestPreemptSuspendResume(t *testing.T) {
 	if !reflect.DeepEqual(bulkRes.Renders, refRes.Renders) {
 		t.Fatal("preempted-then-resumed renders differ from the unpreempted reference")
 	}
+	// The resumed run counted again the units its preempted run counted;
+	// the job still ends with the reference's count.
+	if bulkSt.Progress.Units != refSt.Progress.Units || bulkRes.Units != refRes.Units {
+		t.Errorf("preempted job counts %d units (result %d), want the reference's %d",
+			bulkSt.Progress.Units, bulkRes.Units, refSt.Progress.Units)
+	}
 }
 
 // TestFleetPreemptCrossWorkerResume exercises the release-for-requeue

@@ -65,12 +65,31 @@ func pickBest(queue []*job, now time.Time, ageAfter time.Duration) int {
 
 // enqueue appends jb to the priority queue and wakes a worker. Depth
 // accounting belongs to the caller: admission reserved its slot before
-// calling, and the scanner and requeue bump depth themselves.
+// calling; the scanner and requeue go through push instead.
 func (s *Server) enqueue(jb *job) {
 	s.mu.Lock()
 	s.queue = append(s.queue, jb)
 	s.mu.Unlock()
 	s.signalWork()
+}
+
+// push is the one guarded enqueue of admitted work, for the scanner and
+// requeue: unless jb is queued, running or terminal, it appends jb and
+// takes a depth slot WITHOUT a capacity check — shedding admitted work
+// would lose an acked job. The caller holds s.mu and signals on true.
+func (s *Server) push(jb *job) bool {
+	jb.mu.Lock()
+	ok := !jb.enqueued && !jb.state.terminal() && jb.state != StateRunning
+	if ok {
+		jb.enqueued = true
+	}
+	jb.mu.Unlock()
+	if ok {
+		s.queue = append(s.queue, jb)
+		s.depth++
+		apiQueueDepth.Set(int64(s.depth))
+	}
+	return ok
 }
 
 // signalWork hands one wake token to the worker pool. The token channel
@@ -108,10 +127,8 @@ func (s *Server) dequeue() (*job, bool) {
 	jb := s.queue[i]
 	s.queue = append(s.queue[:i], s.queue[i+1:]...)
 	s.depth--
-	// Off the queue now: clear the flag so a later suspend can requeue.
-	// (In fleet mode the claim defer in runJob clears it again at exit;
-	// the brief false window is safe — a racing scanner enqueue just means
-	// the claim arbiter refuses the second runner.)
+	// Off the queue now: clear the flag so a later suspend can requeue. A
+	// nomination before the run starts loses the local claim (exec.go).
 	jb.mu.Lock()
 	jb.enqueued = false
 	jb.mu.Unlock()
@@ -125,9 +142,9 @@ func (s *Server) dequeue() (*job, bool) {
 // cooperative cancel flagged as preemption. The run unwinds at its next
 // run boundary — the same mechanism drain uses — persists its journal
 // checkpoint, and the job re-queues as suspended, resuming bit-identically
-// on its next pick (on any fleet worker: the victim's lease is released
-// for requeue). Strict inequality means equal-rank work never churns, and
-// an interactive job (rank 0) can never itself be preempted.
+// on its next pick (on any worker: the victim's lease is released for
+// requeue). Strict inequality means equal-rank work never churns, and an
+// interactive job (rank 0) can never itself be preempted.
 func (s *Server) maybePreempt(newRank int) {
 	if !s.cfg.Preempt {
 		return
@@ -185,32 +202,17 @@ func victimStarted(jb *job) time.Time {
 }
 
 // requeue puts a suspended or parked job back on the queue. It runs after
-// runJob's defers completed — the journal flock and (in fleet mode) the
-// lease are already released, so by the time the job is pickable again,
-// any worker or peer can claim it cleanly. The original enqueuedAt is
-// preserved (the job ages from its admission wait, not from zero), and
-// the depth slot it gave up at dequeue is re-taken WITHOUT a capacity
-// check — this is re-admission of already-admitted work, and shedding it
-// would lose an acked job. The enqueued guard keeps a racing fleet
-// scanner (which may have nominated the job the moment the lease
-// released) from double-enqueueing it; a DELETE that landed in the
-// window leaves the job terminal and it is not requeued.
+// runJob's defers completed — the journal flock and the lease are already
+// released, so by the time the job is pickable again, any worker or peer
+// can claim it cleanly. The original enqueuedAt is preserved (the job ages
+// from its admission wait, not from zero). push's guard keeps a racing
+// scanner from double-enqueueing it; a DELETE that landed in the window
+// leaves the job terminal and it is not requeued.
 func (s *Server) requeue(jb *job) {
 	s.mu.Lock()
-	jb.mu.Lock()
-	ok := !jb.enqueued && !jb.state.terminal() && jb.state != StateRunning
-	if ok {
-		jb.enqueued = true
-	}
-	jb.mu.Unlock()
-	if ok {
-		s.queue = append(s.queue, jb)
-		s.depth++
-	}
-	depth := s.depth
+	ok := s.push(jb)
 	s.mu.Unlock()
 	if ok {
-		apiQueueDepth.Set(int64(depth))
 		s.signalWork()
 	}
 }

@@ -46,11 +46,11 @@ type Config struct {
 	Retries      int
 	StallTimeout time.Duration
 
-	// FS is the filesystem seam under every job journal and, in fleet
-	// mode, every lease transaction; nil means the real filesystem. The
-	// kill e2e tests inject the chaos plane here, so a seeded kill-point
-	// can land mid-append or inside a claim. Store and cache records are
-	// written on the real filesystem either way.
+	// FS is the filesystem seam under every job journal and every lease
+	// transaction; nil means the real filesystem. The kill e2e tests inject
+	// the chaos plane here, so a seeded kill-point can land mid-append or
+	// inside a claim. Store and cache records are written on the real
+	// filesystem either way.
 	FS durable.FS
 
 	// Preempt enables priority preemption (DESIGN §13): when every worker
@@ -96,18 +96,13 @@ type Config struct {
 	// saturation test fills the queue. Production code leaves it nil.
 	BeforeJob func(id string)
 
-	// Fleet switches job ownership from the in-process queue to durable
-	// per-job leases (internal/lease), so any number of processes sharing
-	// one store can run jobs: each worker scans for unowned or expired
-	// jobs, claims them under the store's flock, renews on a heartbeat,
-	// and fences stale owners by epoch. Off by default — a single-process
-	// server needs none of it.
-	Fleet bool
-	// WorkerID names this process in lease files; must be unique across
-	// the live fleet. Empty means "<hostname>-<pid>".
+	// WorkerID names this process in the durable per-job leases
+	// (internal/lease) every job runs under, so any number of processes
+	// may share one store. Must be unique across the live fleet; empty
+	// means "<hostname>-<pid>".
 	WorkerID string
-	// LeaseTTL is how long a claim or renewal confers ownership — the
-	// failover detection latency for dead workers. <= 0 means 3s.
+	// LeaseTTL is how long a claim or renewal confers ownership — how long
+	// a dead process's jobs wait for a peer or its restart. <= 0 means 3s.
 	LeaseTTL time.Duration
 	// ScanInterval is the claim scanner's cadence; <= 0 means LeaseTTL/3.
 	ScanInterval time.Duration
@@ -122,8 +117,7 @@ type Server struct {
 	logf   func(format string, args ...any)
 	now    func() time.Time
 
-	// leases is non-nil exactly in fleet mode: the lease manager for this
-	// worker's claims over the shared store.
+	// leases claims, renews and releases this worker's job leases.
 	leases *lease.Manager
 
 	mu       sync.Mutex
@@ -162,9 +156,10 @@ type Server struct {
 	workerWG sync.WaitGroup
 }
 
-// New opens the server over its store: it scans for jobs left behind by a
-// previous process (crash recovery), re-enqueues the unfinished ones, and
-// starts the worker pool. The HTTP surface is served via Handler; Drain
+// New opens the server over its store and starts its worker pool and
+// scanner. Boot recovery is the scanner's first pass, run before New
+// returns: unfinished jobs are marked recovered and resume from their
+// journals once claimed. The HTTP surface is served via Handler; Drain
 // shuts the pool down gracefully.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
@@ -194,6 +189,16 @@ func New(cfg Config) (*Server, error) {
 			cfg.ShedWatermark = 1
 		}
 	}
+	if cfg.WorkerID == "" {
+		host, _ := os.Hostname()
+		cfg.WorkerID = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = 3 * time.Second
+	}
+	if cfg.ScanInterval <= 0 {
+		cfg.ScanInterval = cfg.LeaseTTL / 3
+	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(format string, args ...any) {
@@ -204,33 +209,14 @@ func New(cfg Config) (*Server, error) {
 	if now == nil {
 		now = time.Now
 	}
-	if cfg.Fleet {
-		if cfg.WorkerID == "" {
-			host, _ := os.Hostname()
-			cfg.WorkerID = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
-		if cfg.LeaseTTL <= 0 {
-			cfg.LeaseTTL = 3 * time.Second
-		}
-		if cfg.ScanInterval <= 0 {
-			cfg.ScanInterval = cfg.LeaseTTL / 3
-		}
-	}
 
 	s := &Server{
-		cfg:      cfg,
-		store:    cfg.Store,
-		quotas:   newQuotas(cfg.QuotaRate, cfg.QuotaBurst, now),
-		logf:     logf,
-		now:      now,
-		jobs:     map[string]*job{},
-		parked:   map[string][]*job{},
-		running:  map[string]*job{},
-		stopPick: make(chan struct{}),
-	}
-	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
-	if cfg.Fleet {
-		s.leases = &lease.Manager{
+		cfg:    cfg,
+		store:  cfg.Store,
+		quotas: newQuotas(cfg.QuotaRate, cfg.QuotaBurst, now),
+		logf:   logf,
+		now:    now,
+		leases: &lease.Manager{
 			WorkerID: cfg.WorkerID,
 			TTL:      cfg.LeaseTTL,
 			FS:       cfg.FS,
@@ -238,67 +224,38 @@ func New(cfg Config) (*Server, error) {
 			Warn: func(format string, args ...any) {
 				logf("lease: "+format, args...)
 			},
-		}
+		},
+		jobs:     map[string]*job{},
+		parked:   map[string][]*job{},
+		running:  map[string]*job{},
+		stopPick: make(chan struct{}),
+		// One token per queued job, up to the queue's bound; requeues past
+		// it fall back to signalWork's delivering goroutine.
+		wake: make(chan struct{}, cfg.QueueCap+scanHeadroom),
 	}
+	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
 
-	// Recovery on boot: replay the store. Terminal jobs are served from
-	// their persisted results; unfinished ones go back on the queue and
-	// resume from their journals.
-	stored, err := s.store.Scan(func(format string, args ...any) {
-		logf("recovery: "+format, args...)
-	})
-	if err != nil {
+	if err := s.scanOnce(true); err != nil {
 		return nil, err
 	}
-	var recovered []*job
-	for _, sj := range stored {
-		jb := s.newJob(sj.Record)
-		if sj.Result != nil {
-			jb.installResult(sj.Result)
-		} else {
-			jb.recovered = true
-			recovered = append(recovered, jb)
-		}
-		s.jobs[jb.id] = jb
-		s.order = append(s.order, jb.id)
-	}
 
-	// The wake channel is sized so every token a realistic queue can
-	// carry fits the fast path: QueueCap live slots plus one per
-	// recovered job preloaded before serving starts, plus headroom for
-	// requeues of suspended and parked jobs, and the fleet scanner's
-	// enqueues. Overflow falls back to a delivering goroutine
-	// (signalWork) rather than losing the token.
-	s.wake = make(chan struct{}, cfg.QueueCap+len(recovered)+64)
-	for _, jb := range recovered {
-		s.depth++
-		jb.enqueued = true
-		s.queue = append(s.queue, jb)
-		s.signalWork()
-		apiJobsRecovered.Inc()
-		jb.trace.Emit(telemetry.Event{Kind: "api.job.recovered", ID: jb.id})
-		logf("recovery: job %s re-enqueued (will resume from its journal)", jb.id)
-	}
-	apiQueueDepth.Set(int64(s.depth))
-
-	s.workerWG.Add(cfg.JobWorkers)
+	s.workerWG.Add(cfg.JobWorkers + 1)
 	for i := 0; i < cfg.JobWorkers; i++ {
 		go s.worker()
 	}
-	if cfg.Fleet {
-		s.workerWG.Add(1)
-		go s.scanLoop()
-	}
+	go s.scanLoop()
 	return s, nil
 }
 
-// scanLoop is fleet mode's ownership pump: every ScanInterval it rescans
-// the shared store, learns about jobs peers submitted, adopts results
-// peers finished, and enqueues claim attempts for jobs nobody owns —
-// including jobs whose owner died and let the lease expire. Claims
-// themselves happen in runJob under the store flock; the scanner only
-// nominates candidates, so a lost race costs one queue slot, never
-// correctness.
+// scanHeadroom is how far past QueueCap the scanner fills the queue.
+const scanHeadroom = 64
+
+// scanLoop is the ownership pump: every ScanInterval it rescans the
+// store, learns about jobs peers submitted, adopts results peers
+// finished, and enqueues claim attempts for jobs nobody owns — including
+// jobs whose owner died and let the lease expire. Claims themselves happen
+// in runJob under the lease flock; the scanner only nominates candidates,
+// so a lost race costs one queue slot, never correctness.
 func (s *Server) scanLoop() {
 	defer s.workerWG.Done()
 	t := time.NewTicker(s.cfg.ScanInterval)
@@ -308,83 +265,96 @@ func (s *Server) scanLoop() {
 		case <-s.stopPick:
 			return
 		case <-t.C:
-			s.scanOnce()
+			if err := s.scanOnce(false); err != nil {
+				s.logf("scan: %v", err)
+			}
 		}
 	}
 }
 
-// scanOnce is one pass of the fleet scanner.
-func (s *Server) scanOnce() {
-	stored, err := s.store.Scan(func(format string, args ...any) {
-		s.logf("fleet scan: "+format, args...)
-	})
+// scanOnce is one pass of the scanner. It lists the store and reads no
+// file of a job this process holds as terminal, running or queued, so a
+// long history costs one directory listing per pass.
+func (s *Server) scanOnce(boot bool) error {
+	ids, err := s.store.list()
 	if err != nil {
-		s.logf("fleet scan: %v", err)
-		return
+		return err
 	}
-	for _, sj := range stored {
-		id := sj.Record.ID
-
+	for _, id := range ids {
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
-			return
+			return nil
 		}
-		jb, known := s.jobs[id]
-		if !known {
-			// A peer admitted this job; mirror it locally so /jobs serves
-			// it and the claim path below can pick it up.
-			jb = s.newJob(sj.Record)
-			s.jobs[id] = jb
-			s.order = append(s.order, id)
-		}
+		jb := s.jobs[id]
 		s.mu.Unlock()
 
-		if sj.Result != nil {
-			s.adoptResult(jb, sj.Result)
-			continue
+		if jb == nil {
+			if jb = s.mirror(id, boot); jb == nil {
+				continue
+			}
+		} else {
+			jb.mu.Lock()
+			skip := jb.state.terminal() || jb.state == StateRunning || jb.enqueued
+			jb.mu.Unlock()
+			if skip {
+				continue
+			}
+			if res, err := s.store.LoadResult(id); err == nil {
+				s.adoptResult(jb, res)
+				continue
+			}
 		}
-
-		jb.mu.Lock()
-		skip := jb.state.terminal() || jb.state == StateRunning || jb.enqueued
-		jb.mu.Unlock()
-		if skip {
-			continue
-		}
-
 		// Peek at the lease before spending a queue slot: a job under a
 		// peer's live lease is theirs until the TTL says otherwise.
 		if l, err := lease.Load(s.cfg.FS, s.store.jobDir(id)); err == nil &&
 			l.LiveAt(s.now()) && l.WorkerID != s.cfg.WorkerID {
 			continue
 		}
-
+		// A parked job waits for its fingerprint's terminal transition,
+		// not for a scan.
 		s.mu.Lock()
-		// The scanner's enqueues ride the same bounded headroom the old
-		// work channel gave them: past it, local workers are saturated and
-		// the next scan retries — the queue never grows without bound on
-		// peer work. A parked job waits for its fingerprint's terminal
-		// transition, not for a scan.
-		if s.depth >= s.cfg.QueueCap+64 || slices.Contains(s.parked[jb.fingerprint], jb) {
-			s.mu.Unlock()
-			continue
-		}
-		jb.mu.Lock()
-		ok := !jb.enqueued && !jb.state.terminal() && jb.state != StateRunning
-		if ok {
-			jb.enqueued = true
-		}
-		jb.mu.Unlock()
-		if ok {
-			s.queue = append(s.queue, jb)
-			s.depth++
-		}
+		ok := s.depth < s.cfg.QueueCap+scanHeadroom &&
+			!slices.Contains(s.parked[jb.fingerprint], jb) && s.push(jb)
 		s.mu.Unlock()
 		if ok {
 			s.signalWork()
 			s.maybePreempt(jb.rank())
 		}
 	}
+	return nil
+}
+
+// mirror adds a job this process has not seen to the job table and
+// returns it if unfinished (marked recovered on the boot pass). nil means
+// terminal, or no readable admission record: a crash mid-admission, never
+// acked, which the boot pass reports, or a peer's admission in flight.
+func (s *Server) mirror(id string, boot bool) *job {
+	warn := func(format string, args ...any) { s.logf("scan: "+format, args...) }
+	sj, err := s.store.load(id, warn)
+	if err != nil {
+		if boot {
+			warn("%v", err)
+		}
+		return nil
+	}
+	jb := s.newJob(sj.Record)
+	if sj.Result != nil {
+		jb.installResult(sj.Result)
+	} else if boot {
+		jb.recovered = true
+		apiJobsRecovered.Inc()
+		jb.trace.Emit(telemetry.Event{Kind: "api.job.recovered", ID: jb.id})
+		s.logf("recovery: job %s unfinished; it resumes from its journal once claimed", jb.id)
+	}
+	s.mu.Lock()
+	s.jobs[id] = jb
+	s.order = append(s.order, id)
+	s.mu.Unlock()
+	if sj.Result != nil {
+		return nil
+	}
+	return jb
 }
 
 // adoptResult installs a terminal result a peer worker persisted, so this
@@ -425,9 +395,9 @@ func (s *Server) worker() {
 			if jb == nil {
 				continue
 			}
-			// runJob's defers (journal flock, fleet lease) have unwound by
-			// the time a job it left suspended or stepped back is requeued
-			// or parked.
+			// runJob's defers (journal flock, lease) have unwound by the
+			// time a job it left suspended or stepped back is requeued or
+			// parked.
 			if s.runJob(jb) {
 				s.park(jb)
 				continue
@@ -464,7 +434,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	if dl, ok := ctx.Deadline(); ok {
 		// Recorded before the flag is visible, so every draining 503's
 		// Retry-After can report the real time until this process is gone
-		// and a restart (or fleet peer) admits again.
+		// and a restart (or a peer on the store) admits again.
 		s.drainDeadline = dl
 	}
 	s.mu.Unlock()

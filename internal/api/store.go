@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -21,7 +20,7 @@ import (
 //	                               journal (internal/journal format)
 //	<dir>/jobs/<id>/result.json    terminal record; its presence marks the
 //	                               job finished across restarts
-//	<dir>/jobs/<id>/lease.json     fleet-mode ownership record (internal/lease)
+//	<dir>/jobs/<id>/lease.json     ownership record (internal/lease)
 //	<dir>/jobs/<id>/lease.log      lease history (claims, renewals, fences)
 //	<dir>/seq                      flock-guarded job-ID counter shared by every
 //	                               process on the store (AllocateID)
@@ -30,9 +29,9 @@ import (
 // replace (tmp+fsync+rename), on the real filesystem even when a chaos
 // plane is wired under the journals and leases.
 //
-// Recovery on boot is a pure function of this layout: Scan returns every
-// job in submission order; a job with a result is terminal and served
-// as-is, a job without one is re-enqueued and resumes from its journal.
+// Recovery on boot is a pure function of this layout: a job with a result
+// is terminal and served as-is, a job without one resumes from its journal
+// once its lease is free.
 type Store struct {
 	dir string
 }
@@ -103,46 +102,63 @@ func (s *Store) LoadResult(id string) (*Result, error) {
 	return &res, nil
 }
 
-// Scan enumerates every stored job in submission order (IDs embed a
-// zero-padded sequence number, so lexical order is submission order).
-// Directories without a parseable job.json are skipped with a warning —
-// a half-created dir left by a crash mid-admission was never acked, so
-// dropping it breaks no promise.
-func (s *Store) Scan(warn func(format string, args ...any)) ([]StoredJob, error) {
-	if warn == nil {
-		warn = func(string, ...any) {}
-	}
+// list returns the store's job IDs in submission order (IDs embed a
+// zero-padded sequence number) without reading any job file.
+func (s *Store) list() ([]string, error) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
 	if err != nil {
 		return nil, fmt.Errorf("api: scan job store: %w", err)
 	}
-	var out []StoredJob
+	ids := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		if e.IsDir() {
+			ids = append(ids, e.Name())
 		}
-		id := e.Name()
-		data, err := os.ReadFile(filepath.Join(s.jobDir(id), "job.json"))
+	}
+	return ids, nil
+}
+
+// load reads one job's admission record and terminal result, if any. No
+// parseable job.json is an error: a crash mid-admission was never acked,
+// so skipping the job breaks no promise. A corrupt result is warned about
+// and not trusted; the journal replay rebuilds it bit-identically.
+func (s *Store) load(id string, warn func(format string, args ...any)) (StoredJob, error) {
+	data, err := os.ReadFile(filepath.Join(s.jobDir(id), "job.json"))
+	if err != nil {
+		return StoredJob{}, fmt.Errorf("job %s: unreadable job.json, skipping: %w", id, err)
+	}
+	var rec JobRecord
+	if err := json.Unmarshal(data, &rec); err != nil || rec.ID != id {
+		return StoredJob{}, fmt.Errorf("job %s: corrupt job.json, skipping", id)
+	}
+	sj := StoredJob{Record: rec}
+	if res, err := s.LoadResult(id); err == nil {
+		sj.Result = res
+	} else if !errors.Is(err, os.ErrNotExist) {
+		warn("job %s: %v; re-running from journal", id, err)
+	}
+	return sj, nil
+}
+
+// Scan loads every stored job in submission order, skipping with a
+// warning each directory load rejects.
+func (s *Store) Scan(warn func(format string, args ...any)) ([]StoredJob, error) {
+	if warn == nil {
+		warn = func(string, ...any) {}
+	}
+	ids, err := s.list()
+	if err != nil {
+		return nil, err
+	}
+	var out []StoredJob
+	for _, id := range ids {
+		sj, err := s.load(id, warn)
 		if err != nil {
-			warn("job %s: unreadable job.json, skipping: %v", id, err)
+			warn("%v", err)
 			continue
-		}
-		var rec JobRecord
-		if err := json.Unmarshal(data, &rec); err != nil || rec.ID != id {
-			warn("job %s: corrupt job.json, skipping", id)
-			continue
-		}
-		sj := StoredJob{Record: rec}
-		if res, err := s.LoadResult(id); err == nil {
-			sj.Result = res
-		} else if !errors.Is(err, os.ErrNotExist) {
-			// A corrupt result is not trusted: treat the job as unfinished
-			// and let the journal replay rebuild it bit-identically.
-			warn("job %s: %v; re-running from journal", id, err)
 		}
 		out = append(out, sj)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Record.ID < out[j].Record.ID })
 	return out, nil
 }
 

@@ -325,12 +325,13 @@ func (fs *FS) OpenAppend(name string) (durable.File, error) {
 // pre-lock soak seeds.
 func (fs *FS) Lock(name string) (func() error, error) { return fs.base.Lock(name) }
 
-// The whole-file ops below serve the lease layer, so fleet mode wires one
+// The whole-file ops below serve the lease layer, so a server wires one
 // plane under both the journal and the claim path: seeded kill-points
 // then land inside claim transactions, renewals, and the guarded
 // terminal write, exactly like a process death there. Lease ops draw
-// from the same op stream as journal ops; in non-fleet runs none of
-// these are ever called, so pre-fleet seeded schedules replay unchanged.
+// from the same op stream as journal ops; a campaign run without a
+// server (the soak, the CLI) never calls them, so its seeded schedules
+// replay unchanged.
 
 // ReadFile reads the whole file through the plane: one read-op draw per
 // Read call of the wrapped handle, so bit-flips and kill-points apply.

@@ -183,8 +183,7 @@ func TestCacheAndSSEWalkthrough(t *testing.T) {
 // TestFleetCacheAdoption pins the cross-process cache: worker A executes
 // a campaign into the shared store; worker B — booted afterwards, its
 // own process with zero executions — serves an identical spec from the
-// durable cache entry, through its own lease fence, without running a
-// single experiment.
+// durable cache entry at admission, without running a single experiment.
 func TestFleetCacheAdoption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fleet cache campaign")
@@ -200,9 +199,8 @@ func TestFleetCacheAdoption(t *testing.T) {
 		t.Fatalf("fresh worker B has exp.completed = %d, want 0", n)
 	}
 
-	// Fleet submissions always go through the queue and the job's lease
-	// fence; the cache is consulted at claim time, so the ack is a plain
-	// queued 202 and the job turns terminal moments later.
+	// Every server serves a cache hit at admission: the ack already reads
+	// done, like a lone server's.
 	ack := submitAs(t, svB.base, "tenant-b", `{"experiments":["fig7"],"scale":"tiny"}`)
 	res := jobResult(t, svB.base, ack["id"])
 	if res["cached"] != true || res["cache_source"] != id1 {

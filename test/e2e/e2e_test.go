@@ -291,10 +291,11 @@ func fsckStore(t *testing.T, store string) {
 
 // TestKillRestartRecovery is the crash-recovery acceptance test. A
 // reference server runs the campaign uninterrupted. A second server runs
-// the same campaign but SIGKILLs itself at a deterministic journal
+// the same campaign but SIGKILLs itself at a deterministic chaos-plane
 // operation — a real kernel kill mid-write, no cleanup. Restarted over
-// the same store, it must recover the job, resume from the journal
-// (resumed_units > 0), and produce byte-identical rendered figures.
+// the same store, it must recover the job once the dead process's lease
+// expires, resume from the journal (resumed_units > 0), and produce
+// byte-identical rendered figures.
 func TestKillRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process kill-restart campaign")
@@ -306,8 +307,9 @@ func TestKillRestartRecovery(t *testing.T) {
 	want := renderOf(t, refRes, "fig7")
 	ref.stop(t, syscall.SIGTERM, 143)
 
-	// Crash run: the chaos plane SIGKILLs the server at journal op 25 —
-	// mid-campaign, after some units are checkpointed, before the end.
+	// Crash run: the chaos plane SIGKILLs the server at its 25th op, counting
+	// journal and lease ops — mid-campaign, after some units are
+	// checkpointed, before the end.
 	store := t.TempDir()
 	crash := startServer(t, store, "-chaos-kill-at-op", "25")
 	id := submitJob(t, crash.base)
@@ -327,7 +329,9 @@ func TestKillRestartRecovery(t *testing.T) {
 	// it finds without touching the journal the recovery depends on.
 	fsckStore(t, store)
 
-	// Restart over the same store: recovery re-enqueues and resumes.
+	// Restart over the same store under a new worker ID (a new pid): its
+	// boot scan finds the job under the dead process's live lease and
+	// resumes it once the lease expires (-lease-ttl, 3s by default).
 	again := startServer(t, store)
 	res := jobResult(t, again.base, id)
 	if got := renderOf(t, res, "fig7"); got != want {

@@ -1,4 +1,4 @@
-// Fleet-mode black-box tests: several real vsmoothd binaries sharing one
+// Fleet black-box tests: several real vsmoothd binaries sharing one
 // -store, coordinating job ownership through per-job lease files. The
 // headline property is failover — SIGKILL the owning worker at a seeded
 // chaos kill-point and a surviving peer must detect the lease expiring,
@@ -20,12 +20,11 @@ import (
 	"voltsmooth/internal/lease/leasetest"
 )
 
-// fleetArgs are the fleet flags shared by every worker in these tests:
-// a short TTL so failover fits in test time, and a scan cadence well
-// under it.
+// fleetArgs are the lease settings shared by every worker in these
+// tests: a readable worker ID, a short TTL so failover fits in test time,
+// and a scan cadence well under it.
 func fleetArgs(workerID string, extra ...string) []string {
 	return append([]string{
-		"-fleet",
 		"-worker-id", workerID,
 		"-lease-ttl", "1s",
 		"-scan-interval", "200ms",
