@@ -35,6 +35,7 @@ import (
 	"voltsmooth/internal/journal"
 	"voltsmooth/internal/runner"
 	"voltsmooth/internal/sigctx"
+	"voltsmooth/internal/telemetry"
 )
 
 func main() {
@@ -317,19 +318,10 @@ func printEvent(ev runner.Event) {
 		}
 	case runner.EventRetry:
 		fmt.Fprintf(os.Stderr, "vsmooth: %s: attempt %d failed (%v), retrying in %s\n",
-			ev.ID, ev.Attempt, shortErr(ev.Err), ev.Backoff.Round(time.Millisecond))
+			ev.ID, ev.Attempt, telemetry.FirstLine(ev.Err), ev.Backoff.Round(time.Millisecond))
 	case runner.EventDone:
 		if ev.Err != nil && !errors.Is(ev.Err, runner.ErrAborted) {
 			fmt.Fprintf(os.Stderr, "vsmooth: %s: failed after %d attempt(s)\n", ev.ID, ev.Attempt)
 		}
 	}
-}
-
-// shortErr trims an error to its first line (panic errors carry stacks).
-func shortErr(err error) string {
-	s := err.Error()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }

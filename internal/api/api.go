@@ -263,12 +263,6 @@ type job struct {
 	trace *telemetry.Trace
 	prog  progress
 
-	// enqueuedAt is the job's queue seniority: set at admission (and at a
-	// peer-mirror's first sight of the job), PRESERVED across
-	// suspend/requeue so a preempted job ages from its original wait, not
-	// from zero. Written only while the job is off the queue, read by the
-	// scheduler under Server.mu.
-	enqueuedAt time.Time
 	// deadline is the absolute completion deadline derived from
 	// spec.DeadlineMS at admission/recovery; zero means none.
 	deadline time.Time
@@ -276,8 +270,6 @@ type job struct {
 	mu           sync.Mutex
 	state        JobState
 	started      time.Time
-	finished     time.Time
-	errMsg       string
 	resumedUnits int
 	recovered    bool // found unfinished by the boot pass of the scanner
 	canceled     bool // cancel requested (DELETE)
@@ -287,10 +279,13 @@ type job struct {
 	preempted bool
 	// preemptions counts how many times this job was suspended.
 	preemptions int
-	cancel      func()
-	result      *Result
-	cached      bool   // result served from the cache
-	cacheSource string // job whose execution produced the renders
+	// cancel stops the job's current run. runJob sets it when it starts
+	// the run and clears it when it returns, so a non-nil cancel marks a
+	// job that holds one of this process's worker slots.
+	cancel func()
+	// result is the terminal outcome (state, error, finish time, cache
+	// source), set by the first terminal transition; nil until then.
+	result *Result
 
 	// watchers are the SSE subscribers of /jobs/{id}/events: each gets a
 	// coalescing tick (buffered-1, non-blocking send) on every progress
@@ -310,8 +305,8 @@ type job struct {
 // newJob builds the in-memory job for a durable admission record — the
 // one constructor behind admission and the scanner's mirror (boot
 // recovery included), so every path derives the same fingerprint,
-// queue seniority and absolute deadline from the record. The job starts
-// queued.
+// queue seniority (the admission time) and absolute deadline from the
+// record. The job starts queued.
 func (s *Server) newJob(rec JobRecord) *job {
 	jb := &job{
 		id:          rec.ID,
@@ -322,7 +317,6 @@ func (s *Server) newJob(rec JobRecord) *job {
 		state:       StateQueued,
 		trace:       telemetry.NewTrace(jobEventsCap),
 	}
-	jb.enqueuedAt = jb.created
 	if rec.Spec.DeadlineMS > 0 {
 		jb.deadline = jb.created.Add(time.Duration(rec.Spec.DeadlineMS) * time.Millisecond)
 	}
@@ -334,19 +328,33 @@ func (s *Server) newJob(rec JobRecord) *job {
 // holds j.mu, or owns a job not yet shared.
 func (j *job) installResult(res *Result) {
 	j.state = res.State
-	j.errMsg = res.Error
 	j.result = res
 	j.resumedUnits = res.ResumedUnits
-	j.cached = res.Cached
-	j.cacheSource = res.CacheSource
 	j.prog.units.Store(res.Units)
 	j.prog.expDone.Store(uint64(len(res.Renders)))
 	if res.StartedUnixNS != 0 {
 		j.started = time.Unix(0, res.StartedUnixNS)
 	}
-	if res.FinishedUnixNS != 0 {
-		j.finished = time.Unix(0, res.FinishedUnixNS)
+}
+
+// stamp makes res the job's terminal result, stamped with the job's ID,
+// start, finish and resumed units, unless the job is already terminal: the
+// first terminal transition stands. It reports whether res landed; the
+// caller then commits it.
+func (j *job) stamp(res *Result) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.terminal() {
+		return false
 	}
+	res.ID = j.id
+	res.ResumedUnits = j.resumedUnits
+	if !j.started.IsZero() {
+		res.StartedUnixNS = j.started.UnixNano()
+	}
+	res.FinishedUnixNS = time.Now().UnixNano()
+	j.result = res
+	return true
 }
 
 // isFenced reports whether the job's lease was superseded mid-run.
@@ -453,9 +461,6 @@ func (j *job) status() Status {
 		ResumedUnits:  j.resumedUnits,
 		Recovered:     j.recovered,
 		Preemptions:   j.preemptions,
-		Error:         j.errMsg,
-		Cached:        j.cached,
-		CacheSource:   j.cacheSource,
 	}
 	if !j.deadline.IsZero() {
 		st.DeadlineUnixNS = j.deadline.UnixNano()
@@ -463,8 +468,11 @@ func (j *job) status() Status {
 	if !j.started.IsZero() {
 		st.StartedUnixNS = j.started.UnixNano()
 	}
-	if !j.finished.IsZero() {
-		st.FinishedUnixNS = j.finished.UnixNano()
+	if res := j.result; res != nil {
+		st.FinishedUnixNS = res.FinishedUnixNS
+		st.Error = res.Error
+		st.Cached = res.Cached
+		st.CacheSource = res.CacheSource
 	}
 	return st
 }

@@ -154,16 +154,7 @@ func (s *Server) cacheLookup(fp string) *CacheEntry {
 // with the source job's ID. The result write goes through commitResult,
 // so a job a worker claimed is still fenced by its lease.
 func (s *Server) finishFromCache(jb *job, e *CacheEntry) {
-	jb.mu.Lock()
-	if jb.state.terminal() {
-		jb.mu.Unlock()
-		return
-	}
-	jb.finished = s.now()
-	jb.cached = true
-	jb.cacheSource = e.SourceJob
 	res := &Result{
-		ID:          jb.id,
 		State:       StateDone,
 		Renders:     e.Renders,
 		Attempts:    e.Attempts,
@@ -171,13 +162,9 @@ func (s *Server) finishFromCache(jb *job, e *CacheEntry) {
 		Cached:      true,
 		CacheSource: e.SourceJob,
 	}
-	if !jb.started.IsZero() {
-		res.StartedUnixNS = jb.started.UnixNano()
+	if !jb.stamp(res) {
+		return
 	}
-	res.FinishedUnixNS = jb.finished.UnixNano()
-	jb.result = res
-	jb.mu.Unlock()
-
 	if e.CreatedUnixNS > jb.created.UnixNano() {
 		// The entry's execution was still in flight when this job arrived.
 		apiCacheFollowed.Inc()
@@ -208,19 +195,19 @@ func (s *Server) dedupLeaderLocked(fp string) *job {
 	if fp == "" {
 		return nil
 	}
-	for _, id := range s.order { // submission order == ID order
-		jb := s.jobs[id]
-		if jb.fingerprint != fp {
+	var leader *job
+	for _, jb := range s.jobs {
+		if jb.fingerprint != fp || (leader != nil && jb.id > leader.id) {
 			continue
 		}
 		jb.mu.Lock()
 		live := !jb.state.terminal() && !jb.canceled
 		jb.mu.Unlock()
 		if live {
-			return jb
+			leader = jb
 		}
 	}
-	return nil
+	return leader
 }
 
 // park holds a job that stepped back behind an identical in-flight job

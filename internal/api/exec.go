@@ -109,7 +109,7 @@ func (s *Server) runJob(jb *job) (follows bool) {
 	// remaining budget is smaller than the average job — fails fast here
 	// instead of burning a worker slot on a run that cannot complete.
 	if !jb.deadline.IsZero() {
-		remaining := jb.deadline.Sub(s.now())
+		remaining := time.Until(jb.deadline)
 		s.mu.Lock()
 		avg := s.avgJobDur
 		s.mu.Unlock()
@@ -144,21 +144,20 @@ func (s *Server) runJob(jb *job) (follows bool) {
 
 	jb.mu.Lock()
 	jb.cancel = cancel
-	jb.started = s.now()
+	jb.started = time.Now()
 	if jb.canceled {
 		// A DELETE accepted since the claim found no run to cancel yet.
 		cancel()
 	}
 	jb.mu.Unlock()
-	jb.setState(StateRunning, "")
-	s.mu.Lock()
-	s.running[jb.id] = jb
-	s.mu.Unlock()
+	// The job holds its worker slot (maybePreempt counts it busy) until
+	// this frame has closed its journal.
 	defer func() {
-		s.mu.Lock()
-		delete(s.running, jb.id)
-		s.mu.Unlock()
+		jb.mu.Lock()
+		jb.cancel = nil
+		jb.mu.Unlock()
 	}()
+	jb.setState(StateRunning, "")
 	apiJobsRunning.Add(1)
 	defer apiJobsRunning.Add(-1)
 
@@ -178,9 +177,9 @@ func (s *Server) runJob(jb *job) (follows bool) {
 	// wait the holder out briefly; past the budget, hand the job back
 	// rather than camp on a queue worker.
 	sess, jnl, err := s.openSession(jb)
-	deadline := s.now().Add(4 * s.cfg.LeaseTTL)
+	deadline := time.Now().Add(4 * s.cfg.LeaseTTL)
 	for errors.Is(err, journal.ErrLocked) && ctx.Err() == nil {
-		if s.now().After(deadline) {
+		if time.Now().After(deadline) {
 			s.logf("job %s: journal still locked by another process after %s; requeueing", jb.id, 4*s.cfg.LeaseTTL)
 			jb.setState(StateQueued, "journal locked by another process")
 			return
@@ -276,7 +275,6 @@ func (s *Server) runJob(jb *job) (follows bool) {
 		// (the same degradation crash recovery accepts).
 		jb.mu.Lock()
 		jb.preempted = false
-		jb.cancel = nil
 		jb.preemptions++
 		n := jb.preemptions
 		jb.mu.Unlock()
@@ -419,33 +417,19 @@ func (s *Server) release(jb *job, reason string) {
 }
 
 // finishJob builds a terminal result from the job's own run and commits
-// it (persist + transition) via commitResult.
+// it (persist + transition) via commitResult. A job already finished (e.g.
+// a DELETE landed while this run was starting) keeps its first result.
 func (s *Server) finishJob(jb *job, state JobState, errMsg string, renders map[string]string, attempts map[string]int) {
-	jb.mu.Lock()
-	if jb.state.terminal() {
-		// Already finished (e.g. a DELETE landed while this run was
-		// starting): the first terminal transition stands.
-		jb.mu.Unlock()
-		return
-	}
-	jb.finished = s.now()
-	jb.errMsg = errMsg
 	res := &Result{
-		ID:           jb.id,
-		State:        state,
-		Error:        errMsg,
-		Renders:      renders,
-		Attempts:     attempts,
-		ResumedUnits: jb.resumedUnits,
-		Units:        jb.prog.units.Load(),
+		State:    state,
+		Error:    errMsg,
+		Renders:  renders,
+		Attempts: attempts,
+		Units:    jb.prog.units.Load(),
 	}
-	if !jb.started.IsZero() {
-		res.StartedUnixNS = jb.started.UnixNano()
+	if jb.stamp(res) {
+		s.commitResult(jb, res)
 	}
-	res.FinishedUnixNS = jb.finished.UnixNano()
-	jb.result = res
-	jb.mu.Unlock()
-	s.commitResult(jb, res)
 }
 
 // commitResult persists a terminal result (atomically — its presence is
@@ -495,9 +479,6 @@ func (s *Server) commitResult(jb *job, res *Result) {
 			jb.mu.Lock()
 			jb.fenced = true
 			jb.result = nil
-			jb.finished = time.Time{}
-			jb.cached = false
-			jb.cacheSource = ""
 			jb.mu.Unlock()
 			jb.setState(StateQueued, "terminal write fenced; successor owns the job")
 			return

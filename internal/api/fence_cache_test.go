@@ -60,7 +60,6 @@ func TestFencedPublishWritesNeitherResultNorCache(t *testing.T) {
 		}
 		s.mu.Lock()
 		s.jobs[id] = jb
-		s.order = append(s.order, id)
 		s.mu.Unlock()
 		return jb
 	}
@@ -102,6 +101,35 @@ func TestFencedPublishWritesNeitherResultNorCache(t *testing.T) {
 		jb.mu.Unlock()
 		if state != StateQueued || res != nil {
 			t.Errorf("fenced job is %s with result=%v, want queued with no result", state, res)
+		}
+	})
+
+	t.Run("fenced failed run", func(t *testing.T) {
+		jb := mkJob(JobSpec{Experiments: []string{"fig7"}, Scale: "tiny", FaultSeed: 5})
+
+		h, err := s.leases.Claim(st.jobDir(jb.id), jb.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb.hold = h
+		time.Sleep(300 * time.Millisecond)
+		successor := &lease.Manager{WorkerID: "successor", TTL: time.Minute}
+		if _, err := successor.Claim(st.jobDir(jb.id), jb.id); err != nil {
+			t.Fatalf("successor claim after TTL expiry: %v", err)
+		}
+
+		// A failed run's outcome is as stale as a finished one's: the
+		// requeued job must not report the error, finish time or cache
+		// source of a result that was never written.
+		s.finishJob(jb, StateFailed, "1/1 experiments failed: boom", nil, attempts)
+
+		if _, err := st.LoadResult(jb.id); err == nil {
+			t.Error("fenced worker's failed result.json landed")
+		}
+		got := jb.status()
+		if got.State != StateQueued || got.Error != "" || got.FinishedUnixNS != 0 || got.Cached || got.CacheSource != "" {
+			t.Errorf("fenced failed job reports state=%s error=%q finished_unix_ns=%d cached=%v cache_source=%q, want queued with no outcome",
+				got.State, got.Error, got.FinishedUnixNS, got.Cached, got.CacheSource)
 		}
 	})
 

@@ -127,14 +127,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("allocate job id: %v", err))
 		return
 	}
-	rec := JobRecord{ID: id, Client: client, Spec: spec, CreatedUnixNS: s.now().UnixNano()}
+	rec := JobRecord{ID: id, Client: client, Spec: spec, CreatedUnixNS: time.Now().UnixNano()}
 	jb := s.newJob(rec)
 	// Queued from birth: a hit finishes below without a queue slot, and the
 	// flag keeps this process's scanner from nominating it meanwhile.
 	jb.enqueued = true
 	s.mu.Lock()
 	s.jobs[id] = jb
-	s.order = append(s.order, id)
 	s.mu.Unlock()
 
 	// Durability before acknowledgment: the job record reaches disk
@@ -144,12 +143,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		release()
 		s.mu.Lock()
 		delete(s.jobs, id)
-		for i, oid := range s.order {
-			if oid == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
 		s.mu.Unlock()
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("persist job: %v", err))
 		return
@@ -225,7 +218,7 @@ func (s *Server) retryAfterDraining() string {
 	if dl.IsZero() {
 		return "10"
 	}
-	return retryAfterSeconds(dl.Sub(s.now()))
+	return retryAfterSeconds(time.Until(dl))
 }
 
 // retryAfterQueueFull estimates when a queue slot frees. On a saturated
@@ -261,7 +254,7 @@ func (s *Server) retryAfterResult(jb *job) string {
 	if avg <= 0 || started.IsZero() {
 		return "2"
 	}
-	d := avg - s.now().Sub(started)
+	d := avg - time.Since(started)
 	if d > time.Minute {
 		d = time.Minute
 	}

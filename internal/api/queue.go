@@ -11,23 +11,25 @@ import (
 // EFFECTIVE rank, where a job's effective rank starts at its class's base
 // rank (interactive=0, batch=1, bulk=2) and drops by one for every
 // AgeAfter it has waited, clamped at 0. Ties break by queue seniority
-// (enqueuedAt), then job ID — so within a rank the queue is FIFO, and a
-// bulk job that has aged to rank 0 is ordered purely by how long it has
-// waited. That bounds priority inversion: a bulk job is runnable ahead of
-// fresh interactive arrivals after at most rankBulk*AgeAfter of waiting
-// (the "aging budget" the overload soak asserts).
+// (the admission time, which no requeue changes), then job ID — so within
+// a rank the queue is FIFO, and a bulk job that has aged to rank 0 is
+// ordered purely by how long it has waited. That bounds priority
+// inversion: a bulk job is runnable ahead of fresh interactive arrivals
+// after at most rankBulk*AgeAfter of waiting (the "aging budget" the
+// overload soak asserts).
 //
 // The queue itself is a plain slice under Server.mu with an O(n) scan per
 // pick: the queue is bounded by QueueCap (plus recovery/scanner headroom),
 // and a pick happens once per job execution — dozens of entries, not
-// thousands — so a heap would buy nothing but code.
+// thousands — so a heap would buy nothing but code. Idle workers wait on
+// Server.work, which every enqueue signals.
 
 // effectiveRank computes a queued job's rank at time now: base rank minus
 // one per ageAfter waited, floored at 0. ageAfter <= 0 disables aging.
 func effectiveRank(jb *job, now time.Time, ageAfter time.Duration) int {
 	r := jb.rank()
-	if ageAfter > 0 && !jb.enqueuedAt.IsZero() {
-		if waited := now.Sub(jb.enqueuedAt); waited > 0 {
+	if ageAfter > 0 && !jb.created.IsZero() {
+		if waited := now.Sub(jb.created); waited > 0 {
 			r -= int(waited / ageAfter)
 		}
 	}
@@ -38,7 +40,7 @@ func effectiveRank(jb *job, now time.Time, ageAfter time.Duration) int {
 }
 
 // pickBest returns the index of the job a worker should run next: minimum
-// (effectiveRank, enqueuedAt, id). -1 on an empty queue. Pure function of
+// (effectiveRank, created, id). -1 on an empty queue. Pure function of
 // its inputs so the aging property test can drive it with a fake clock.
 func pickBest(queue []*job, now time.Time, ageAfter time.Duration) int {
 	best := -1
@@ -54,8 +56,8 @@ func pickBest(queue []*job, now time.Time, ageAfter time.Duration) int {
 			best, bestRank = i, r
 		case r == bestRank:
 			b := queue[best]
-			if jb.enqueuedAt.Before(b.enqueuedAt) ||
-				(jb.enqueuedAt.Equal(b.enqueuedAt) && jb.id < b.id) {
+			if jb.created.Before(b.created) ||
+				(jb.created.Equal(b.created) && jb.id < b.id) {
 				best = i
 			}
 		}
@@ -69,14 +71,14 @@ func pickBest(queue []*job, now time.Time, ageAfter time.Duration) int {
 func (s *Server) enqueue(jb *job) {
 	s.mu.Lock()
 	s.queue = append(s.queue, jb)
+	s.work.Signal()
 	s.mu.Unlock()
-	s.signalWork()
 }
 
 // push is the one guarded enqueue of admitted work, for the scanner and
-// requeue: unless jb is queued, running or terminal, it appends jb and
-// takes a depth slot WITHOUT a capacity check — shedding admitted work
-// would lose an acked job. The caller holds s.mu and signals on true.
+// requeue: unless jb is queued, running or terminal, it appends jb, takes
+// a depth slot WITHOUT a capacity check — shedding admitted work would
+// lose an acked job — and wakes a worker. The caller holds s.mu.
 func (s *Server) push(jb *job) bool {
 	jb.mu.Lock()
 	ok := !jb.enqueued && !jb.state.terminal() && jb.state != StateRunning
@@ -88,42 +90,24 @@ func (s *Server) push(jb *job) bool {
 		s.queue = append(s.queue, jb)
 		s.depth++
 		apiQueueDepth.Set(int64(s.depth))
+		s.work.Signal()
 	}
 	return ok
 }
 
-// signalWork hands one wake token to the worker pool. The token channel
-// is sized past any realistic queue length, so the fast path is a
-// non-blocking send; if it ever fills, a goroutine delivers the token
-// rather than dropping it — a lost token would strand a queued job until
-// the next unrelated enqueue.
-func (s *Server) signalWork() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-		go func() {
-			select {
-			case s.wake <- struct{}{}:
-			case <-s.stopPick:
-			}
-		}()
-	}
-}
-
-// dequeue pops the best queued job. It returns (nil, true) when the
-// server is draining — the worker should exit, leaving queued jobs
-// durably on disk for the next boot — and (nil, false) on a spurious
-// wakeup (token raced a pick, or the queue emptied by cancel).
-func (s *Server) dequeue() (*job, bool) {
+// dequeue waits until the queue holds a job and pops the best one. It
+// returns nil once the server is draining — the worker should exit,
+// leaving queued jobs durably on disk for the next boot.
+func (s *Server) dequeue() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for !s.draining && len(s.queue) == 0 {
+		s.work.Wait()
+	}
 	if s.draining {
-		return nil, true
+		return nil
 	}
-	i := pickBest(s.queue, s.now(), s.cfg.AgeAfter)
-	if i < 0 {
-		return nil, false
-	}
+	i := pickBest(s.queue, time.Now(), s.cfg.AgeAfter)
 	jb := s.queue[i]
 	s.queue = append(s.queue[:i], s.queue[i+1:]...)
 	s.depth--
@@ -133,7 +117,7 @@ func (s *Server) dequeue() (*job, bool) {
 	jb.enqueued = false
 	jb.mu.Unlock()
 	apiQueueDepth.Set(int64(s.depth))
-	return jb, false
+	return jb
 }
 
 // maybePreempt runs after a job of base rank newRank was enqueued: when
@@ -149,18 +133,20 @@ func (s *Server) maybePreempt(newRank int) {
 	if !s.cfg.Preempt {
 		return
 	}
-	s.mu.Lock()
-	if len(s.running) < s.cfg.JobWorkers {
-		s.mu.Unlock()
-		return
-	}
+	busy := 0
 	var victim *job
+	var victimStarted time.Time
 	victimRank := newRank // must be strictly exceeded
-	for _, r := range s.running {
+	s.mu.Lock()
+	for _, r := range s.jobs {
 		r.mu.Lock()
-		eligible := r.state == StateRunning && !r.canceled && !r.preempted && r.cancel != nil
+		running := r.cancel != nil // in a runJob of this process's pool
+		eligible := running && r.state == StateRunning && !r.canceled && !r.preempted
 		started := r.started
 		r.mu.Unlock()
+		if running {
+			busy++
+		}
 		if !eligible {
 			continue
 		}
@@ -168,13 +154,12 @@ func (s *Server) maybePreempt(newRank int) {
 		if rr < victimRank {
 			continue
 		}
-		if rr > victimRank || (victim != nil && started.After(victimStarted(victim))) {
-			victim = r
-			victimRank = rr
+		if rr > victimRank || (victim != nil && started.After(victimStarted)) {
+			victim, victimStarted, victimRank = r, started, rr
 		}
 	}
 	s.mu.Unlock()
-	if victim == nil {
+	if victim == nil || busy < s.cfg.JobWorkers {
 		return
 	}
 
@@ -195,24 +180,15 @@ func (s *Server) maybePreempt(newRank int) {
 	cancel()
 }
 
-func victimStarted(jb *job) time.Time {
-	jb.mu.Lock()
-	defer jb.mu.Unlock()
-	return jb.started
-}
-
 // requeue puts a suspended or parked job back on the queue. It runs after
 // runJob's defers completed — the journal flock and the lease are already
 // released, so by the time the job is pickable again, any worker or peer
-// can claim it cleanly. The original enqueuedAt is preserved (the job ages
-// from its admission wait, not from zero). push's guard keeps a racing
-// scanner from double-enqueueing it; a DELETE that landed in the window
-// leaves the job terminal and it is not requeued.
+// can claim it cleanly. The job keeps its seniority (it ages from its
+// admission, not from zero). push's guard keeps a racing scanner from
+// double-enqueueing it; a DELETE that landed in the window leaves the job
+// terminal and it is not requeued.
 func (s *Server) requeue(jb *job) {
 	s.mu.Lock()
-	ok := s.push(jb)
+	s.push(jb)
 	s.mu.Unlock()
-	if ok {
-		s.signalWork()
-	}
 }

@@ -9,11 +9,11 @@ import (
 
 // mkQueued builds a bare queued job for pickBest-level tests — no server,
 // no store, just the fields the scheduler reads.
-func mkQueued(id, priority string, enqueuedAt time.Time) *job {
+func mkQueued(id, priority string, created time.Time) *job {
 	return &job{
-		id:         id,
-		spec:       JobSpec{Priority: priority},
-		enqueuedAt: enqueuedAt,
+		id:      id,
+		spec:    JobSpec{Priority: priority},
+		created: created,
 	}
 }
 
@@ -63,7 +63,7 @@ func TestPickBestAgingBoundsStarvation(t *testing.T) {
 }
 
 // TestPickBestIsMinimal drives pickBest with seeded random queues and
-// checks the pick is always a true minimum of (effectiveRank, enqueuedAt,
+// checks the pick is always a true minimum of (effectiveRank, created,
 // id) — the ordering contract everything above the queue relies on.
 func TestPickBestIsMinimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -90,17 +90,17 @@ func TestPickBestIsMinimal(t *testing.T) {
 		for i, jb := range queue {
 			r := effectiveRank(jb, now, ageAfter)
 			if r < gr ||
-				(r == gr && jb.enqueuedAt.Before(g.enqueuedAt)) ||
-				(r == gr && jb.enqueuedAt.Equal(g.enqueuedAt) && jb.id < g.id) {
+				(r == gr && jb.created.Before(g.created)) ||
+				(r == gr && jb.created.Equal(g.created) && jb.id < g.id) {
 				t.Fatalf("trial %d: picked %s (rank %d, at %s) but %d: %s (rank %d, at %s) orders first",
-					trial, g.id, gr, g.enqueuedAt, i, jb.id, r, jb.enqueuedAt)
+					trial, g.id, gr, g.created, i, jb.id, r, jb.created)
 			}
 		}
 	}
 }
 
 // TestEffectiveRankClamps pins the aging arithmetic's edges: rank never
-// goes negative, a zero enqueuedAt never ages, and interactive stays 0.
+// goes negative, a zero admission time never ages, and interactive stays 0.
 func TestEffectiveRankClamps(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	old := mkQueued("j000001", PriorityBulk, now.Add(-time.Hour))
@@ -109,7 +109,7 @@ func TestEffectiveRankClamps(t *testing.T) {
 	}
 	unset := mkQueued("j000002", PriorityBulk, time.Time{})
 	if r := effectiveRank(unset, now, time.Second); r != rankBulk {
-		t.Fatalf("zero enqueuedAt must not age: rank %d, want %d", r, rankBulk)
+		t.Fatalf("zero admission time must not age: rank %d, want %d", r, rankBulk)
 	}
 	ia := mkQueued("j000003", PriorityInteractive, now.Add(-time.Hour))
 	if r := effectiveRank(ia, now, time.Second); r != 0 {

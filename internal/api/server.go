@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -88,9 +89,6 @@ type Config struct {
 	// Logf receives server logs; nil means stderr.
 	Logf func(format string, args ...any)
 
-	// Now is the clock seam for quota refill; nil means time.Now.
-	Now func() time.Time
-
 	// BeforeJob, when set, runs just before each job executes — a test
 	// seam (like journal.OnRecord) for holding a worker in place while a
 	// saturation test fills the queue. Production code leaves it nil.
@@ -115,15 +113,15 @@ type Server struct {
 	store  *Store
 	quotas *quotas
 	logf   func(format string, args ...any)
-	now    func() time.Time
 
 	// leases claims, renews and releases this worker's job leases.
 	leases *lease.Manager
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// jobs holds every job this process has admitted or mirrored from the
+	// store; ID order is submission order (JobID).
 	jobs     map[string]*job
-	order    []string // submission order
-	depth    int      // jobs admitted but not yet picked by a worker
+	depth    int // jobs admitted but not yet picked by a worker
 	draining bool
 	// drainDeadline is Drain's budget, recorded so the 503 Retry-After
 	// can report the actual time until a restart can admit again.
@@ -135,15 +133,12 @@ type Server struct {
 	// identical in-flight job (park, unpark in cache.go).
 	parked map[string][]*job
 	// queue is the priority queue (queue.go): a slice under mu, picked by
-	// min (effectiveRank, enqueuedAt, id). running maps job ID → the job
-	// each local worker slot is executing — the preemption scheduler's
-	// victim pool.
-	queue   []*job
-	running map[string]*job
+	// min (effectiveRank, created, id). work, on mu, is signalled by every
+	// enqueue and broadcast once draining is set; idle workers wait on it.
+	queue []*job
+	work  *sync.Cond
 
-	// wake carries one token per enqueue to the worker pool; the queue
-	// itself holds the jobs (see signalWork for the overflow path).
-	wake     chan struct{}
+	// stopPick stops the scanner.
 	stopPick chan struct{}
 	pickOnce sync.Once
 
@@ -205,34 +200,25 @@ func New(cfg Config) (*Server, error) {
 			fmt.Fprintf(os.Stderr, "vsmoothd: "+format+"\n", args...)
 		}
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 
 	s := &Server{
 		cfg:    cfg,
 		store:  cfg.Store,
-		quotas: newQuotas(cfg.QuotaRate, cfg.QuotaBurst, now),
+		quotas: newQuotas(cfg.QuotaRate, cfg.QuotaBurst, time.Now),
 		logf:   logf,
-		now:    now,
 		leases: &lease.Manager{
 			WorkerID: cfg.WorkerID,
 			TTL:      cfg.LeaseTTL,
 			FS:       cfg.FS,
-			Now:      now,
 			Warn: func(format string, args ...any) {
 				logf("lease: "+format, args...)
 			},
 		},
 		jobs:     map[string]*job{},
 		parked:   map[string][]*job{},
-		running:  map[string]*job{},
 		stopPick: make(chan struct{}),
-		// One token per queued job, up to the queue's bound; requeues past
-		// it fall back to signalWork's delivering goroutine.
-		wake: make(chan struct{}, cfg.QueueCap+scanHeadroom),
 	}
+	s.work = sync.NewCond(&s.mu)
 	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
 
 	if err := s.scanOnce(true); err != nil {
@@ -308,7 +294,7 @@ func (s *Server) scanOnce(boot bool) error {
 		// Peek at the lease before spending a queue slot: a job under a
 		// peer's live lease is theirs until the TTL says otherwise.
 		if l, err := lease.Load(s.cfg.FS, s.store.jobDir(id)); err == nil &&
-			l.LiveAt(s.now()) && l.WorkerID != s.cfg.WorkerID {
+			l.LiveAt(time.Now()) && l.WorkerID != s.cfg.WorkerID {
 			continue
 		}
 		// A parked job waits for its fingerprint's terminal transition,
@@ -318,7 +304,6 @@ func (s *Server) scanOnce(boot bool) error {
 			!slices.Contains(s.parked[jb.fingerprint], jb) && s.push(jb)
 		s.mu.Unlock()
 		if ok {
-			s.signalWork()
 			s.maybePreempt(jb.rank())
 		}
 	}
@@ -349,7 +334,6 @@ func (s *Server) mirror(id string, boot bool) *job {
 	}
 	s.mu.Lock()
 	s.jobs[id] = jb
-	s.order = append(s.order, id)
 	s.mu.Unlock()
 	if sj.Result != nil {
 		return nil
@@ -375,41 +359,30 @@ func (s *Server) adoptResult(jb *job, res *Result) {
 	s.unpark(jb.fingerprint)
 }
 
-// worker picks jobs off the priority queue until drain closes stopPick.
-// Each wake token licenses one pick attempt; a spurious token (the queue
-// emptied, or another worker won the race) just loops.
+// worker picks jobs off the priority queue until the server drains.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for {
-		select {
-		case <-s.stopPick:
+		jb := s.dequeue()
+		if jb == nil {
+			// Draining: queued jobs stay on disk (no result.json), so the
+			// next boot recovers them. Do not start work the drain
+			// deadline would only cut down.
 			return
-		case <-s.wake:
-			jb, draining := s.dequeue()
-			if draining {
-				// Drained mid-wake: queued jobs stay on disk (no
-				// result.json), so the next boot recovers them. Do not
-				// start work the drain deadline would only cut down.
-				return
-			}
-			if jb == nil {
-				continue
-			}
-			// runJob's defers (journal flock, lease) have unwound by the
-			// time a job it left suspended or stepped back is requeued or
-			// parked.
-			if s.runJob(jb) {
-				s.park(jb)
-				continue
-			}
-			jb.mu.Lock()
-			suspended := jb.state == StateSuspended
-			jb.mu.Unlock()
-			if suspended {
-				// Preempted mid-run with its checkpoint persisted: back on
-				// the queue it goes.
-				s.requeue(jb)
-			}
+		}
+		// runJob's defers (journal flock, lease) have unwound by the time a
+		// job it left suspended or stepped back is requeued or parked.
+		if s.runJob(jb) {
+			s.park(jb)
+			continue
+		}
+		jb.mu.Lock()
+		suspended := jb.state == StateSuspended
+		jb.mu.Unlock()
+		if suspended {
+			// Preempted mid-run with its checkpoint persisted: back on the
+			// queue it goes.
+			s.requeue(jb)
 		}
 	}
 }
@@ -437,6 +410,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		// and a restart (or a peer on the store) admits again.
 		s.drainDeadline = dl
 	}
+	s.work.Broadcast()
 	s.mu.Unlock()
 	apiDraining.Set(1)
 	s.pickOnce.Do(func() { close(s.stopPick) })
@@ -464,6 +438,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.draining = true
+	s.work.Broadcast()
 	s.mu.Unlock()
 	s.pickOnce.Do(func() { close(s.stopPick) })
 	s.jobsCancel()
@@ -478,18 +453,18 @@ func (s *Server) lookup(id string) (*job, bool) {
 	return jb, ok
 }
 
-// statuses returns every job's status in submission order.
+// statuses returns every job's status in ID order.
 func (s *Server) statuses() []Status {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, jb := range s.jobs {
+		jobs = append(jobs, jb)
 	}
 	s.mu.Unlock()
 	out := make([]Status, 0, len(jobs))
 	for _, jb := range jobs {
 		out = append(out, jb.status())
 	}
+	slices.SortFunc(out, func(a, b Status) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }

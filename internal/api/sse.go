@@ -62,7 +62,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, jb *job) {
 	// the client has stalled past sseWriteTimeout (or the connection died):
 	// the caller must drop the stream.
 	flush := func() bool {
-		if err := rc.SetWriteDeadline(s.now().Add(sseWriteTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		if err := rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
 			return false
 		}
 		fl.Flush()
