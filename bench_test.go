@@ -96,12 +96,19 @@ func BenchmarkFig17CoScheduleSpread(b *testing.B)   { benchExperiment(b, "fig17"
 func BenchmarkFig18PolicyScatter(b *testing.B)      { benchExperiment(b, "fig18") }
 func BenchmarkFig19PassingIncrease(b *testing.B)    { benchExperiment(b, "fig19") }
 func BenchmarkTab1PassingAnalysis(b *testing.B)     { benchExperiment(b, "tab1") }
+func BenchmarkFigXRecovery(b *testing.B)            { benchExperiment(b, "figx-recovery") }
+func BenchmarkExt1(b *testing.B)                    { benchExperiment(b, "ext1") }
+func BenchmarkExt2(b *testing.B)                    { benchExperiment(b, "ext2") }
+func BenchmarkExt3(b *testing.B)                    { benchExperiment(b, "ext3") }
 
 // sweepWorkerCounts are the fan-out widths the sweep benchmarks compare.
-// workers=1 is the serial baseline; comparing its ns/op against the wider
-// rows is the measured speedup of the parallel sweep engine on this
-// machine (the sweeps are embarrassingly parallel, so it should track the
-// core count until memory bandwidth intervenes).
+// workers=1 steps one lockstep group at a time, though not on one
+// goroutine: each group's chips run a block ahead of its networks on a
+// producer goroutine of their own (core.RunLanes). Comparing its ns/op
+// against the wider rows is the measured speedup of the parallel sweep
+// engine's fan-out on this machine (the sweeps are embarrassingly
+// parallel, so it should track the core count until memory bandwidth
+// intervenes).
 func sweepWorkerCounts() []int {
 	counts := []int{1}
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {

@@ -41,7 +41,7 @@ import (
 func main() {
 	scaleName := flag.String("scale", "quick", "experiment scale: tiny|quick|full")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"measurement-sweep fan-out (goroutines); 1 runs the serial path, results are identical at any width")
+		"measurement-sweep fan-out (sweep steps at a time); results are identical at any width")
 	inject := flag.String("inject", "",
 		"fault classes for figx-recovery, comma-separated: spikes,dropout,counters (empty = all)")
 	injectSeed := flag.Uint64("inject-seed", 1, "seed driving every injected fault stream")
@@ -159,8 +159,10 @@ commands:
   run <id>... | all   regenerate the given figures/tables
 
 -workers N fans the pre-run measurement sweeps (corpus, oracle pair
-table, random batches) out over N goroutines; every run is seeded and
-independent, so output is identical at any N. -workers 1 is serial.
+table, random batches) out over N workers; every run is seeded and
+independent, so output is identical at any N. -workers 1 takes one
+sweep step at a time, though a lockstep group's chips still run ahead
+of its networks on a goroutine of their own.
 
 -inject selects the fault classes the figx-recovery experiment drives
 (spikes,dropout,counters; empty = all) and -inject-seed seeds them, so a

@@ -149,8 +149,19 @@ type LaneRun struct {
 // draw, and Lanes steps each network exactly as StepCycle would. A run's
 // chip integrates its first network itself, so a one-network run builds
 // no network beyond its chip's.
+//
+// For the same reason the chips need not wait for their networks: a
+// producer goroutine runs every chip a block of cycles ahead (startAhead),
+// one chip at a time, and the caller's goroutine steps the Lanes and
+// samples the scopes over each finished block, so a group keeps two
+// goroutines busy. The producer takes each chip's counter snapshot at the
+// warmup boundary, and a panic on it is re-raised on the caller's
+// goroutine.
 func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
 	margins, seriesMargin := rc.margins()
+	if len(runs) == 0 {
+		return nil
+	}
 	chips := make([]*uarch.Chip, len(runs))
 	names := make([][]string, len(runs))
 	var nets []*pdn.Network
@@ -173,26 +184,29 @@ func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
 	}
 	// The split rails follow every run's Nets, so network j < nShared is
 	// sensed by scope j. Split supply s is the rails
-	// nets[rails[s]:rails[s]+numCores], one per core, and the k-th run
-	// with a split supply, splitRuns[k], loads its cores' draws at
-	// iLoad[len(runs)+k*numCores:], after every chip's total.
+	// nets[rails[s]:rails[s]+numCores], one per core, and a run with a
+	// split supply loads its cores' draws at coreLoads[r] onwards of each
+	// cycle's loads, after every chip's total (-1 for the other runs).
 	nShared, numCores := len(nets), cfg.NumCores
-	var rails, splitRuns []int
+	var rails []int
+	coreLoads := make([]int, len(runs))
+	width := len(runs)
 	for r, run := range runs {
+		coreLoads[r] = -1
 		if len(run.Split) == 0 {
 			continue
 		}
-		first := len(runs) + len(splitRuns)*numCores
-		splitRuns = append(splitRuns, r)
+		coreLoads[r] = width
 		perRail := chips[r].TotalCurrent() / float64(numCores)
 		for _, p := range run.Split {
 			rails = append(rails, len(nets))
 			rail := splitRail(p, numCores)
 			for i := 0; i < numCores; i++ {
 				nets = append(nets, pdn.NewAtLoad(rail, perRail))
-				load = append(load, first+i)
+				load = append(load, width+i)
 			}
 		}
+		width += numCores
 	}
 	lanes := pdn.NewLanes(nets, load, 1/cfg.ClockHz, cfg.Substeps)
 	defer func() {
@@ -201,26 +215,6 @@ func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
 			n.PublishSteps()
 		}
 	}()
-	iLoad := make([]float64, len(runs)+len(splitRuns)*numCores)
-	step := func() []float64 {
-		for r, chip := range chips {
-			iLoad[r] = chip.CycleLoad()
-		}
-		for k, r := range splitRuns {
-			cores := iLoad[len(runs)+k*numCores:][:numCores]
-			for i := range cores {
-				cores[i] = chips[r].CoreCurrent(i)
-			}
-		}
-		return lanes.Step(iLoad)
-	}
-	for i := uint64(0); i < rc.WarmupCycles; i++ {
-		step()
-	}
-	snaps := make([][]counters.Counters, len(runs))
-	for r, chip := range chips {
-		snaps[r] = snapshot(chip)
-	}
 
 	scopes := make([]*sense.Scope, nShared+len(rails))
 	for j, n := range nets[:nShared] {
@@ -233,28 +227,57 @@ func RunLanes(cfg uarch.Config, runs []LaneRun, rc RunConfig) [][]Result {
 	series := make([][]float64, len(scopes))
 	var intervalStart uint64
 	crossingsAtStart := make([]uint64, len(scopes))
-	for i := uint64(0); i < rc.Cycles; i++ {
-		v := step()
-		for j, scope := range scopes[:nShared] {
-			scope.Sample(v[j])
-		}
-		for s, scope := range split {
-			vMin := math.Inf(1)
-			for _, vr := range v[rails[s] : rails[s]+numCores] {
-				if vr < vMin {
-					vMin = vr
+
+	snaps := make([][]counters.Counters, len(runs))
+	total := rc.WarmupCycles + rc.Cycles
+	blocks := startAhead(total, width, func(lo uint64, loads []float64) {
+		for r, chip := range chips {
+			for c := 0; c*width < len(loads); c++ {
+				if lo+uint64(c) == rc.WarmupCycles {
+					snaps[r] = snapshot(chip)
+				}
+				row := loads[c*width : (c+1)*width]
+				row[r] = chip.CycleLoad()
+				if first := coreLoads[r]; first >= 0 {
+					cores := row[first : first+numCores]
+					for i := range cores {
+						cores[i] = chip.CoreCurrent(i)
+					}
 				}
 			}
-			scope.Sample(vMin)
 		}
-		if rc.IntervalCycles > 0 && (i+1)-intervalStart >= rc.IntervalCycles {
-			for j, scope := range scopes {
-				cur := scope.Crossings(seriesMargin)
-				series[j] = append(series[j], counters.PerKCycles(cur-crossingsAtStart[j], rc.IntervalCycles))
-				crossingsAtStart[j] = cur
+	})
+	defer blocks.close()
+	for lo := uint64(0); lo < total; lo += blockCycles {
+		loads := blocks.next()
+		for c := 0; c*width < len(loads); c++ {
+			v := lanes.Step(loads[c*width : (c+1)*width])
+			if lo+uint64(c) < rc.WarmupCycles {
+				continue
 			}
-			intervalStart = i + 1
+			i := lo + uint64(c) - rc.WarmupCycles // the measured cycle
+			for j, scope := range scopes[:nShared] {
+				scope.Sample(v[j])
+			}
+			for s, scope := range split {
+				vMin := math.Inf(1)
+				for _, vr := range v[rails[s] : rails[s]+numCores] {
+					if vr < vMin {
+						vMin = vr
+					}
+				}
+				scope.Sample(vMin)
+			}
+			if rc.IntervalCycles > 0 && (i+1)-intervalStart >= rc.IntervalCycles {
+				for j, scope := range scopes {
+					cur := scope.Crossings(seriesMargin)
+					series[j] = append(series[j], counters.PerKCycles(cur-crossingsAtStart[j], rc.IntervalCycles))
+					crossingsAtStart[j] = cur
+				}
+				intervalStart = i + 1
+			}
 		}
+		blocks.release(loads)
 	}
 
 	// flat has room for every result, so out[r] stays a view of it.

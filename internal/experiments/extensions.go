@@ -50,7 +50,7 @@ func Ext1(ctx context.Context, s *Session) *Ext1Result {
 		sched.NewRandomOnlinePolicy(2),
 	}
 	r := &Ext1Result{Results: make([]sched.OnlineResult, len(policies))}
-	s.lockstep(ctx, len(policies), func(lo, hi int) {
+	s.lockstep(ctx, len(policies), 1, func(lo, hi int) {
 		schedules := make([]sched.Schedule, hi-lo)
 		for i := range schedules {
 			schedules[i] = sched.Schedule{Jobs: jobs(), Policy: policies[lo+i]}
@@ -138,7 +138,7 @@ func Ext2(ctx context.Context, s *Session) *Ext2Result {
 		WarmupCycles: s.Scale.WarmupCycles,
 		Margins:      []float64{margin},
 	}
-	s.lockstep(ctx, len(pairs), func(lo, hi int) {
+	s.lockstep(ctx, len(pairs), 2, func(lo, hi int) {
 		runs := make([]core.LaneRun, hi-lo)
 		for i := range runs {
 			row := &r.Pairs[lo+i]

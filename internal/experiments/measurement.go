@@ -51,8 +51,10 @@ func Fig4(ctx context.Context, s *Session) *Fig4Result {
 		r.AnalyticFull = append(r.AnalyticFull, full.ImpedanceMag(f)/z1)
 		r.AnalyticRed = append(r.AnalyticRed, red.ImpedanceMag(f)/z1)
 	}
-	s.sweep(ctx, len(freqs), func(i int) {
-		r.LoopMeasured[i] = core.MeasureLoopImpedance(cfg, freqs[i], s.Scale.MicroCycles*4) / z1
+	s.lockstep(ctx, len(freqs), 1, func(lo, hi int) {
+		for i, z := range core.MeasureLoopImpedances(cfg, freqs[lo:hi], s.Scale.MicroCycles*4) {
+			r.LoopMeasured[lo+i] = z / z1
+		}
 	})
 	pf, pm := full.ResonancePeak(1e6, 1e9, 300)
 	r.PeakFreqHz = pf

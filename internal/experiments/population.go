@@ -240,7 +240,7 @@ func (s *Session) buildPopulation(ctx context.Context, p part, lanes []pdn.ProcV
 	}
 	// The variants' chips differ only in their networks.
 	cfg := s.ChipConfig(lanes[0])
-	s.lockstep(ctx, cp.n, func(lo, hi int) {
+	s.lockstep(ctx, cp.n, 2, func(lo, hi int) {
 		// The group's bookkeeping is allocated once, not per run.
 		names := make([]string, hi-lo)
 		keys := make([]string, (hi-lo)*len(lanes))

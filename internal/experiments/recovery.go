@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"voltsmooth/internal/core"
 	"voltsmooth/internal/failsafe"
@@ -157,7 +158,14 @@ func (s *Session) faultPlan() failsafe.Plan {
 	return p
 }
 
-// Recovery executes the cross-validation.
+// Recovery executes the cross-validation. Each schedule runs an
+// uninterrupted baseline and three engine runs: Razor, checkpoint, and
+// Razor under the fault plan. The engine runs step in lockstep groups
+// (failsafe.RunGroup) by scheme, since a checkpoint run replays its lost
+// work and takes several times the wall cycles of a Razor run, and the
+// baselines in core.RunLanes groups. Every group and the online schedule
+// share one sweep, the longest first, and a schedule's progress unit is
+// reported when the last of its four runs completes.
 func Recovery(ctx context.Context, s *Session) *RecoveryResult {
 	chip := s.ChipConfig(schedVariant)
 	progress := ProgressFrom(ctx)
@@ -174,97 +182,121 @@ func Recovery(ctx context.Context, s *Session) *RecoveryResult {
 		Plan:         s.faultPlan(),
 	}
 
-	name := func(ps []workload.Profile) string {
-		out := ps[0].Name
+	n := len(schedules)
+	names := make([]string, n)
+	for i, ps := range schedules {
+		names[i] = ps[0].Name
 		for _, p := range ps[1:] {
-			out += "+" + p.Name
+			names[i] += "+" + p.Name
 		}
-		return out
 	}
-	streams := func(ps []workload.Profile) []workload.Stream {
+	streams := func(i int) []workload.Stream {
 		var out []workload.Stream
-		for _, p := range ps {
+		for _, p := range schedules[i] {
 			out = append(out, p.NewStream())
 		}
 		return out
 	}
-
-	type rowSet struct {
-		razor, ckpt RecoveryRow
-		fault       FaultRow
+	left := make([]atomic.Int32, n)
+	for i := range left {
+		left[i].Store(4)
 	}
-	// Index len(schedules) is the degraded-monitoring run: the online
-	// scheduler driven through the same injector's counter-corruption path.
-	rows := make([]rowSet, len(schedules))
-	s.sweep(ctx, len(schedules)+1, func(i int) {
-		if i == len(schedules) {
-			r.Online = s.recoveryOnline(ctx, chip, margin, r.Plan)
-			return
+	done := func(i int) {
+		if left[i].Add(-1) == 0 {
+			progress("recovery/" + names[i])
 		}
-		ps := schedules[i]
-		n := name(ps)
+	}
 
-		// Uninterrupted baseline: the E(m) and C the model is fed.
-		rc := core.RunConfig{
-			Cycles:       useful,
-			WarmupCycles: s.Scale.WarmupCycles,
-			Margins:      []float64{margin},
+	// Engine run k is schedule k%n's checkpoint run for k < n, its Razor
+	// run for k < 2n and its faulted Razor run after that.
+	plan := r.Plan
+	engineRuns := make([]failsafe.Run, 3*n)
+	for k := range engineRuns {
+		cfg := failsafe.Config{
+			Chip:          chip,
+			Margin:        margin,
+			Scheme:        r.Razor,
+			HoldoffCycles: razorHoldoffCycles,
+			WarmupCycles:  s.Scale.WarmupCycles,
 		}
-		base := core.Run(chip, streams(ps), rc)
-		run := resilient.FromScope(n, base.Cycles, base.Scope)
-
-		engine := func(scheme failsafe.Scheme, holdoff uint64, plan *failsafe.Plan) *failsafe.Result {
-			cfg := failsafe.Config{
-				Chip:          chip,
-				Margin:        margin,
-				Scheme:        scheme,
-				HoldoffCycles: holdoff,
-				WarmupCycles:  s.Scale.WarmupCycles,
-				Faults:        plan,
+		switch {
+		case k < n:
+			cfg.Scheme, cfg.HoldoffCycles = r.Ckpt, 50
+		case k >= 2*n:
+			cfg.Faults = &plan
+		}
+		engineRuns[k] = failsafe.Run{Config: cfg, UsefulCycles: useful}
+	}
+	executed := make([]*failsafe.Result, 3*n)
+	engines := func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			engineRuns[k].Streams = streams(k % n)
+		}
+		out, errs := failsafe.RunGroup(ctx, engineRuns[lo:hi])
+		for i, err := range errs {
+			if err == nil {
+				continue
 			}
-			res, err := failsafe.RunCtx(ctx, cfg, streams(ps), useful)
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					panic(&parallel.AbortError{Err: err})
-				}
-				panic(fmt.Sprintf("experiments: failsafe run %s: %v", n, err))
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				panic(&parallel.AbortError{Err: err})
 			}
-			return res
+			panic(fmt.Sprintf("experiments: failsafe run %s: %v", names[(lo+i)%n], err))
 		}
-
-		razor := engine(r.Razor, razorHoldoffCycles, nil)
-		rows[i].razor = RecoveryRow{
-			Name:                n,
-			BaselineEmergencies: run.EmergenciesAt(margin),
-			ExecutedEmergencies: razor.Emergencies,
-			AnalyticalPct:       model.Improvement(run, margin, r.Razor.EquivalentCost()),
-			ExecutedPct:         razor.Improvement(model),
+		for i, res := range out {
+			executed[lo+i] = res
+			done((lo + i) % n)
 		}
+	}
 
-		ckpt := engine(r.Ckpt, 50, nil)
-		rows[i].ckpt = RecoveryRow{
-			Name:                n,
-			BaselineEmergencies: run.EmergenciesAt(margin),
-			ExecutedEmergencies: ckpt.Emergencies,
-			AnalyticalPct:       model.Improvement(run, margin, r.Ckpt.EquivalentCost()),
-			ExecutedPct:         ckpt.Improvement(model),
+	// Uninterrupted baselines: the E(m) and C the model is fed.
+	rc := core.RunConfig{
+		Cycles:       useful,
+		WarmupCycles: s.Scale.WarmupCycles,
+		Margins:      []float64{margin},
+	}
+	base := make([]core.Result, n)
+	baselines := func(lo, hi int) {
+		laneGroup(chip, rc, streams, base, lo, hi)
+		for i := lo; i < hi; i++ {
+			done(i)
 		}
+	}
 
-		plan := r.Plan
-		faulted := engine(r.Razor, razorHoldoffCycles, &plan)
-		rows[i].fault = FaultRow{
-			Name:           n,
+	// The sweep, longest first: the checkpoint groups, the online
+	// schedule, the Razor groups, then the baselines.
+	var tasks []func()
+	add := func(lo, count, threads int, fn func(lo, hi int)) {
+		for _, sp := range s.spans(count, threads) {
+			tasks = append(tasks, func() { fn(lo+sp[0], lo+sp[1]) })
+		}
+	}
+	add(0, n, 1, engines)
+	tasks = append(tasks, func() { r.Online = s.recoveryOnline(ctx, chip, margin, r.Plan) })
+	add(n, 2*n, 1, engines)
+	add(0, n, 2, baselines)
+	s.sweep(ctx, len(tasks), func(t int) { tasks[t]() })
+
+	for i := range schedules {
+		run := resilient.FromScope(names[i], base[i].Cycles, base[i].Scope)
+		row := func(scheme failsafe.Scheme, res *failsafe.Result) RecoveryRow {
+			return RecoveryRow{
+				Name:                names[i],
+				BaselineEmergencies: run.EmergenciesAt(margin),
+				ExecutedEmergencies: res.Emergencies,
+				AnalyticalPct:       model.Improvement(run, margin, scheme.EquivalentCost()),
+				ExecutedPct:         res.Improvement(model),
+			}
+		}
+		faulted := executed[2*n+i]
+		r.RazorRows = append(r.RazorRows, row(r.Razor, executed[n+i]))
+		r.CkptRows = append(r.CkptRows, row(r.Ckpt, executed[i]))
+		r.FaultRows = append(r.FaultRows, FaultRow{
+			Name:           names[i],
 			TrueCrossings:  faulted.Scope.Crossings(margin),
 			Detected:       faulted.Emergencies,
 			DroppedSamples: faulted.DroppedSamples,
 			InjectedSpikes: faulted.InjectedSpikes,
-		}
-		progress("recovery/" + n)
-	})
-	for _, rs := range rows {
-		r.RazorRows = append(r.RazorRows, rs.razor)
-		r.CkptRows = append(r.CkptRows, rs.ckpt)
-		r.FaultRows = append(r.FaultRows, rs.fault)
+		})
 	}
 	return r
 }

@@ -216,22 +216,37 @@ func (s *Session) sweep(ctx context.Context, n int, fn func(i int)) {
 	}
 }
 
-// lockstep runs fn(lo, hi) for consecutive ranges of [0, n) that cover
-// it, over the session's workers: the sweep of n independent,
-// equal-length open-loop runs, split into lockstep groups that each step
-// their runs' chips together (core.RunLanes). There are
-// max(⌈n/pdn.MaxLanes⌉, min(n, workers, GOMAXPROCS)) groups, whose sizes
-// differ by at most one: no group holds more runs than one packed kernel
-// call has lanes, and no core that a worker could keep busy idles while
-// another steps a larger group. Like sweep, each call writes only its
-// own runs' slots, so the result is bit-identical at any width.
-func (s *Session) lockstep(ctx context.Context, n int, fn func(lo, hi int)) {
+// lockstep runs fn(lo, hi) for the ranges of s.spans(n, threads) over
+// the session's workers: the sweep of n independent runs, split into
+// lockstep groups that each step their runs' networks together. Like
+// sweep, each call writes only its own runs' slots, so the result is
+// bit-identical at any width.
+func (s *Session) lockstep(ctx context.Context, n, threads int, fn func(lo, hi int)) {
+	spans := s.spans(n, threads)
+	s.sweep(ctx, len(spans), func(g int) { fn(spans[g][0], spans[g][1]) })
+}
+
+// spans splits [0, n) into the consecutive [lo, hi) ranges of the
+// lockstep groups a sweep of n runs makes when each group keeps threads
+// goroutines busy: 2 for core.RunLanes, whose chips run a block ahead of
+// its networks, and 1 for a closed loop (failsafe.RunGroup,
+// sched.RunOnline) or core.MeasureLoopImpedances. There are
+// max(⌈n/pdn.MaxLanes⌉, ⌈min(n, workers, GOMAXPROCS)/threads⌉) groups,
+// whose sizes differ by at most one: no group holds more runs than one
+// packed kernel call has lanes, no core that a worker could keep busy
+// idles while another steps a larger group, and no pack runs half empty
+// to spread the runs over more goroutines than there are cores.
+func (s *Session) spans(n, threads int) [][2]int {
 	workers := s.Workers
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
-	groups := max((n+pdn.MaxLanes-1)/pdn.MaxLanes, min(n, workers, runtime.GOMAXPROCS(0)))
-	s.sweep(ctx, groups, func(g int) { fn(g*n/groups, (g+1)*n/groups) })
+	groups := max((n+pdn.MaxLanes-1)/pdn.MaxLanes, (min(n, workers, runtime.GOMAXPROCS(0))+threads-1)/threads)
+	out := make([][2]int, groups)
+	for g := range out {
+		out[g] = [2]int{g * n / groups, (g + 1) * n / groups}
+	}
+	return out
 }
 
 // lockstepRuns runs n independent, equal-length runs of rc on cfg's chip
@@ -240,16 +255,21 @@ func (s *Session) lockstep(ctx context.Context, n int, fn func(lo, hi int)) {
 func (s *Session) lockstepRuns(ctx context.Context, cfg uarch.Config, rc core.RunConfig, n int,
 	programs func(i int) []workload.Stream) []core.Result {
 	out := make([]core.Result, n)
-	s.lockstep(ctx, n, func(lo, hi int) {
-		runs := make([]core.LaneRun, hi-lo)
-		for i := range runs {
-			runs[i] = core.LaneRun{Streams: programs(lo + i), Nets: []pdn.Params{cfg.PDN}}
-		}
-		for i, res := range core.RunLanes(cfg, runs, rc) {
-			out[lo+i] = res[0]
-		}
-	})
+	s.lockstep(ctx, n, 2, func(lo, hi int) { laneGroup(cfg, rc, programs, out, lo, hi) })
 	return out
+}
+
+// laneGroup runs runs [lo, hi) of lockstepRuns as one core.RunLanes group
+// and writes their results to out[lo:hi].
+func laneGroup(cfg uarch.Config, rc core.RunConfig, programs func(i int) []workload.Stream,
+	out []core.Result, lo, hi int) {
+	runs := make([]core.LaneRun, hi-lo)
+	for i := range runs {
+		runs[i] = core.LaneRun{Streams: programs(lo + i), Nets: []pdn.Params{cfg.PDN}}
+	}
+	for i, res := range core.RunLanes(cfg, runs, rc) {
+		out[lo+i] = res[0]
+	}
 }
 
 // ChipConfig returns the chip configuration for a decap variant.
@@ -371,7 +391,7 @@ func (s *Session) buildPairTable(ctx context.Context, v pdn.ProcVariant) *sched.
 	names := make([]string, len(spec))
 	keys := make([]string, len(spec))
 	singles := make([]sched.SingleCell, len(spec))
-	s.lockstep(ctx, len(spec), func(lo, hi int) {
+	s.lockstep(ctx, len(spec), 2, func(lo, hi int) {
 		var runs []core.LaneRun
 		var measured []int
 		for i := lo; i < hi; i++ {

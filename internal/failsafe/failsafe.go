@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"voltsmooth/internal/counters"
+	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/sense"
 	"voltsmooth/internal/telemetry"
@@ -223,178 +224,355 @@ const cancelPollCycles = 4096
 // under SchemeCheckpoint. The committed loop polls ctx every few thousand
 // cycles and abandons the run with the context's error. Cancellation
 // loses only the partial run — the engine's ledger is never returned
-// partially filled.
+// partially filled. RunCtx is a RunGroup of one run.
 func RunCtx(ctx context.Context, cfg Config, streams []workload.Stream, usefulCycles uint64) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if usefulCycles == 0 {
-		return nil, ErrNoWork
-	}
-	if len(streams) > cfg.Chip.NumCores {
-		return nil, fmt.Errorf("%w: %d streams on %d cores", ErrTooManyStreams, len(streams), cfg.Chip.NumCores)
-	}
+	res, errs := RunGroup(ctx, []Run{{Config: cfg, Streams: streams, UsefulCycles: usefulCycles}})
+	return res[0], errs[0]
+}
 
-	chip := uarch.NewChip(cfg.Chip)
-	defer chip.PublishSteps()
-	res := &Result{
-		Margin:       cfg.Margin,
-		Scheme:       cfg.Scheme,
-		UsefulCycles: usefulCycles,
-	}
-	for i := 0; i < cfg.Chip.NumCores; i++ {
-		var s workload.Stream
-		if i < len(streams) {
-			s = streams[i]
+// Run is one engine run of a lockstep group (RunGroup): its
+// configuration, the workloads on its chip's cores and the committed work
+// it must execute, as RunCtx takes them.
+type Run struct {
+	Config       Config
+	Streams      []workload.Stream
+	UsefulCycles uint64
+}
+
+// RunGroup executes runs in lockstep, each exactly as RunCtx would: every
+// run's engine is a per-cycle state machine on its own chip, and the
+// engines' networks step together through one pdn.Group, each on its own
+// chip's current, so every engine reads its own die voltage every cycle
+// and acts on it before its next cycle. A run that commits its work, or
+// fails, drops out and the rest go on. Result i is RunCtx on runs[i]
+// alone, bit for bit, whatever runs beside it; exactly one of a run's
+// Result and error is nil. Every run's chip must share the first's clock and
+// substep grid (one pdn.Group steps them); a run that does not is refused
+// with ErrBadConfig.
+func RunGroup(ctx context.Context, runs []Run) ([]*Result, []error) {
+	engines, errs := newEngines(runs)
+	defer func() {
+		for _, e := range engines {
+			if e != nil {
+				e.chip.PublishSteps()
+			}
 		}
-		chip.SetStream(i, s)
-		if s != nil {
-			res.Names = append(res.Names, s.Name())
-		} else {
-			res.Names = append(res.Names, "idle")
+	}()
+	stepEngines(ctx, engines)
+	out := make([]*Result, len(runs))
+	for i, e := range engines {
+		switch {
+		case e == nil:
+		case e.err != nil:
+			errs[i] = e.err
+		default:
+			out[i] = e.res
 		}
 	}
+	return out, errs
+}
 
-	for i := uint64(0); i < cfg.WarmupCycles; i++ {
-		chip.Cycle()
-	}
-	base := make([]counters.Counters, cfg.Chip.NumCores)
-	for i := range base {
-		base[i] = *chip.Counters(i)
-	}
+// engine is one run's recovery loop as a per-cycle state machine: load
+// returns its chip's current for the next wall cycle, and observe takes
+// the die voltage its network reached and acts on it. Each wall cycle is
+// a warmup cycle, a committed cycle or a recovery stall cycle. The
+// committed-cycle iterations poll ctx, check the wall limit, take the
+// checkpoint and draw the spike, in that order; stall cycles draw the
+// frozen chip's current (StallLoad) and are sampled, but draw no spike
+// and observe no dropout.
+type engine struct {
+	cfg       Config
+	chip      *uarch.Chip
+	inj       *Injector
+	res       *Result
+	threshold float64
+	// err is the error that refused or abandoned the run; the engine
+	// drops out of its group once it is set.
+	err error
 
+	warmup        uint64 // warmup cycles left
+	base          []counters.Counters
+	ckpt          *uarch.State
+	ckptCommitted uint64
+	wallStart     uint64
+	wallLimit     uint64
+	committed     uint64
+	holdoff       uint64
+	below         bool
+	stalls        uint64 // recovery stall cycles left
+}
+
+// newEngines builds every run's engine. A run refused before its chip is
+// built (an invalid configuration, no work, too many streams, a clock or
+// grid unlike the group's) gets its error in errs and no engine; one
+// whose streams cannot be checkpointed fails after its warmup, having
+// stepped its network through it.
+func newEngines(runs []Run) ([]*engine, []error) {
+	engines := make([]*engine, len(runs))
+	errs := make([]error, len(runs))
+	var first *Config
+	for i, r := range runs {
+		cfg := r.Config
+		if err := cfg.Validate(); err != nil {
+			errs[i] = err
+			continue
+		}
+		if r.UsefulCycles == 0 {
+			errs[i] = ErrNoWork
+			continue
+		}
+		if len(r.Streams) > cfg.Chip.NumCores {
+			errs[i] = fmt.Errorf("%w: %d streams on %d cores", ErrTooManyStreams, len(r.Streams), cfg.Chip.NumCores)
+			continue
+		}
+		if first == nil {
+			first = &runs[i].Config
+		} else if cfg.Chip.ClockHz != first.Chip.ClockHz || cfg.Chip.Substeps != first.Chip.Substeps {
+			errs[i] = fmt.Errorf("%w: %g Hz in %d substeps beside a group at %g Hz in %d",
+				ErrBadConfig, cfg.Chip.ClockHz, cfg.Chip.Substeps, first.Chip.ClockHz, first.Chip.Substeps)
+			continue
+		}
+
+		vnom := cfg.Chip.PDN.VNom
+		e := &engine{
+			cfg:  cfg,
+			chip: uarch.NewChip(cfg.Chip),
+			res: &Result{
+				Margin:       cfg.Margin,
+				Scheme:       cfg.Scheme,
+				UsefulCycles: r.UsefulCycles,
+				Scope:        sense.NewScope(vnom, []float64{cfg.Margin}),
+			},
+			threshold: vnom * (1 - cfg.Margin),
+			warmup:    cfg.WarmupCycles,
+		}
+		for c := 0; c < cfg.Chip.NumCores; c++ {
+			var s workload.Stream
+			if c < len(r.Streams) {
+				s = r.Streams[c]
+			}
+			e.chip.SetStream(c, s)
+			if s != nil {
+				e.res.Names = append(e.res.Names, s.Name())
+			} else {
+				e.res.Names = append(e.res.Names, "idle")
+			}
+		}
+		if cfg.Faults != nil {
+			e.inj = NewInjector(*cfg.Faults)
+		}
+		if e.warmup == 0 {
+			e.begin()
+		}
+		engines[i] = e
+	}
+	return engines, errs
+}
+
+// stepEngines steps engines (nil entries skipped) in lockstep until each
+// has committed its work or failed, leaving each one's outcome in its res
+// or err. It closes its group before it returns, so every network holds
+// its state and counts its steps.
+func stepEngines(ctx context.Context, engines []*engine) {
+	var live []*engine
+	for _, e := range engines {
+		if e != nil {
+			live = append(live, e)
+		}
+	}
+	if len(live) == 0 {
+		return
+	}
+	chip := live[0].cfg.Chip
+	group := pdn.NewGroup(1/chip.ClockHz, chip.Substeps)
+	defer group.Close()
+	nets := make([]*pdn.Network, len(live))
+	iLoad := make([]float64, len(live))
+	for {
+		next := live[:0]
+		for _, e := range live {
+			switch {
+			case e.err != nil:
+			case e.finished():
+				e.finish()
+			default:
+				load := e.load(ctx)
+				if e.err == nil {
+					iLoad[len(next)], nets[len(next)] = load, e.chip.Network()
+					next = append(next, e)
+				}
+			}
+		}
+		if live = next; len(live) == 0 {
+			return
+		}
+		for r, v := range group.Step(nets[:len(live)], iLoad[:len(live)]) {
+			live[r].observe(v)
+		}
+	}
+}
+
+// begin ends the warmup: it snapshots the counters the committed work is
+// measured from, takes the first checkpoint and arms the livelock guard.
+func (e *engine) begin() {
+	e.base = make([]counters.Counters, e.cfg.Chip.NumCores)
+	for i := range e.base {
+		e.base[i] = *e.chip.Counters(i)
+	}
 	// The engine checkpoints under both schemes: Razor never rolls back,
 	// but taking the initial snapshot up front surfaces non-checkpointable
 	// streams as a typed error before any work runs.
-	ckpt, err := chip.Snapshot()
-	if err != nil {
-		return nil, err
+	if e.ckpt, e.err = e.chip.Snapshot(); e.err != nil {
+		return
 	}
-	var ckptCommitted uint64
-
-	vnom := cfg.Chip.PDN.VNom
-	threshold := vnom * (1 - cfg.Margin)
-	scope := sense.NewScope(vnom, []float64{cfg.Margin})
-	res.Scope = scope
-
-	var inj *Injector
-	if cfg.Faults != nil {
-		inj = NewInjector(*cfg.Faults)
-	}
-
-	stall := func(n uint64) {
-		for i := uint64(0); i < n; i++ {
-			scope.Sample(chip.StallCycle())
-		}
-		res.RecoveryStallCycles += n
-		failsafeStallCycles.Add(n)
-	}
-
 	// Livelock guard: generous enough for any sane scheme (each emergency
 	// costs at most restore + interval + holdoff wall cycles, and
 	// emergencies are at least a holdoff apart), yet finite.
-	wallStart := chip.CycleCount()
-	perEmergency := cfg.Scheme.FlushCycles + cfg.Scheme.RestoreCycles +
-		cfg.Scheme.CheckpointInterval + cfg.HoldoffCycles + 1
-	wallLimit := usefulCycles + (usefulCycles+1)*perEmergency + 1_000_000
+	e.wallStart = e.chip.CycleCount()
+	sc := e.cfg.Scheme
+	perEmergency := sc.FlushCycles + sc.RestoreCycles + sc.CheckpointInterval + e.cfg.HoldoffCycles + 1
+	useful := e.res.UsefulCycles
+	e.wallLimit = useful + (useful+1)*perEmergency + 1_000_000
+}
 
-	var committed, holdoff uint64
-	below := false
-	for committed < usefulCycles {
-		if (chip.CycleCount()-wallStart)%cancelPollCycles == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("failsafe: run cancelled at %d/%d useful cycles: %w",
-					committed, usefulCycles, err)
-			}
-		}
-		if chip.CycleCount()-wallStart > wallLimit {
-			return nil, fmt.Errorf("%w: %d wall cycles committed only %d of %d useful (%d emergencies)",
-				ErrStuck, chip.CycleCount()-wallStart, committed, usefulCycles, res.Emergencies)
-		}
-		if cfg.Scheme.Kind == SchemeCheckpoint && committed-ckptCommitted >= cfg.Scheme.CheckpointInterval {
-			if ckpt, err = chip.Snapshot(); err != nil {
-				return nil, err
-			}
-			ckptCommitted = committed
-		}
-		if inj != nil {
-			if amps := inj.SpikeAmps(); amps != 0 {
-				chip.InjectCurrent(amps)
-			}
-		}
-		v := chip.Cycle()
-		committed++
-		scope.Sample(v)
+// finished reports whether the run has committed its work, with no
+// recovery stall left to serve.
+func (e *engine) finished() bool {
+	return e.warmup == 0 && e.stalls == 0 && e.committed >= e.res.UsefulCycles
+}
 
-		if holdoff > 0 {
-			holdoff--
-			continue
-		}
-		vObs, ok := v, true
-		if inj != nil {
-			vObs, ok = inj.ObserveVoltage(v)
-		}
-		if !ok {
-			continue // sensor dropout: the detector saw nothing
-		}
-		isBelow := vObs < threshold
-		if isBelow && !below {
-			res.Emergencies++
-			FailsafeEmergencies.Inc()
-			if telemetry.Tracing() {
-				telemetry.Emit(telemetry.Event{
-					Kind:   "failsafe.emergency",
-					ID:     cfg.Scheme.Kind.String(),
-					Value:  vObs,
-					Detail: fmt.Sprintf("committed=%d", committed),
-				})
-			}
-			switch cfg.Scheme.Kind {
-			case SchemeRazor:
-				// Detection at commit: the droop cycle's work stands,
-				// recovery is a fixed flush.
-				stall(cfg.Scheme.FlushCycles)
-				holdoff = cfg.HoldoffCycles
-				failsafeFlushes.Inc()
-				telemetry.Emit(telemetry.Event{
-					Kind:  "failsafe.recovery",
-					ID:    "flush",
-					Value: float64(cfg.Scheme.FlushCycles),
-				})
-			case SchemeCheckpoint:
-				lost := committed - ckptCommitted
-				if err := chip.RestoreArch(ckpt); err != nil {
-					return nil, err
-				}
-				committed = ckptCommitted
-				res.ReplayedCycles += lost
-				stall(cfg.Scheme.RestoreCycles)
-				// Blind through the replay window plus the configured
-				// re-arm latency; this is what guarantees the committed
-				// high-water mark strictly grows.
-				holdoff = lost + cfg.HoldoffCycles
-				failsafeRollbacks.Inc()
-				failsafeReplayedCycles.Add(lost)
-				telemetry.Emit(telemetry.Event{
-					Kind:  "failsafe.recovery",
-					ID:    "rollback",
-					Value: float64(lost),
-				})
-			}
-			below = true // re-arm on the next rise above threshold
-			continue
-		}
-		below = isBelow
+// finish fills in the ledger of a run that committed its work.
+func (e *engine) finish() {
+	e.res.TotalCycles = e.chip.CycleCount() - e.wallStart
+	e.res.Counters = make([]counters.Counters, e.cfg.Chip.NumCores)
+	for i := range e.res.Counters {
+		e.res.Counters[i] = e.chip.Counters(i).Delta(e.base[i])
 	}
+	if e.inj != nil {
+		e.res.DroppedSamples = e.inj.Dropped
+		e.res.InjectedSpikes = e.inj.Spikes
+	}
+}
 
-	res.TotalCycles = chip.CycleCount() - wallStart
-	res.Counters = make([]counters.Counters, cfg.Chip.NumCores)
-	for i := range res.Counters {
-		res.Counters[i] = chip.Counters(i).Delta(base[i])
+// load advances the chip's pipeline by the next wall cycle and returns
+// its current. A committed-cycle iteration that is abandoned (cancelled,
+// stuck, or failing its checkpoint) sets err and draws nothing.
+func (e *engine) load(ctx context.Context) float64 {
+	switch {
+	case e.stalls > 0:
+		return e.chip.StallLoad()
+	case e.warmup > 0:
+		return e.chip.CycleLoad()
 	}
-	if inj != nil {
-		res.DroppedSamples = inj.Dropped
-		res.InjectedSpikes = inj.Spikes
+	wall := e.chip.CycleCount() - e.wallStart
+	if wall%cancelPollCycles == 0 {
+		if err := ctx.Err(); err != nil {
+			e.err = fmt.Errorf("failsafe: run cancelled at %d/%d useful cycles: %w", e.committed, e.res.UsefulCycles, err)
+			return 0
+		}
 	}
-	return res, nil
+	if wall > e.wallLimit {
+		e.err = fmt.Errorf("%w: %d wall cycles committed only %d of %d useful (%d emergencies)",
+			ErrStuck, wall, e.committed, e.res.UsefulCycles, e.res.Emergencies)
+		return 0
+	}
+	if e.cfg.Scheme.Kind == SchemeCheckpoint && e.committed-e.ckptCommitted >= e.cfg.Scheme.CheckpointInterval {
+		if e.ckpt, e.err = e.chip.Snapshot(); e.err != nil {
+			return 0
+		}
+		e.ckptCommitted = e.committed
+	}
+	if e.inj != nil {
+		if amps := e.inj.SpikeAmps(); amps != 0 {
+			e.chip.InjectCurrent(amps)
+		}
+	}
+	return e.chip.CycleLoad()
+}
+
+// observe takes the die voltage v the chip's network reached on the cycle
+// load drew: it samples it, and on a committed cycle runs the detector
+// and starts a recovery on a new crossing.
+func (e *engine) observe(v float64) {
+	switch {
+	case e.stalls > 0:
+		e.res.Scope.Sample(v)
+		e.stalls--
+		return
+	case e.warmup > 0:
+		if e.warmup--; e.warmup == 0 {
+			e.begin()
+		}
+		return
+	}
+	e.committed++
+	e.res.Scope.Sample(v)
+
+	if e.holdoff > 0 {
+		e.holdoff--
+		return
+	}
+	vObs, ok := v, true
+	if e.inj != nil {
+		vObs, ok = e.inj.ObserveVoltage(v)
+	}
+	if !ok {
+		return // sensor dropout: the detector saw nothing
+	}
+	isBelow := vObs < e.threshold
+	if !isBelow || e.below {
+		e.below = isBelow
+		return
+	}
+	e.res.Emergencies++
+	FailsafeEmergencies.Inc()
+	if telemetry.Tracing() {
+		telemetry.Emit(telemetry.Event{
+			Kind:   "failsafe.emergency",
+			ID:     e.cfg.Scheme.Kind.String(),
+			Value:  vObs,
+			Detail: fmt.Sprintf("committed=%d", e.committed),
+		})
+	}
+	switch e.cfg.Scheme.Kind {
+	case SchemeRazor:
+		// Detection at commit: the droop cycle's work stands, recovery is
+		// a fixed flush.
+		e.stall(e.cfg.Scheme.FlushCycles)
+		e.holdoff = e.cfg.HoldoffCycles
+		failsafeFlushes.Inc()
+		telemetry.Emit(telemetry.Event{
+			Kind:  "failsafe.recovery",
+			ID:    "flush",
+			Value: float64(e.cfg.Scheme.FlushCycles),
+		})
+	case SchemeCheckpoint:
+		lost := e.committed - e.ckptCommitted
+		if e.err = e.chip.RestoreArch(e.ckpt); e.err != nil {
+			return
+		}
+		e.committed = e.ckptCommitted
+		e.res.ReplayedCycles += lost
+		e.stall(e.cfg.Scheme.RestoreCycles)
+		// Blind through the replay window plus the configured re-arm
+		// latency; this is what guarantees the committed high-water mark
+		// strictly grows.
+		e.holdoff = lost + e.cfg.HoldoffCycles
+		failsafeRollbacks.Inc()
+		failsafeReplayedCycles.Add(lost)
+		telemetry.Emit(telemetry.Event{
+			Kind:  "failsafe.recovery",
+			ID:    "rollback",
+			Value: float64(lost),
+		})
+	}
+	e.below = true // re-arm on the next rise above threshold
+}
+
+// stall freezes the chip for the next n wall cycles: the recovery stall,
+// during which the network keeps integrating.
+func (e *engine) stall(n uint64) {
+	e.stalls = n
+	e.res.RecoveryStallCycles += n
+	failsafeStallCycles.Add(n)
 }

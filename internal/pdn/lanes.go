@@ -232,6 +232,52 @@ func (ls *Lanes) Close() {
 	ls.cycles = 0
 }
 
+// Group steps the networks of a lockstep group whose runs drive one
+// network each, on loads of their own, and drop out as they finish: the
+// closed loops (failsafe.RunGroup, sched.RunOnline) and
+// core.MeasureLoopImpedances. Its zero value is not usable; build it with
+// NewGroup.
+type Group struct {
+	lanes     *Lanes
+	cycleTime float64
+	substeps  int
+}
+
+// NewGroup returns the Group that steps its networks over cycles of
+// cycleTime seconds integrated in substeps substeps.
+func NewGroup(cycleTime float64, substeps int) *Group {
+	return &Group{cycleTime: cycleTime, substeps: substeps}
+}
+
+// Step advances nets, network i drawing iLoad[i], by one cycle and returns
+// their die voltages, as Lanes.Step does. nets holds the networks still
+// running: the last Step's, or a subsequence of them in the same order.
+// When one has dropped out, Step closes the Lanes it stepped them with,
+// which writes their state back and counts their steps, and steps the
+// rest through a new one on its own copy of nets, so the caller may
+// reuse the slice.
+func (g *Group) Step(nets []*Network, iLoad []float64) []float64 {
+	if g.lanes == nil || len(nets) != len(g.lanes.nets) {
+		g.Close()
+		load := make([]int, len(nets))
+		for i := range load {
+			load[i] = i
+		}
+		g.lanes = NewLanes(append([]*Network(nil), nets...), load, g.cycleTime, g.substeps)
+	}
+	return g.lanes.Step(iLoad)
+}
+
+// Close writes every network's state back and counts its steps
+// (Lanes.Close). Call it before the networks are read or publish their
+// steps.
+func (g *Group) Close() {
+	if g.lanes != nil {
+		g.lanes.Close()
+		g.lanes = nil
+	}
+}
+
 // set loads network n's state and coefficients into lane l.
 func (p *pack) set(l int, n *Network) {
 	r := &p.rows

@@ -280,19 +280,14 @@ func RunOnline(ctx context.Context, cfg OnlineConfig, schedules []Schedule) ([]O
 		return out
 	}
 
-	// The lanes step the running schedules' networks. They are rebuilt
-	// when a schedule drops out, and closed before the chips publish
-	// their steps.
-	var lanes *pdn.Lanes
-	defer func() {
-		if lanes != nil {
-			lanes.Close()
-		}
-	}()
+	// The group steps the running schedules' networks, and is closed
+	// before the chips publish their steps.
+	group := pdn.NewGroup(1/cfg.Chip.ClockHz, cfg.Chip.Substeps)
+	defer group.Close()
 	live := append([]*schedule(nil), all...)
 	views := make([][]JobView, len(all))
 	iLoad := make([]float64, len(all))
-	stepping := 0 // the schedules lanes steps
+	nets := make([]*pdn.Network, 0, len(all))
 	for {
 		// A schedule whose jobs are all done is complete, even when ctx
 		// is cancelled.
@@ -316,7 +311,7 @@ func RunOnline(ctx context.Context, cfg OnlineConfig, schedules []Schedule) ([]O
 			}
 			return results(), err
 		}
-		next = live[:0]
+		next, nets = live[:0], nets[:0]
 		for r, o := range live {
 			if cfg.MaxQuanta > 0 && o.res.Quanta >= cfg.MaxQuanta {
 				o.res.Truncated = true
@@ -324,29 +319,18 @@ func RunOnline(ctx context.Context, cfg OnlineConfig, schedules []Schedule) ([]O
 				continue
 			}
 			o.pick(views[r])
-			next = append(next, o)
+			next, nets = append(next, o), append(nets, o.chip.Network())
 		}
 		live = next
 		if len(live) == 0 {
 			break
-		}
-		if len(live) != stepping {
-			if lanes != nil {
-				lanes.Close()
-			}
-			nets := make([]*pdn.Network, len(live))
-			load := make([]int, len(live))
-			for r, o := range live {
-				nets[r], load[r] = o.chip.Network(), r
-			}
-			lanes, stepping = pdn.NewLanes(nets, load, 1/cfg.Chip.ClockHz, cfg.Chip.Substeps), len(live)
 		}
 
 		for i := uint64(0); i < cfg.QuantumCycles; i++ {
 			for r, o := range live {
 				iLoad[r] = o.chip.CycleLoad()
 			}
-			for r, v := range lanes.Step(iLoad[:len(live)]) {
+			for r, v := range group.Step(nets, iLoad[:len(live)]) {
 				live[r].scope.Sample(v)
 			}
 		}

@@ -55,7 +55,7 @@ func TestSubstepsAlignedToStabilityBound(t *testing.T) {
 // simulator hot path: a chip cycle with both cores executing (instruction
 // issue, current model, PDN integration) must not allocate, and neither
 // may a recovery stall cycle, a cycle with injected fault current or a
-// current-only cycle.
+// current-only cycle, issuing or stalled.
 func TestChipCycleZeroAllocs(t *testing.T) {
 	chip := hotChip(t)
 	if avg := testing.AllocsPerRun(2000, func() {
@@ -79,6 +79,12 @@ func TestChipCycleZeroAllocs(t *testing.T) {
 		chip.CycleLoad()
 	}); avg != 0 {
 		t.Fatalf("Chip.CycleLoad allocates %.1f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(2000, func() {
+		chip.InjectCurrent(5)
+		chip.StallLoad()
+	}); avg != 0 {
+		t.Fatalf("Chip.StallLoad allocates %.1f allocs/op, want 0", avg)
 	}
 }
 

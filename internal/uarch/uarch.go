@@ -409,7 +409,14 @@ func (c *Chip) CycleLoad() float64 {
 // event: the refill after a recovery can trigger the next emergency,
 // which is exactly the feedback the executed failsafe engine exists to
 // measure.
-func (c *Chip) StallCycle() float64 {
+func (c *Chip) StallCycle() float64 { return c.driveNet(c.StallLoad()) }
+
+// StallLoad is the first half of StallCycle, as CycleLoad is of Cycle: it
+// advances the chip by one frozen clock cycle, applies any injected
+// current, advances the chip clock and returns the total die current,
+// without stepping the chip's own network, so a group of engines can step
+// their networks together (failsafe.RunGroup).
+func (c *Chip) StallLoad() float64 {
 	cm := &c.cfg.Current
 	uncoreShare := c.uncoreShare
 	perCore := c.perCore
@@ -420,7 +427,7 @@ func (c *Chip) StallCycle() float64 {
 		perCore[i] = cm.GatedAmps + float64(co.aSmooth*cm.ActiveAmps) + uncoreShare
 		total += perCore[i]
 	}
-	return c.driveNet(c.draw(total))
+	return c.draw(total)
 }
 
 // InjectCurrent queues extra die current (amperes) to be drawn during the
