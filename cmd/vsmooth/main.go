@@ -47,7 +47,7 @@ func main() {
 	injectSeed := flag.Uint64("inject-seed", 1, "seed driving every injected fault stream")
 	timeout := flag.Duration("timeout", 0, "whole-campaign wall-clock budget (0 = none); on expiry the run shuts down like Ctrl-C")
 	expTimeout := flag.Duration("exp-timeout", 0, "per-experiment attempt deadline (0 = none)")
-	stall := flag.Duration("stall", 0, "stall watchdog window: cancel and retry an experiment reporting no progress for this long (0 = off)")
+	stall := flag.Duration("stall", 0, "stall watchdog window: cancel and retry an experiment reporting no progress for this long (0 = off); must exceed every experiment's longest stretch without progress (ext1 reports none until it ends: up to 2.6s at -scale quick on 2 vCPUs)")
 	retries := flag.Int("retries", runner.DefaultMaxAttempts, "attempts per experiment (first run + retries)")
 	journalPath := flag.String("journal", "", "checkpoint completed measurements to this file (JSONL)")
 	resume := flag.Bool("resume", false, "continue an existing -journal file; it must match the current scale and fault config")
@@ -171,6 +171,11 @@ degraded-sensor run is reproducible bit-for-bit.
 Campaign supervision: -timeout bounds the whole run, -exp-timeout each
 attempt, -retries the attempts per experiment, and -stall arms a
 watchdog that cancels and retries experiments making no progress.
+Progress comes only from the corpus runs, the oracle table's single-core
+references and figx-recovery's schedules; ext1, ext2, fig1, fig2, fig4,
+fig6, fig11-fig14 and fig16 report none until they end. The -stall
+window must exceed each experiment's longest stretch without progress
+(at -scale quick, ext1's whole run: up to 2.6s on 2 vCPUs).
 Ctrl-C / SIGTERM stop gracefully: completed figures still render, the
 telemetry trace is flushed, and the process exits 128+signum (130 for
 SIGINT, 143 for SIGTERM).

@@ -51,7 +51,7 @@ func run(argv []string) int {
 		jobTimeout   = fs.Duration("job-timeout", 0, "default whole-job deadline (0 = none; spec timeout_ms overrides)")
 		expTimeout   = fs.Duration("exp-timeout", 0, "per-experiment, per-attempt deadline (0 = none)")
 		retries      = fs.Int("retries", 3, "attempt budget per experiment (first run + retries)")
-		stallTimeout = fs.Duration("stall-timeout", 0, "per-attempt stall watchdog (0 = off)")
+		stallTimeout = fs.Duration("stall-timeout", 0, "per-attempt stall watchdog (0 = off); must exceed every experiment's longest stretch without progress (ext1 reports none until it ends: up to 2.6s at quick scale on 2 vCPUs)")
 
 		// The cross-tenant result cache + SSE streaming (DESIGN §12).
 		cache        = fs.Bool("cache", true, "serve identical specs from the cross-tenant result cache (<store>/cache) and dedup identical in-flight jobs")

@@ -36,6 +36,7 @@ package api
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,9 +139,10 @@ func (j *job) rank() int { return priorityRank(j.spec.Priority) }
 // be able to claim every core of a shared fleet worker.
 const maxJobWorkers = 64
 
-// Validate checks the spec against the experiment registry and expands
-// "all". It returns the normalized spec; a validation error reads like a
-// flag error and maps to HTTP 400.
+// Validate checks the spec against the experiment registry, expands
+// "all" and drops repeated experiment IDs, keeping the order of their
+// first occurrences. It returns the normalized spec; a validation error
+// reads like a flag error and maps to HTTP 400.
 func (s JobSpec) Validate() (JobSpec, error) {
 	if len(s.Experiments) == 0 {
 		return s, fmt.Errorf("spec: experiments must name at least one experiment id (or \"all\")")
@@ -151,11 +153,16 @@ func (s JobSpec) Validate() (JobSpec, error) {
 			s.Experiments = append(s.Experiments, e.ID)
 		}
 	}
+	ids := make([]string, 0, len(s.Experiments))
 	for _, id := range s.Experiments {
 		if _, err := experiments.Lookup(id); err != nil {
 			return s, fmt.Errorf("spec: %w", err)
 		}
+		if !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
 	}
+	s.Experiments = ids
 	if s.Scale == "" {
 		s.Scale = "tiny"
 	}
@@ -191,8 +198,9 @@ func (s JobSpec) Validate() (JobSpec, error) {
 // fingerprints render byte-identical figures, which is what licenses the
 // cross-tenant result cache (DESIGN §12) to share one execution between
 // them. Callers fingerprint the normalized (Validate'd) spec, so "all"
-// and the expanded list, or an empty and an explicit "tiny" scale, hash
-// alike.
+// and the expanded list, a list and the same list with repeats, or an
+// empty and an explicit "tiny" scale, hash alike. The experiments' order
+// is kept, and it is part of the fingerprint.
 func (s JobSpec) ConfigFingerprint() string {
 	return journal.ConfigHash(struct {
 		Experiments  []string `json:"experiments"`

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -358,6 +359,30 @@ func TestResultBeforeTerminal409(t *testing.T) {
 	}
 	if code := getJSON(t, hs.URL+"/jobs/nope/result", nil); code != http.StatusNotFound {
 		t.Errorf("result of unknown job: status %d, want 404", code)
+	}
+}
+
+// TestSpecDropsRepeatedExperiments pins that Validate runs each named
+// experiment once: a repeated ID is dropped, the first occurrences keep
+// their order, and the fingerprint is the deduplicated list's.
+func TestSpecDropsRepeatedExperiments(t *testing.T) {
+	normalize := func(ids ...string) api.JobSpec {
+		t.Helper()
+		spec, err := api.JobSpec{Experiments: ids}.Validate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	got := normalize("fig9", "fig7", "fig9", "fig7")
+	if want := []string{"fig9", "fig7"}; !slices.Equal(got.Experiments, want) {
+		t.Errorf("experiments = %v, want %v", got.Experiments, want)
+	}
+	if got.ConfigFingerprint() != normalize("fig9", "fig7").ConfigFingerprint() {
+		t.Error("a repeated experiment changed the fingerprint")
+	}
+	if normalize("fig7", "fig7").ConfigFingerprint() != normalize("fig7").ConfigFingerprint() {
+		t.Error(`["fig7","fig7"] and ["fig7"] fingerprint differently`)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"voltsmooth/internal/core"
 	"voltsmooth/internal/counters"
-	"voltsmooth/internal/parallel"
 	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/resilient"
 	"voltsmooth/internal/sense"
@@ -202,14 +201,10 @@ func (s *Session) runs(ctx context.Context, p part, v pdn.ProcVariant, done func
 	}
 	key := populationKey{p, strings.Join(names, "+")}
 	built := false
-	pop, err := s.populations.DoCtx(ctx, key, func() [][]corpusRun {
+	runs := s.populations.Do(key, func() [][]corpusRun {
 		built = true
 		return s.buildPopulation(ctx, p, lanes, self, done)
-	})
-	if err != nil {
-		panic(&parallel.AbortError{Err: err})
-	}
-	runs := pop[self]
+	})[self]
 	if !built {
 		for i := range runs {
 			done(&runs[i])

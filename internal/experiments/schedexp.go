@@ -231,11 +231,7 @@ func runFig19(ctx context.Context, s *Session) Renderer { return Tab1Fig19(ctx, 
 // and tables: tab1 and fig19 are two renderings of one analysis, so
 // `vsmooth run all` computes it once.
 func Tab1Fig19(ctx context.Context, s *Session) *Tab1Fig19Result {
-	r, err := s.passing.DoCtx(ctx, schedVariant.Name, func() *Tab1Fig19Result { return tab1Fig19(ctx, s) })
-	if err != nil {
-		panic(&parallel.AbortError{Err: err})
-	}
-	return r
+	return s.passing.Do(schedVariant.Name, func() *Tab1Fig19Result { return tab1Fig19(ctx, s) })
 }
 
 func tab1Fig19(ctx context.Context, s *Session) *Tab1Fig19Result {

@@ -30,9 +30,19 @@ import (
 // runs, read from one shared population, so a session simulates each
 // distinct run once.
 //
-// A Session is safe for concurrent use: each cache is a per-key
-// singleflight, so independent experiments running on separate goroutines
-// share one build of each corpus and table.
+// A Session is safe for concurrent use. Each cache is a parallel.Group:
+// the first caller of a key builds it under the key's lock, and every
+// other caller waits for that build, whatever its own context says, so
+// independent experiments running on separate goroutines share one build
+// of each corpus and table. A build whose context is cancelled unwinds at
+// its next run boundary and caches nothing; the key's next caller builds
+// it again.
+//
+// Lock order: a Tab1Fig19 build (passing) calls PairTable and Corpus
+// (tables, corpora); those builds read populations; a populations build
+// reads no other key; and no build calls Do on its own key. So keys are
+// locked from passing down to populations, and no two callers can each
+// hold a key the other waits for.
 type Session struct {
 	Scale Scale
 	// Workers bounds the fan-out of every measurement sweep the session
@@ -319,15 +329,12 @@ type Corpus struct {
 	SingleThreaded, MultiThreaded, MultiProgram int
 }
 
-// Corpus builds (or returns the cached) corpus for a variant. A cancelled
-// ctx unwinds as an abort panic at the next run boundary; Session.Run is
-// the recovery boundary that turns it back into the context's error.
+// Corpus builds (or returns the cached) corpus for a variant. A build
+// whose ctx is cancelled unwinds as an abort panic at the next run
+// boundary; Session.Run is the recovery boundary that turns it back into
+// the context's error.
 func (s *Session) Corpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
-	c, err := s.corpora.DoCtx(ctx, v.Name, func() *Corpus { return s.buildCorpus(ctx, v) })
-	if err != nil {
-		panic(&parallel.AbortError{Err: err})
-	}
-	return c
+	return s.corpora.Do(v.Name, func() *Corpus { return s.buildCorpus(ctx, v) })
 }
 
 // buildCorpus folds v's single-threaded, multi-threaded and multi-program
@@ -372,11 +379,7 @@ func (s *Session) buildCorpus(ctx context.Context, v pdn.ProcVariant) *Corpus {
 // The paper's scheduling study (Sec IV) runs on the Proc3 future-node
 // stand-in. Like Corpus, cancellation unwinds as an abort panic.
 func (s *Session) PairTable(ctx context.Context, v pdn.ProcVariant) *sched.PairTable {
-	t, err := s.tables.DoCtx(ctx, v.Name, func() *sched.PairTable { return s.buildPairTable(ctx, v) })
-	if err != nil {
-		panic(&parallel.AbortError{Err: err})
-	}
-	return t
+	return s.tables.Do(v.Name, func() *sched.PairTable { return s.buildPairTable(ctx, v) })
 }
 
 // buildPairTable measures the table's single-core references, which run

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"voltsmooth/internal/pdn"
 	"voltsmooth/internal/workload"
@@ -100,6 +101,59 @@ func TestSessionConcurrentUse(t *testing.T) {
 		if passing[k] != passing[0] {
 			t.Fatal("concurrent callers got distinct passing analyses")
 		}
+	}
+}
+
+// TestCorpusWaiterOutlastsCancel pins the shared-build wait: a caller of
+// a corpus another goroutine is building waits for that build and gets
+// its corpus, even when the caller's own context has already ended (as a
+// stall watchdog ends an experiment that is waiting on a sibling's build).
+func TestCorpusWaiterOutlastsCancel(t *testing.T) {
+	s := NewSession(microScale())
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var hold sync.Once
+	s.onRead = func(part, pdn.ProcVariant) {
+		// The first population read is inside buildCorpus: hold the
+		// build there until the waiter has had its chance.
+		hold.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
+	built := make(chan *Corpus, 1)
+	go func() { built <- s.Corpus(context.Background(), pdn.Proc3) }()
+	<-entered
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	type outcome struct {
+		c   *Corpus
+		pan any
+	}
+	waited := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		defer func() {
+			o.pan = recover()
+			waited <- o
+		}()
+		o.c = s.Corpus(ctx, pdn.Proc3)
+	}()
+	var o outcome
+	select {
+	case o = <-waited:
+		close(release)
+	case <-time.After(100 * time.Millisecond):
+		close(release)
+		o = <-waited
+	}
+	c := <-built
+	if o.pan != nil {
+		t.Fatalf("waiter with an ended context unwound instead of waiting: %v", o.pan)
+	}
+	if o.c != c {
+		t.Error("waiter got a different corpus than the builder")
 	}
 }
 

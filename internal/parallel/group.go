@@ -1,102 +1,56 @@
 package parallel
 
-import (
-	"context"
-	"runtime/debug"
-	"sync"
-)
+import "sync"
 
-// Group is a cache with per-key singleflight semantics: the first DoCtx
-// call for a key runs build, every concurrent DoCtx for the same key
-// blocks until that build finishes, and later calls return the cached
+// Group is a cache with one mutex per key, held across that key's build:
+// the first Do of a key runs build, every Do of the key that arrives
+// while it runs waits for it to end, and later calls return the cached
 // value without running build again. The zero value is ready to use.
 //
-// A panicking build is cached as the panic and re-raised (as *PanicError)
-// for the builder, every concurrent waiter, and every later caller: the
-// builds here are deterministic measurements, so retrying a panicked key
-// would fail identically. The exception is an *AbortError panic — a build
-// that unwound because its context was cancelled. Aborts are not cached:
-// the flight is removed from the map, concurrent waiters retry (the next
-// one becomes the builder under its own, possibly live, context), and a
-// later caller rebuilds from scratch.
+// A build that panics caches nothing: the panic unwinds through the
+// builder's Do unchanged, and the key's next Do — a caller that waited
+// on the failed build, or a later one — runs its own build. That covers
+// an *AbortError (a build that unwound because its context was
+// cancelled) and a bug alike: a deterministic bug panics again in each
+// caller's build.
+//
+// A build may call Do on other keys, never on its own: a caller holds
+// the key's lock for the whole build, so keys must be locked in one
+// order. Each user documents its order (experiments.Session does).
 type Group[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]*flight[V]
+	m  map[K]*entry[V]
 }
 
-type flight[V any] struct {
-	done    chan struct{}
-	val     V
-	pan     *PanicError
-	aborted bool
+// entry is one key's lock and, once a build has returned, its value.
+type entry[V any] struct {
+	mu   sync.Mutex
+	done bool
+	val  V
 }
 
-// DoCtx returns the value for key, computing it with build at most once
-// per Group lifetime even under concurrent callers. Cancellation applies
-// to the waiting path: a caller blocked on another goroutine's in-flight
-// build stops waiting when ctx is done and returns the context error with
-// a zero value. The build itself runs under the *builder's* control —
-// cancelling a waiter never cancels the build — so a build closure that
-// should stop early must watch its own context (the session builds do,
-// via SweepCtx) and unwind by panicking with *AbortError.
-func (g *Group[K, V]) DoCtx(ctx context.Context, key K, build func() V) (V, error) {
-	for {
-		g.mu.Lock()
+// Do returns the value for key, running build only when no earlier build
+// of the key returned. A caller of a key that is being built waits for
+// that build, whatever its own context says: a build stops early only by
+// watching its own context (the session builds do, via SweepCtx) and
+// panicking with *AbortError.
+func (g *Group[K, V]) Do(key K, build func() V) V {
+	g.mu.Lock()
+	e, ok := g.m[key]
+	if !ok {
 		if g.m == nil {
-			g.m = map[K]*flight[V]{}
+			g.m = map[K]*entry[V]{}
 		}
-		if f, ok := g.m[key]; ok {
-			g.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				var zero V
-				return zero, ctx.Err()
-			}
-			if f.aborted {
-				// The builder's context died mid-build. Retry: the
-				// flight is already un-mapped, so this caller (or
-				// another) becomes the new builder.
-				if err := ctx.Err(); err != nil {
-					var zero V
-					return zero, err
-				}
-				continue
-			}
-			if f.pan != nil {
-				panic(f.pan)
-			}
-			return f.val, nil
-		}
-		f := &flight[V]{done: make(chan struct{})}
-		g.m[key] = f
-		g.mu.Unlock()
-		return g.build(key, f, build)
+		e = &entry[V]{}
+		g.m[key] = e
 	}
-}
+	g.mu.Unlock()
 
-// build runs the flight's build on the calling goroutine, caching the
-// value (or the panic), and un-caching the flight entirely when the build
-// aborted on context cancellation.
-func (g *Group[K, V]) build(key K, f *flight[V], build func() V) (V, error) {
-	defer close(f.done)
-	defer func() {
-		if r := recover(); r != nil {
-			if AbortCause(r) != nil {
-				f.aborted = true
-				g.mu.Lock()
-				delete(g.m, key)
-				g.mu.Unlock()
-				panic(r)
-			}
-			if pe, ok := r.(*PanicError); ok {
-				f.pan = pe
-			} else {
-				f.pan = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-			panic(f.pan)
-		}
-	}()
-	f.val = build()
-	return f.val, nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.done {
+		e.val = build()
+		e.done = true
+	}
+	return e.val
 }

@@ -8,9 +8,9 @@
 // write each result into a preallocated slot, so parallel output is
 // bit-identical to serial output at any worker count.
 //
-// The package also provides Group, a mutex-guarded cache with per-key
-// singleflight semantics, used to make shared measurement caches safe for
-// concurrent experiments.
+// The package also provides Group, a cache with one lock per key held
+// across that key's build, so concurrent experiments share one build of
+// each shared measurement.
 package parallel
 
 import (
@@ -26,10 +26,10 @@ import (
 // non-positive worker count: one worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// PanicError carries a panic recovered on a worker goroutine (or inside a
-// Group build) to the caller, preserving the originating stack trace.
-// It is re-raised with panic, so unrecovered sweeps still crash with the
-// worker's stack in the report.
+// PanicError carries a panic recovered on a worker goroutine to the
+// caller, preserving the originating stack trace. It is re-raised with
+// panic, so unrecovered sweeps still crash with the worker's stack in the
+// report.
 type PanicError struct {
 	Value any    // the original panic value
 	Stack []byte // stack of the goroutine that panicked
@@ -37,10 +37,10 @@ type PanicError struct {
 
 // AbortError marks work abandoned cooperatively — a sweep or measurement
 // build that observed context cancellation and unwound by panicking. It is
-// the one panic class that means "stop, don't diagnose": recovery
-// boundaries (Group, experiments.Session.Run) translate it back into the
-// context error instead of treating it as a crash, and Group does not
-// cache it, so a later caller with a live context rebuilds.
+// the one panic class that means "stop, don't diagnose": the recovery
+// boundary (experiments.Session.Run) translates it back into the context
+// error instead of treating it as a crash. Like every panicking build, an
+// aborted Group build caches nothing, so the key's next caller rebuilds.
 type AbortError struct {
 	Err error // the context error that triggered the abort
 }

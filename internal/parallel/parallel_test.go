@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForVisitsEveryIndexExactlyOnce(t *testing.T) {
@@ -177,7 +178,7 @@ func TestGroupSingleflightAndCache(t *testing.T) {
 	for k := 0; k < callers; k++ {
 		go func(k int) {
 			defer wg.Done()
-			results[k], _ = g.DoCtx(context.Background(), "key", func() *int {
+			results[k] = g.Do("key", func() *int {
 				n := int(builds.Add(1))
 				return &n
 			})
@@ -193,7 +194,7 @@ func TestGroupSingleflightAndCache(t *testing.T) {
 		}
 	}
 	// A later call hits the cache.
-	if got, _ := g.DoCtx(context.Background(), "key", func() *int { builds.Add(1); return nil }); got != results[0] {
+	if got := g.Do("key", func() *int { builds.Add(1); return nil }); got != results[0] {
 		t.Error("cached value not returned")
 	}
 	if builds.Load() != 1 {
@@ -203,8 +204,8 @@ func TestGroupSingleflightAndCache(t *testing.T) {
 
 func TestGroupDistinctKeys(t *testing.T) {
 	var g Group[int, int]
-	a, _ := g.DoCtx(context.Background(), 1, func() int { return 10 })
-	b, _ := g.DoCtx(context.Background(), 2, func() int { return 20 })
+	a := g.Do(1, func() int { return 10 })
+	b := g.Do(2, func() int { return 20 })
 	if a != 10 || b != 20 {
 		t.Fatalf("got %d, %d", a, b)
 	}
@@ -212,17 +213,19 @@ func TestGroupDistinctKeys(t *testing.T) {
 
 func TestGroupPanicReachesWaitersAndLaterCallers(t *testing.T) {
 	var g Group[string, int]
+	var builds atomic.Int32
 	expectPanic := func() (r any) {
 		defer func() { r = recover() }()
-		g.DoCtx(context.Background(), "bad", func() int { panic("broken build") })
+		g.Do("bad", func() int { builds.Add(1); panic("broken build") })
 		return nil
 	}
-	for call := 0; call < 2; call++ { // builder, then cached replay
-		r := expectPanic()
-		pe, ok := r.(*PanicError)
-		if !ok || pe.Value != "broken build" {
+	for call := 0; call < 2; call++ { // a panic caches nothing: each call builds
+		if r := expectPanic(); r != "broken build" {
 			t.Fatalf("call %d: recovered %v", call, r)
 		}
+	}
+	if builds.Load() != 2 {
+		t.Errorf("build ran %d times, want 2 (one per call)", builds.Load())
 	}
 }
 
@@ -269,7 +272,7 @@ func TestGroupDoesNotCacheAborts(t *testing.T) {
 	var builds atomic.Int32
 	abort := func() (r any) {
 		defer func() { r = recover() }()
-		g.DoCtx(context.Background(), "key", func() int {
+		g.Do("key", func() int {
 			builds.Add(1)
 			panic(&AbortError{Err: context.Canceled})
 		})
@@ -279,24 +282,27 @@ func TestGroupDoesNotCacheAborts(t *testing.T) {
 		t.Fatalf("abort panic did not propagate to the builder: %v", r)
 	}
 	// A later call retries the build rather than replaying the abort.
-	got, err := g.DoCtx(context.Background(), "key", func() int {
+	got := g.Do("key", func() int {
 		builds.Add(1)
 		return 42
 	})
-	if err != nil || got != 42 {
-		t.Fatalf("retry after abort: %d, %v", got, err)
+	if got != 42 {
+		t.Fatalf("retry after abort: %d", got)
 	}
 	if builds.Load() != 2 {
 		t.Errorf("build ran %d times, want 2 (abort + retry)", builds.Load())
 	}
 }
 
-func TestGroupDoCtxWaiterStopsOnCancel(t *testing.T) {
+// TestGroupWaiterOutlastsCancel pins the waiter path: a caller whose
+// context has ended still waits for the key's build and gets its value,
+// whenever it arrives during the build.
+func TestGroupWaiterOutlastsCancel(t *testing.T) {
 	var g Group[string, int]
 	inBuild := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		g.DoCtx(context.Background(), "slow", func() int {
+		g.Do("slow", func() int {
 			close(inBuild)
 			<-release
 			return 1
@@ -305,14 +311,21 @@ func TestGroupDoCtxWaiterStopsOnCancel(t *testing.T) {
 	<-inBuild
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := g.DoCtx(ctx, "slow", func() int { return 2 })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter err = %v", err)
+	done := make(chan int, 1)
+	go func() {
+		// The waiter's own build would abort on its ended context.
+		done <- g.Do("slow", func() int { panic(&AbortError{Err: ctx.Err()}) })
+	}()
+	var v int
+	select {
+	case v = <-done:
+		t.Fatal("waiter returned before the build ended")
+	case <-time.After(100 * time.Millisecond):
+		close(release)
+		v = <-done
 	}
-	close(release)
-	// The build itself was never cancelled: its value is cached.
-	if v, _ := g.DoCtx(context.Background(), "slow", func() int { return 3 }); v != 1 {
-		t.Errorf("builder's value lost: got %d", v)
+	if v != 1 {
+		t.Errorf("waiter got %d, want the builder's value 1", v)
 	}
 }
 
@@ -322,7 +335,7 @@ func TestGroupWaiterRetriesAfterBuilderAbort(t *testing.T) {
 	release := make(chan struct{})
 	go func() {
 		defer func() { recover() }()
-		g.DoCtx(context.Background(), "key", func() int {
+		g.Do("key", func() int {
 			close(inBuild)
 			<-release
 			panic(&AbortError{Err: context.Canceled})
@@ -331,11 +344,7 @@ func TestGroupWaiterRetriesAfterBuilderAbort(t *testing.T) {
 	<-inBuild
 	done := make(chan int, 1)
 	go func() {
-		v, err := g.DoCtx(context.Background(), "key", func() int { return 7 })
-		if err != nil {
-			t.Errorf("waiter err: %v", err)
-		}
-		done <- v
+		done <- g.Do("key", func() int { return 7 })
 	}()
 	close(release)
 	if v := <-done; v != 7 {

@@ -93,9 +93,14 @@ type Config struct {
 	Seed int64
 	// StallTimeout arms the watchdog: an attempt that reports no progress
 	// (see experiments.WithProgress) for this long is cancelled and
-	// classified ErrStalled. 0 disables the watchdog. Experiments report
-	// progress per completed simulation run, so the window should be
-	// generously larger than one run's wall time.
+	// classified ErrStalled. 0 disables the watchdog. Progress comes only
+	// from the corpus run populations, the oracle table's single-core
+	// references and figx-recovery's schedules; ext1, ext2, fig1, fig2,
+	// fig4, fig6, fig11–fig14 and fig16 report none until they end, and
+	// an attempt reports none while it waits on a sibling's build. The
+	// window must exceed the longest stretch without progress of every
+	// experiment in the batch: at the quick scale, ext1's whole run
+	// (up to 2.6 s on 2 vCPUs; DESIGN §6 lists each experiment).
 	StallTimeout time.Duration
 	// OnEvent observes the batch's lifecycle. It may be called from many
 	// goroutines concurrently; nil means no observation.
@@ -164,13 +169,16 @@ type Result struct {
 // the root context ended the campaign early, nil otherwise — per-
 // experiment failures live in the Results, not in the returned error.
 //
-// The session's caches make sibling deduplication automatic: two entries
-// sharing a corpus wait on one build. Before the first entry starts, the
+// The entries run concurrently, and the session's caches make sibling
+// deduplication automatic: two entries sharing a corpus share one build,
+// the second waiting for the first's. Before the first entry starts, the
 // session is planned for the whole batch (Session.Plan), so a run
 // population several entries read on different decap variants is built
-// once for all of them. A watchdog or deadline cancelling one attempt
-// does not poison the shared cache — aborted builds are evicted, and the
-// retry rebuilds under its own live context.
+// once for all of them. A watchdog or deadline cancelling an attempt that
+// waits on a sibling's build leaves the wait alone: the attempt goes on
+// when the build ends. Cancelling the attempt that builds unwinds its
+// build at the next run boundary and caches nothing, so the next caller
+// (a waiter, or the retry) rebuilds under its own context.
 func RunBatch(ctx context.Context, s *experiments.Session, entries []experiments.Entry, cfg Config) ([]Result, error) {
 	s.Plan(entries)
 	if cfg.MaxAttempts <= 0 {
@@ -341,8 +349,10 @@ func classify(root context.Context, err error, stalled bool) error {
 		return ErrTransient
 	case errors.Is(err, context.Canceled):
 		// Cancellation that is neither the root's nor the watchdog's:
-		// the attempt context died for a reason we did not cause (a
-		// sibling waiter's abort surfacing through a shared cache).
+		// no context the runner made was cancelled, so the error came
+		// from inside the experiment. No session cache hands a caller
+		// another caller's error, so it is not a sibling's abort either;
+		// retry it, as a recovered panic is.
 		return ErrTransient
 	default:
 		return ErrPermanent
@@ -364,30 +374,4 @@ func emit(cfg Config, ev Event) {
 		cfg.OnEvent(ev)
 	}
 	observe(ev)
-}
-
-// Summary condenses a result set: counts per outcome class.
-type Summary struct {
-	Succeeded, Transient, Stalled, Aborted, Permanent int
-}
-
-// Summarize tallies results by outcome. A failed experiment counts under
-// the class of its final error.
-func Summarize(results []Result) Summary {
-	var s Summary
-	for _, r := range results {
-		switch {
-		case r.Err == nil:
-			s.Succeeded++
-		case errors.Is(r.Err, ErrAborted):
-			s.Aborted++
-		case errors.Is(r.Err, ErrStalled):
-			s.Stalled++
-		case errors.Is(r.Err, ErrTransient):
-			s.Transient++
-		default:
-			s.Permanent++
-		}
-	}
-	return s
 }

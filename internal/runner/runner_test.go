@@ -93,9 +93,6 @@ func TestBatchRunsAllEntriesInOrder(t *testing.T) {
 			t.Errorf("%s took %d attempts, want 1", r.ID, r.Attempts)
 		}
 	}
-	if s := Summarize(results); s.Succeeded != 5 {
-		t.Errorf("summary %+v, want 5 succeeded", s)
-	}
 }
 
 // TestStalledExperimentIsCancelledRetriedAndDoesNotBlockSiblings is the
@@ -163,9 +160,6 @@ func TestStalledExperimentIsCancelledRetriedAndDoesNotBlockSiblings(t *testing.T
 	}
 	if waited := quickDone.Sub(start); waited > 25*time.Millisecond {
 		t.Errorf("sibling waited %v on the stalled experiment", waited)
-	}
-	if s := Summarize(results); s.Stalled != 1 || s.Succeeded != 1 {
-		t.Errorf("summary %+v, want 1 stalled + 1 succeeded", s)
 	}
 }
 
@@ -293,9 +287,6 @@ func TestRootCancellationAbortsWithoutRetry(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("aborted experiment ran %d times, want 1 (no retry on abort)", calls.Load())
-	}
-	if s := Summarize(results); s.Aborted != 2 {
-		t.Errorf("summary %+v, want 2 aborted", s)
 	}
 }
 
